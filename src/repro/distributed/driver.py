@@ -52,7 +52,7 @@ from repro.distributed.transport import (
     launch_loopback,
 )
 from repro.sharded.driver import ShardedSimulation
-from repro.vectorized.state import ArrayState, column_spec
+from repro.vectorized.state import ArrayState, column_spec, take_rows
 
 __all__ = ["DistributedSimulation"]
 
@@ -361,16 +361,19 @@ class _MessageExecutor:
             all_ids = np.concatenate([result["view_ids"] for result in fetched])
             all_ages = np.concatenate([result["view_ages"] for result in fetched])
             order = np.argsort(all_rows)
-            lookup = (all_rows[order], all_ids[order], all_ages[order])
+            lookup = (
+                all_rows[order],
+                take_rows(all_ids, order),
+                take_rows(all_ages, order),
+            )
         assignments = []
         for index, payload in enumerate(payloads):
             rows = needed[index]
             if len(rows):
                 sorted_rows, ids, ages = lookup
                 positions = np.searchsorted(sorted_rows, rows)
-                payload = dict(
-                    payload, guests=(rows, ids[positions], ages[positions])
-                )
+                guests = (rows, take_rows(ids, positions), take_rows(ages, positions))
+                payload = dict(payload, guests=guests)
             assignments.append((index, payload))
         return self._exchange("refresh_swap", assignments)
 

@@ -63,7 +63,7 @@ from repro.distributed.transport import Endpoint, parse_host_port
 from repro.obs.telemetry import Telemetry
 from repro.sharded.kernels import DISPATCH, ShardContext
 from repro.vectorized.metrics import PartitionArrays
-from repro.vectorized.state import EMPTY, ArrayState, column_spec
+from repro.vectorized.state import EMPTY, ArrayState, column_spec, put_rows, take_rows
 
 __all__ = ["serve_endpoint", "tcp_worker_main", "main"]
 
@@ -137,7 +137,7 @@ def _blank_heavy_rows(state: ArrayState, lo: int, hi: int) -> None:
 
 def _apply_updates(state: ArrayState, updates) -> None:
     for column, rows, values in updates:
-        getattr(state, column)[rows] = values
+        put_rows(getattr(state, column), rows, values)
         if column == "alive":
             state._live_dirty = True
 
@@ -168,8 +168,8 @@ def _handle_refresh_swap(ctx: ShardContext, payload: dict):
     guests = payload.get("guests")
     if guests is not None:
         rows, guest_ids, guest_ages = guests
-        ctx.state.view_ids[rows] = guest_ids
-        ctx.state.view_ages[rows] = guest_ages
+        put_rows(ctx.state.view_ids, rows, guest_ids)
+        put_rows(ctx.state.view_ages, rows, guest_ages)
     result = DISPATCH["refresh_swap"](
         ctx,
         offset=payload["offset"],
@@ -180,8 +180,8 @@ def _handle_refresh_swap(ctx: ShardContext, payload: dict):
     if guests is not None and len(rows):
         rows = np.array(rows)
         updates = [
-            ("view_ids", rows, np.array(ctx.state.view_ids[rows])),
-            ("view_ages", rows, np.array(ctx.state.view_ages[rows])),
+            ("view_ids", rows, take_rows(ctx.state.view_ids, rows)),
+            ("view_ages", rows, take_rows(ctx.state.view_ages, rows)),
         ]
     return result, [], updates
 
@@ -190,8 +190,8 @@ def _handle_fetch_rows(ctx: ShardContext, payload: dict):
     rows = payload["rows"]
     result = {
         "rows": np.array(rows),
-        "view_ids": np.array(ctx.state.view_ids[rows]),
-        "view_ages": np.array(ctx.state.view_ages[rows]),
+        "view_ids": take_rows(ctx.state.view_ids, rows),
+        "view_ages": take_rows(ctx.state.view_ages, rows),
     }
     return result, [], []
 

@@ -22,20 +22,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bulk.concurrency import deliver_one_sided, wave_exchange
-from repro.core.ordering import (
-    SELECTION_RANDOM,
-    SELECTION_RANDOM_MISPLACED,
-)
 from repro.sharded.metrics import cross_shard_ranks
 from repro.vectorized import metrics as vmetrics
-from repro.vectorized.ordering import (
-    _max_gain_columns,
-    _random_valid_column_from,
-    _valid_slots,
+from repro.vectorized.ordering import _random_valid_column_from, select_exchanges
+from repro.vectorized.ranking import (
+    boundary_columns,
+    deliver_updates,
+    fold_views,
+    recompute_estimates,
+    sender_rows,
 )
-from repro.vectorized.ranking import window_fold, window_push
-from repro.vectorized.sampler import _oldest_columns, _swap_views
-from repro.vectorized.state import EMPTY, ArrayState
+from repro.vectorized.sampler import (
+    _age_and_purge,
+    _propose_to_oldest,
+    _swap_views,
+)
+from repro.vectorized.state import EMPTY, ArrayState, pick_columns, row_index
 
 __all__ = ["ShardContext", "DISPATCH"]
 
@@ -53,7 +55,7 @@ class ShardContext:
         self.scratch = scratch
         self.cache = {}
 
-    def live_rows(self) -> np.ndarray:
+    def live_ids(self) -> np.ndarray:
         """Ids of the live nodes this shard owns, ascending."""
         hi = min(self.hi, self.state.size)
         if hi <= self.lo:
@@ -74,19 +76,16 @@ def cmd_refresh_age(ctx: ShardContext, uniform: bool, shard: int) -> dict:
     live-offset bookkeeping read; the empty-slot count rides the
     reply."""
     state = ctx.state
-    live = ctx.live_rows()
-    ctx.cache = {"live": live}
+    live = ctx.live_ids()
+    rows = row_index(live, ctx.lo, min(ctx.hi, state.size))
+    ctx.cache = {"live": live, "live_rows": rows}
     ctx.scratch["occupancy"][shard] = len(live)
     if len(live):
         if uniform:
-            state.view_ids[live] = EMPTY
-            state.view_ages[live] = 0
+            state.view_ids[rows] = EMPTY
+            state.view_ages[rows] = 0
         else:
-            occupied = state.view_ids[live] != EMPTY
-            ages = state.view_ages[live]
-            ages[occupied] += 1
-            state.view_ages[live] = ages
-            state.purge_dead_entries(live)
+            _age_and_purge(state, rows)
     empty_rows, empty_cols = state.empty_live_slots(ctx.lo, ctx.hi)
     ctx.cache["empty"] = (empty_rows, empty_cols)
     return {"empty": len(empty_rows)}
@@ -131,10 +130,9 @@ def cmd_refresh_fill_partners(
     jitter = ctx.scratch["jitter"][
         jitter_offset * c : (jitter_offset + len(live)) * c
     ].reshape(len(live), c)
-    cols = _oldest_columns(state.view_ids[live], state.view_ages[live], jitter=jitter)
-    chosen = state.view_ids[live, cols]
-    has_partner = chosen != EMPTY
-    initiators, chosen = live[has_partner], chosen[has_partner]
+    initiators, chosen = _propose_to_oldest(
+        state, ctx.cache["live_rows"], live, jitter
+    )
     ctx.scratch["prop_a"][ctx.lo : ctx.lo + len(initiators)] = initiators
     ctx.scratch["prop_b"][ctx.lo : ctx.lo + len(chosen)] = chosen
     return {"props": len(initiators)}
@@ -170,36 +168,23 @@ def cmd_rank_fold(ctx: ShardContext, boundary_bias: bool, window_exact: bool) ->
     if len(live) == 0:
         ctx.cache.update(rows=np.empty(0, dtype=np.int64))
         return {"rows": 0}
-    view = state.view_ids[live]
-    valid = _valid_slots(state, view)
-    safe = np.where(valid, view, 0)
-    a_self = state.attribute[live]
-    a_peer = state.attribute[safe]
-    le_bits = valid & (a_peer <= a_self[:, None])
-    if window_exact:
-        window_fold(state, live, valid, le_bits)
-    else:
-        state.obs_le[live] += le_bits.sum(axis=1).astype(np.float64)
-        state.obs_total[live] += valid.sum(axis=1)
-    rows = np.flatnonzero(valid.any(axis=1))
-    sub_view, sub_valid = view[rows], valid[rows]
+    view, valid, counts, a_self = fold_views(
+        state, ctx.cache["live_rows"], live, window_exact
+    )
+    senders = np.flatnonzero(counts)
+    view, valid, counts = sender_rows(senders, view, valid, counts)
     j1_cols = None
-    if boundary_bias and len(rows):
-        r_peer = np.where(
-            sub_valid, state.value[np.where(sub_valid, sub_view, 0)], 0.0
-        )
-        distance = np.where(
-            sub_valid, ctx.geometry.boundary_distance(r_peer), np.inf
-        )
-        j1_cols = np.argmin(distance, axis=1)
+    if boundary_bias and len(senders):
+        j1_cols = boundary_columns(state, ctx.geometry, view, valid, counts)
     ctx.cache.update(
-        rows=rows,
-        sub_view=sub_view,
-        sub_valid=sub_valid,
+        rows=senders,
+        sub_view=view,
+        sub_valid=valid,
+        sub_counts=counts,
         j1_cols=j1_cols,
         a_self=a_self,
     )
-    return {"rows": len(rows)}
+    return {"rows": len(senders)}
 
 
 def cmd_rank_targets(
@@ -216,17 +201,17 @@ def cmd_rank_targets(
     if count == 0:
         return {}
     sub_view, sub_valid = ctx.cache["sub_view"], ctx.cache["sub_valid"]
+    sub_counts = ctx.cache["sub_counts"]
     j1_cols = ctx.cache["j1_cols"]
     if j1_cols is None:  # boundary_bias=False ablation: j1 is random too
         j1_cols = _random_valid_column_from(
-            sub_valid, ctx.scratch["u1"][offset : offset + count]
+            sub_valid, ctx.scratch["u1"][offset : offset + count], sub_counts
         )
     j2_cols = _random_valid_column_from(
-        sub_valid, ctx.scratch["u2"][offset : offset + count]
+        sub_valid, ctx.scratch["u2"][offset : offset + count], sub_counts
     )
-    sub_rows = np.arange(count)
-    ctx.scratch["tgt1"][ctx.lo : ctx.lo + count] = sub_view[sub_rows, j1_cols]
-    ctx.scratch["tgt2"][ctx.lo : ctx.lo + count] = sub_view[sub_rows, j2_cols]
+    ctx.scratch["tgt1"][ctx.lo : ctx.lo + count] = pick_columns(sub_view, j1_cols)
+    ctx.scratch["tgt2"][ctx.lo : ctx.lo + count] = pick_columns(sub_view, j2_cols)
     ctx.scratch["sattr"][ctx.lo : ctx.lo + count] = ctx.cache["a_self"][rows]
     if sids:
         ctx.scratch["sid"][ctx.lo : ctx.lo + count] = ctx.cache["live"][rows]
@@ -246,26 +231,9 @@ def cmd_rank_apply(ctx: ShardContext, events: int, window, window_exact: bool) -
         senders = ctx.scratch["senders"][:events]
         mine = (targets >= ctx.lo) & (targets < ctx.hi)
         targets, senders = targets[mine], senders[mine]
-        upd_le = (senders <= state.attribute[targets]).astype(np.float64)
-        if window_exact:
-            window_push(state, targets, upd_le)
-        else:
-            np.add.at(state.obs_total, targets, 1.0)
-            np.add.at(state.obs_le, targets, upd_le)
-    if len(live) == 0:
-        return {}
-    if window is not None and not window_exact:
-        totals = state.obs_total[live]
-        over = totals > window
-        if over.any():
-            factor = window / totals[over]
-            rows_over = live[over]
-            state.obs_le[rows_over] *= factor
-            state.obs_total[rows_over] = float(window)
-    totals = state.obs_total[live]
-    observed = totals > 0
-    rows_obs = live[observed]
-    state.value[rows_obs] = state.obs_le[rows_obs] / totals[observed]
+        deliver_updates(state, targets, senders, window_exact)
+    if len(live):
+        recompute_estimates(state, live, window, window_exact)
     return {}
 
 
@@ -285,35 +253,13 @@ def cmd_ord_select(
     live = ctx.cache["live"]
     if len(live) == 0:
         return {"props": 0, "intended": 0}
-    view = state.view_ids[live]
-    valid = _valid_slots(state, view)
-    safe = np.where(valid, view, 0)
-    a_self = state.attribute[live][:, None]
-    r_self = state.value[live][:, None]
-    a_peer = np.where(valid, state.attribute[safe], np.inf)
-    r_peer = np.where(valid, state.value[safe], np.inf)
-    misplaced = valid & ((a_peer - a_self) * (r_peer - r_self) < 0.0)
-
-    if selection == SELECTION_RANDOM:
-        rows = valid.any(axis=1)
-        cols = _random_valid_column_from(
-            valid, ctx.scratch["u1"][offset : offset + len(live)]
-        )
-        intended = misplaced[np.arange(len(live)), cols]
-    elif selection == SELECTION_RANDOM_MISPLACED:
-        rows = misplaced.any(axis=1)
-        cols = _random_valid_column_from(
-            misplaced, ctx.scratch["u1"][offset : offset + len(live)]
-        )
-        intended = rows.copy()
-    else:
-        rows = misplaced.any(axis=1)
-        cols = _max_gain_columns(live, view, valid, misplaced, state)
-        intended = rows.copy()
-
-    initiators = live[rows]
-    targets = view[np.arange(len(live)), cols][rows]
-    intended = intended[rows]
+    initiators, targets, intended = select_exchanges(
+        state,
+        ctx.cache["live_rows"],
+        live,
+        selection,
+        lambda: ctx.scratch["u1"][offset : offset + len(live)],
+    )
     ctx.scratch["prop_a"][ctx.lo : ctx.lo + len(initiators)] = initiators
     ctx.scratch["prop_b"][ctx.lo : ctx.lo + len(targets)] = targets
     ctx.scratch["prop_x"][ctx.lo : ctx.lo + len(intended)] = intended
@@ -462,7 +408,7 @@ def cmd_rebalance_commit(ctx: ShardContext, lo: int, hi: int) -> dict:
 def cmd_metric_prepare(ctx: ShardContext, column: str) -> dict:
     """Sort this shard's live ``(column, id)`` pairs for the rank merge."""
     state = ctx.state
-    live = ctx.live_rows()
+    live = ctx.live_ids()
     keys = np.asarray(getattr(state, column)[live], dtype=np.float64)
     order = np.lexsort((live, keys))
     ctx.cache["m_live"] = live
@@ -526,7 +472,7 @@ def cmd_metric_gdm(ctx: ShardContext) -> dict:
 def cmd_metric_confident(ctx: ShardContext, z: float) -> dict:
     """Partial Theorem-5.1 confidence count over this shard's rows."""
     state = ctx.state
-    live = ctx.live_rows()
+    live = ctx.live_ids()
     if len(live) == 0:
         return {"confident": 0, "n": 0}
     mask = vmetrics.confident_mask(
@@ -538,7 +484,7 @@ def cmd_metric_confident(ctx: ShardContext, z: float) -> dict:
 def cmd_metric_slice_sizes(ctx: ShardContext) -> dict:
     """Partial claimed-membership histogram."""
     state = ctx.state
-    live = ctx.live_rows()
+    live = ctx.live_ids()
     believed = ctx.geometry.index_of(state.value[live])
     counts = np.bincount(believed, minlength=len(ctx.geometry))
     return {"counts": [int(c) for c in counts]}

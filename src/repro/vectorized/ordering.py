@@ -35,7 +35,7 @@ from repro.core.ordering import (
     SELECTION_RANDOM,
     SELECTION_RANDOM_MISPLACED,
 )
-from repro.vectorized.state import EMPTY, ArrayState
+from repro.vectorized.state import EMPTY, ArrayState, pick_columns, take_rows
 
 __all__ = ["ordering_round"]
 
@@ -48,22 +48,34 @@ def _valid_slots(state: ArrayState, view: np.ndarray) -> np.ndarray:
     occupied = view != EMPTY
     if not state.maybe_dead_entries:
         return occupied
-    return occupied & state.alive[np.where(occupied, view, 0)]
+    return occupied & np.take(state.alive, np.where(occupied, view, 0))
+
+
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """``mask.sum(axis=1)``, accumulated column by column: reducing a
+    short trailing axis is numpy's slow case, ``c`` strided adds over
+    the long one are not."""
+    counts = mask[:, 0].astype(np.int64)
+    for column in range(1, mask.shape[1]):
+        counts += mask[:, column]
+    return counts
 
 
 def _random_valid_column_from(
-    valid: np.ndarray, uniforms: np.ndarray
+    valid: np.ndarray, uniforms: np.ndarray, counts: np.ndarray = None
 ) -> np.ndarray:
     """Per row, a uniformly random column among the ``True`` ones,
     resolved from pre-drawn per-row uniforms (the plan draws one global
     block; the sharded backend hands each shard its slice, so any
-    worker count consumes the stream identically).
+    worker count consumes the stream identically).  ``counts`` is
+    ``valid``'s per-row count, for callers that already hold it.
 
     Rows without any valid column return 0; callers mask them out.
     """
     if len(valid) == 0:
         return np.empty(0, dtype=np.int64)
-    counts = valid.sum(axis=1)
+    if counts is None:
+        counts = _row_counts(valid)
     picks = (uniforms * np.maximum(counts, 1)).astype(np.int64)
     if counts.min() == valid.shape[1]:  # all slots valid: direct pick
         return picks
@@ -105,33 +117,13 @@ def ordering_round(
     live = state.live_ids()
     if len(live) < 2:
         return
-    view = state.view_ids[live]
-    valid = _valid_slots(state, view)
-    safe = np.where(valid, view, 0)
-    a_self = state.attribute[live][:, None]
-    r_self = state.value[live][:, None]
-    a_peer = np.where(valid, state.attribute[safe], np.inf)
-    r_peer = np.where(valid, state.value[safe], np.inf)
-    misplaced = valid & ((a_peer - a_self) * (r_peer - r_self) < 0.0)
-
-    if selection == SELECTION_RANDOM:
-        rows = valid.any(axis=1)
-        cols = _random_valid_column_from(valid, plan.ordering_uniforms(len(live)))
-        intended = misplaced[np.arange(len(live)), cols]
-    elif selection == SELECTION_RANDOM_MISPLACED:
-        rows = misplaced.any(axis=1)
-        cols = _random_valid_column_from(
-            misplaced, plan.ordering_uniforms(len(live))
-        )
-        intended = rows.copy()
-    else:
-        rows = misplaced.any(axis=1)
-        cols = _max_gain_columns(live, view, valid, misplaced, state)
-        intended = rows.copy()
-
-    initiators = live[rows]
-    targets = view[np.arange(len(live)), cols][rows]
-    intended = intended[rows]
+    initiators, targets, intended = select_exchanges(
+        state,
+        state.live_rows(),
+        live,
+        selection,
+        lambda: plan.ordering_uniforms(len(live)),
+    )
     if stats is not None:
         stats.note_round(
             messages=2 * len(initiators), intended=int(intended.sum())
@@ -150,34 +142,56 @@ def ordering_round(
     )
 
 
+def select_exchanges(
+    state: ArrayState, rows, live: np.ndarray, selection: str, draw_uniforms
+):
+    """The selection half of a round for the live nodes ``live`` (row
+    index ``rows``): evaluate the misplacement predicate against every
+    valid view neighbor and pick one gossip partner per node under
+    ``selection``.  ``draw_uniforms()`` supplies the per-node uniforms
+    of the two random policies (never called by max-gain, which draws
+    none).  Returns ``(initiators, targets, intended)``, ascending by
+    initiator."""
+    view = take_rows(state.view_ids, rows)
+    valid = _valid_slots(state, view)
+    safe = np.where(valid, view, 0)
+    a_self = take_rows(state.attribute, rows)[:, None]
+    r_self = take_rows(state.value, rows)[:, None]
+    a_peer = np.where(valid, np.take(state.attribute, safe), np.inf)
+    r_peer = np.where(valid, np.take(state.value, safe), np.inf)
+    misplaced = valid & ((a_peer - a_self) * (r_peer - r_self) < 0.0)
+
+    if selection == SELECTION_RANDOM:
+        chosen = valid.any(axis=1)
+        cols = _random_valid_column_from(valid, draw_uniforms())
+        intended = pick_columns(misplaced, cols)
+    elif selection == SELECTION_RANDOM_MISPLACED:
+        chosen = misplaced.any(axis=1)
+        cols = _random_valid_column_from(misplaced, draw_uniforms())
+        intended = chosen
+    else:
+        chosen = misplaced.any(axis=1)
+        ids = np.concatenate([live[:, None], np.where(valid, view, EMPTY)], axis=1)
+        cols = _max_gain_columns(
+            ids,
+            np.concatenate([a_self, a_peer], axis=1),
+            np.concatenate([r_self, r_peer], axis=1),
+            misplaced,
+        )
+        intended = chosen
+    return live[chosen], pick_columns(view, cols)[chosen], intended[chosen]
+
+
 def _max_gain_columns(
-    live: np.ndarray,
-    view: np.ndarray,
-    valid: np.ndarray,
-    misplaced: np.ndarray,
-    state: ArrayState,
+    ids: np.ndarray, attr: np.ndarray, value: np.ndarray, misplaced: np.ndarray
 ) -> np.ndarray:
     """mod-JK partner selection: per row, the misplaced neighbor
-    maximizing Equation 2's score over the view-plus-self items."""
-    n, c = view.shape
-    ids = np.concatenate([live[:, None], np.where(valid, view, EMPTY)], axis=1)
+    maximizing Equation 2's score over the view-plus-self items
+    (column 0 is the node itself; invalid slots carry ``EMPTY`` ids and
+    ``+inf`` keys)."""
     # Invalid slots sort to the tail of both local sequences (same
     # +inf key in each), so valid items get the same local ranks the
     # reference computes over the valid items alone.
-    attr = np.concatenate(
-        [
-            state.attribute[live][:, None],
-            np.where(valid, state.attribute[np.where(valid, view, 0)], np.inf),
-        ],
-        axis=1,
-    )
-    value = np.concatenate(
-        [
-            state.value[live][:, None],
-            np.where(valid, state.value[np.where(valid, view, 0)], np.inf),
-        ],
-        axis=1,
-    )
     ids_for_ties = np.where(ids == EMPTY, np.iinfo(np.int64).max, ids)
     l_alpha = _local_ranks(attr, ids_for_ties)
     l_rho = _local_ranks(value, ids_for_ties)
@@ -186,5 +200,3 @@ def _max_gain_columns(
     gain = la_self * lr_peer + la_peer * lr_self - la_peer * lr_peer
     gain = np.where(misplaced, gain, -np.inf)
     return np.argmax(gain, axis=1)
-
-

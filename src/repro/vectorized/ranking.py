@@ -35,10 +35,14 @@ import numpy as np
 
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.vectorized.metrics import PartitionArrays
-from repro.vectorized.ordering import _random_valid_column_from, _valid_slots
-from repro.vectorized.state import ArrayState
+from repro.vectorized.ordering import (
+    _random_valid_column_from,
+    _row_counts,
+    _valid_slots,
+)
+from repro.vectorized.state import ArrayState, pick_columns, take_rows
 
-__all__ = ["ranking_round", "window_push", "window_fold"]
+__all__ = ["ranking_round", "window_push"]
 
 
 def window_push(state: ArrayState, ids: np.ndarray, bits: np.ndarray) -> None:
@@ -96,15 +100,60 @@ def window_push(state: ArrayState, ids: np.ndarray, bits: np.ndarray) -> None:
     state.obs_total[nodes] = state.win_len[nodes]
 
 
-def window_fold(
-    state: ArrayState, rows: np.ndarray, valid: np.ndarray, le_bits: np.ndarray
-) -> None:
-    """Push each row's valid view-slot comparisons (lines 5-7) into the
-    exact window, in row-major slot order."""
-    counts = valid.sum(axis=1)
-    if counts.sum() == 0:
-        return
-    window_push(state, np.repeat(rows, counts), le_bits[valid])
+def fold_views(state: ArrayState, rows, live: np.ndarray, window_exact: bool):
+    """Lines 5-7 for the live nodes ``live`` (row index ``rows``): fold
+    every valid view entry's comparison into the node's counters.
+
+    Returns ``(view, valid, counts, a_self)`` — the nodes' view rows (a
+    zero-copy slice of the state when ``rows`` is one), their
+    occupied-and-alive mask, its per-row counts, and their attributes.
+    """
+    view = take_rows(state.view_ids, rows)
+    valid = _valid_slots(state, view)
+    full = bool(valid.all())  # steady state: no masking passes needed
+    a_self = take_rows(state.attribute, rows)
+    a_peer = np.take(state.attribute, view if full else np.where(valid, view, 0))
+    le_bits = a_peer <= a_self[:, None]
+    if full:
+        counts = np.full(len(view), state.view_size)
+    else:
+        le_bits &= valid
+        counts = _row_counts(valid)
+    if window_exact:  # the exact window observes slots in row-major order
+        window_push(state, np.repeat(live, counts), le_bits[valid])
+    else:
+        state.obs_le[rows] += _row_counts(le_bits)
+        state.obs_total[rows] += counts
+    return view, valid, counts, a_self
+
+
+def sender_rows(
+    senders: np.ndarray, view: np.ndarray, valid: np.ndarray, counts: np.ndarray
+):
+    """The fold's arrays restricted to ``senders``, the rows that have a
+    neighbor to send ``UPD`` to (the arrays themselves if all do)."""
+    if len(senders) == len(view):
+        return view, valid, counts
+    return take_rows(view, senders), take_rows(valid, senders), counts[senders]
+
+
+def boundary_columns(
+    state: ArrayState,
+    geometry: PartitionArrays,
+    view: np.ndarray,
+    valid: np.ndarray,
+    counts: np.ndarray,
+) -> np.ndarray:
+    """Lines 8-10: per row, the column of the valid neighbor whose
+    published estimate is closest to a slice boundary.  ``dist`` is a
+    function of the neighbor's estimate alone, so it is evaluated once
+    per node and gathered, not once per view slot."""
+    node_distance = geometry.boundary_distance(state.value[: state.size])
+    if counts.min() == view.shape[1]:
+        return np.argmin(np.take(node_distance, view), axis=1)
+    distance = np.take(node_distance, np.where(valid, view, 0))
+    distance[~valid] = np.inf
+    return np.argmin(distance, axis=1)
 
 
 def ranking_round(
@@ -128,52 +177,31 @@ def ranking_round(
     attribute frozen, and mail sent ``d`` cycles ago lands now —
     prepended to the stream, so the exact window observes late events
     before this cycle's inline ones."""
-    live = state.live_ids()
+    live, rows = state.live_ids(), state.live_rows()
     if len(live) < 2:
         return
     with telemetry.span("fold"):
-        view = state.view_ids[live]
-        valid = _valid_slots(state, view)
-        has_neighbors = valid.any(axis=1)
-        safe = np.where(valid, view, 0)
-        a_self = state.attribute[live]
-        a_peer = state.attribute[safe]
-
-        # Lines 5-7: fold the view into the counters (invalid slots
-        # excluded).
-        le_bits = valid & (a_peer <= a_self[:, None])
-        if window_exact:
-            window_fold(state, live, valid, le_bits)
-        else:
-            state.obs_le[live] += le_bits.sum(axis=1).astype(np.float64)
-            state.obs_total[live] += valid.sum(axis=1)
+        view, valid, counts, a_self = fold_views(state, rows, live, window_exact)
 
     # Lines 8-12: target selection over nodes that have neighbors.
-    rows = np.flatnonzero(has_neighbors)
+    senders = np.flatnonzero(counts)
     targets = np.empty(0, dtype=np.int64)
     senders_attr = np.empty(0, dtype=np.float64)
     overlapping = 0
     sent = lost_count = delayed_count = matured_count = 0
-    if len(rows):
+    if len(senders):
         with telemetry.span("targets"):
-            sub_view, sub_valid = view[rows], valid[rows]
-            u1, u2 = plan.ranking_uniforms(len(rows), boundary_bias)
+            view, valid, counts = sender_rows(senders, view, valid, counts)
+            u1, u2 = plan.ranking_uniforms(len(senders), boundary_bias)
             if boundary_bias:
-                r_peer = np.where(
-                    sub_valid, state.value[np.where(sub_valid, sub_view, 0)], 0.0
-                )
-                distance = np.where(
-                    sub_valid, geometry.boundary_distance(r_peer), np.inf
-                )
-                j1_cols = np.argmin(distance, axis=1)
+                j1_cols = boundary_columns(state, geometry, view, valid, counts)
             else:
-                j1_cols = _random_valid_column_from(sub_valid, u1)
-            j2_cols = _random_valid_column_from(sub_valid, u2)
-            sub_rows = np.arange(len(rows))
+                j1_cols = _random_valid_column_from(valid, u1, counts)
+            j2_cols = _random_valid_column_from(valid, u2, counts)
             targets = np.concatenate(
-                [sub_view[sub_rows, j1_cols], sub_view[sub_rows, j2_cols]]
+                [pick_columns(view, j1_cols), pick_columns(view, j2_cols)]
             )
-            senders_attr = np.tile(a_self[rows], 2)
+            senders_attr = np.tile(a_self[senders], 2)
 
             # Section 4.5.2: overlapping UPD messages are flushed after
             # the inline ones, in random order.  One-way messages
@@ -188,7 +216,7 @@ def ranking_round(
             # Fault fates: lost (or partition-crossing) UPDs vanish;
             # delayed ones are mailed with the sender attribute frozen.
             if plan.faults_enabled:
-                sender_ids = np.tile(live[rows], 2)
+                sender_ids = np.tile(live[senders], 2)
                 if order is not None:
                     sender_ids = sender_ids[order]
                 crossing = plan.partition_mask(sender_ids, targets)
@@ -225,16 +253,7 @@ def ranking_round(
 
     if len(targets):
         with telemetry.span("upd_deliver"):
-            # Lines 13-14 + 17-21: one-way UPD delivery as scatter-adds
-            # (or, in exact-window mode, as window events).
-            upd_le = (senders_attr <= state.attribute[targets]).astype(
-                np.float64
-            )
-            if window_exact:
-                window_push(state, targets, upd_le)
-            else:
-                np.add.at(state.obs_total, targets, 1.0)
-                np.add.at(state.obs_le, targets, upd_le)
+            deliver_updates(state, targets, senders_attr, window_exact)
     if stats is not None and (sent or matured_count):
         stats.note_round(messages=sent, intended=0)
         stats.note_overlapping(overlapping)
@@ -248,20 +267,37 @@ def ranking_round(
         telemetry.count("ranking.upd_messages", len(targets))
 
     with telemetry.span("estimates"):
-        # Rescaling approximation: cap the effective sample count.  The
-        # gathered totals are a copy, so mirroring the cap into them
-        # replaces the second obs_total gather the re-read used to do.
-        totals = state.obs_total[live]
-        if window is not None and not window_exact:
-            over = totals > window
-            if over.any():
-                factor = window / totals[over]
-                rows_over = live[over]
-                state.obs_le[rows_over] *= factor
-                state.obs_total[rows_over] = float(window)
-                totals[over] = float(window)
+        recompute_estimates(state, live, window, window_exact)
 
-        # Lines 15-16: recompute estimates where any observation exists.
-        observed = totals > 0
-        rows_obs = live[observed]
-        state.value[rows_obs] = state.obs_le[rows_obs] / totals[observed]
+
+def deliver_updates(
+    state: ArrayState, targets: np.ndarray, senders_attr: np.ndarray, window_exact: bool
+) -> None:
+    """Lines 13-14 + 17-21: one-way ``UPD`` delivery as scatter-adds
+    (or, in exact-window mode, as window events), in event order."""
+    upd_le = (senders_attr <= state.attribute[targets]).astype(np.float64)
+    if window_exact:
+        window_push(state, targets, upd_le)
+    else:
+        np.add.at(state.obs_total, targets, 1.0)
+        np.add.at(state.obs_le, targets, upd_le)
+
+
+def recompute_estimates(
+    state: ArrayState, live: np.ndarray, window: Optional[int], window_exact: bool
+) -> None:
+    """Lines 15-16 for the live nodes ``live``: ``value = l / g`` where
+    any observation exists, after the rescaling approximation (if on)
+    capped the effective sample count at ``window``."""
+    totals = state.obs_total[live]  # a copy: the cap is mirrored into it
+    if window is not None and not window_exact:
+        over = totals > window
+        if over.any():
+            factor = window / totals[over]
+            rows_over = live[over]
+            state.obs_le[rows_over] *= factor
+            state.obs_total[rows_over] = float(window)
+            totals[over] = float(window)
+    observed = totals > 0
+    rows_obs = live[observed]
+    state.value[rows_obs] = state.obs_le[rows_obs] / totals[observed]

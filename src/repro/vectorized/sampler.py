@@ -28,11 +28,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.obs.telemetry import NULL_TELEMETRY
-from repro.vectorized.state import EMPTY, ArrayState
+from repro.vectorized.state import EMPTY, ArrayState, pick_columns, put_rows, take_rows
 
 __all__ = ["refresh_views", "refresh_views_uniform", "fill_from_plan"]
 
 _NEVER = -1  # age sentinel: slot cannot be chosen as partner
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+def _age_and_purge(state: ArrayState, rows) -> None:
+    """Line 1 for the given live rows — every occupied entry ages by
+    one — then failed-connection pruning of pointers to dead nodes."""
+    ages = take_rows(state.view_ages, rows)
+    ages += take_rows(state.view_ids, rows) != EMPTY
+    if not isinstance(rows, slice):  # a gathered copy: write it back
+        put_rows(state.view_ages, rows, ages)
+    state.purge_dead_entries(rows)
 
 
 def _oldest_columns(
@@ -49,12 +60,24 @@ def _oldest_columns(
     (the sharded backend draws one central block and hands each shard
     its row slice).
     """
-    key = np.where(ids == EMPTY, _NEVER, ages).astype(np.float32)
     if jitter is None:
         jitter = rng.random(ids.shape, dtype=np.float32)
     # Random tie-break: jitter in (0, 1) cannot reorder distinct ages.
-    key += jitter * (key > _NEVER)
+    key = ages.astype(np.float32)
+    key += jitter
+    key[ids == EMPTY] = _NEVER
     return np.argmax(key, axis=1)
+
+
+def _propose_to_oldest(state: ArrayState, rows, live: np.ndarray, jitter: np.ndarray):
+    """Line 2 for the live nodes ``live`` (row index ``rows``): each
+    proposes to its oldest neighbor.  Returns ``(initiators,
+    partners)`` of the nodes that have one, ascending by initiator."""
+    ids = take_rows(state.view_ids, rows)
+    cols = _oldest_columns(ids, take_rows(state.view_ages, rows), jitter=jitter)
+    partners = pick_columns(ids, cols)
+    has_partner = partners != EMPTY
+    return live[has_partner], partners[has_partner]
 
 
 def fill_from_plan(state: ArrayState, plan) -> None:
@@ -70,7 +93,7 @@ def fill_from_plan(state: ArrayState, plan) -> None:
 def refresh_views(state: ArrayState, plan, telemetry=NULL_TELEMETRY) -> None:
     """One batched membership round over every live node, consuming
     the :class:`~repro.bulk.CyclePlan`'s sampler-phase schedule."""
-    live = state.live_ids()
+    live, rows = state.live_ids(), state.live_rows()
     if len(live) < 2:
         return
 
@@ -80,24 +103,11 @@ def refresh_views(state: ArrayState, plan, telemetry=NULL_TELEMETRY) -> None:
     jitter = plan.partner_jitter(len(live), state.view_size)
 
     with telemetry.span("age_purge"):
-        # Line 1: age all occupied entries of live nodes.
-        occupied = state.view_ids[live] != EMPTY
-        ages = state.view_ages[live]
-        ages[occupied] += 1
-        state.view_ages[live] = ages
-
-        # Failed-connection pruning + empty-view recovery.
-        state.purge_dead_entries(live)
-        fill_from_plan(state, plan)
+        _age_and_purge(state, rows)
+        fill_from_plan(state, plan)  # empty-view recovery
 
     with telemetry.span("partner_select"):
-        # Line 2: propose to the oldest live neighbor.
-        cols = _oldest_columns(
-            state.view_ids[live], state.view_ages[live], jitter=jitter
-        )
-        partners = state.view_ids[live, cols]
-        has_partner = partners != EMPTY
-        initiators, partners = live[has_partner], partners[has_partner]
+        initiators, partners = _propose_to_oldest(state, rows, live, jitter)
 
         # Transient partitions (fault model): a proposal whose partner
         # sits across the partition cannot connect this cycle — skip it,
@@ -140,28 +150,27 @@ def _swap_views(state: ArrayState, side_a: np.ndarray, side_b: np.ndarray) -> No
     # directions separately, at half the gather/argmax/scatter passes.
     receivers = np.concatenate((side_a, side_b))
     donors = np.concatenate((side_b, side_a))
-    new_ids = state.view_ids[donors]
-    new_ages = state.view_ages[donors]
+    new_ids = take_rows(state.view_ids, donors)
+    new_ages = take_rows(state.view_ages, donors)
     self_ptr = new_ids == receivers[:, None]
     new_ids[self_ptr] = EMPTY
     new_ages[self_ptr] = 0
     # Fresh partner descriptor replaces an empty slot if one exists,
     # otherwise the oldest entry.
-    key = np.where(new_ids == EMPTY, np.iinfo(np.int32).max, new_ages)
-    col = np.argmax(key, axis=1)
-    rows = np.arange(len(receivers))
-    new_ids[rows, col] = donors
-    new_ages[rows, col] = 0
-    state.view_ids[receivers] = new_ids
-    state.view_ages[receivers] = new_ages
+    key = np.where(new_ids == EMPTY, _INT32_MAX, new_ages)
+    slot = np.arange(0, new_ids.size, state.view_size) + np.argmax(key, axis=1)
+    new_ids.reshape(-1)[slot] = donors
+    new_ages.reshape(-1)[slot] = 0
+    put_rows(state.view_ids, receivers, new_ids)
+    put_rows(state.view_ages, receivers, new_ages)
 
 
 def refresh_views_uniform(state: ArrayState, plan) -> None:
     """The idealized uniform oracle (Figure 6(b)'s "uniform" curve):
     every live node's view is redrawn uniformly from the live set."""
-    live = state.live_ids()
-    if len(live) < 2:
+    if state.live_count < 2:
         return
-    state.view_ids[live] = EMPTY
-    state.view_ages[live] = 0
+    rows = state.live_rows()
+    state.view_ids[rows] = EMPTY
+    state.view_ages[rows] = 0
     fill_from_plan(state, plan)

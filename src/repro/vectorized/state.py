@@ -20,8 +20,11 @@ nodes.  :class:`ArrayState` stores the same information *columnar*:
   the cycle model's "view is up-to-date when a message is sent"
   reading (Section 4.5.2).
 
-A cycle of any protocol is then a handful of fancy-indexing passes over
-these arrays — the property that makes 10^6-node runs tractable.
+A cycle of any protocol is then a handful of array passes over these
+columns — the property that makes 10^6-node runs tractable.  Whole rows
+of the view columns are addressed through :func:`row_index` /
+:func:`take_rows` / :func:`put_rows`, never ``column[live]`` (see
+"Row access" in ``docs/ARCHITECTURE.md``).
 """
 
 from __future__ import annotations
@@ -30,7 +33,17 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["ArrayState", "EMPTY", "COLUMNS", "WINDOW_COLUMNS", "column_spec"]
+__all__ = [
+    "ArrayState",
+    "EMPTY",
+    "COLUMNS",
+    "WINDOW_COLUMNS",
+    "column_spec",
+    "row_index",
+    "take_rows",
+    "put_rows",
+    "pick_columns",
+]
 
 #: Sentinel id marking an empty view slot.
 EMPTY = -1
@@ -79,6 +92,40 @@ def column_spec(
                 width = (window + 7) // 8
             spec[name] = (np.dtype(dtype), width)
     return spec
+
+
+def row_index(live: np.ndarray, lo: int, hi: int):
+    """Row index for ``live``, the ascending live ids of ``[lo, hi)``:
+    the zero-copy ``slice(lo, hi)`` when no row of the range is dead,
+    the id array itself otherwise."""
+    return slice(lo, hi) if len(live) == hi - lo else live
+
+
+def take_rows(column: np.ndarray, rows) -> np.ndarray:
+    """Whole rows of ``column``: a view for a slice, else one
+    ``np.take`` (a memcpy per row, where ``column[rows]`` walks the
+    fancy-index machinery per element)."""
+    if isinstance(rows, slice):
+        return column[rows]
+    return np.take(column, rows, axis=0)
+
+
+def put_rows(column: np.ndarray, rows, block) -> None:
+    """``column[rows] = block`` for whole rows (``rows`` distinct).  An
+    id-array scatter of a row block into a matrix goes through a
+    row-wide ``np.void`` view, so each row moves as one element."""
+    block = np.asarray(block, dtype=column.dtype)
+    if isinstance(rows, slice) or block.ndim != 2 or not column.flags.c_contiguous:
+        column[rows] = block
+        return
+    row = np.dtype((np.void, column.dtype.itemsize * column.shape[1]))
+    column.view(row)[:, 0][rows] = np.ascontiguousarray(block).view(row)[:, 0]
+
+
+def pick_columns(block: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``block[i, cols[i]]`` for every row ``i``, as one flat take."""
+    count, width = block.shape
+    return np.take(block.reshape(-1), np.arange(0, count * width, width) + cols)
 
 
 class ArrayState:
@@ -189,6 +236,11 @@ class ArrayState:
             self._live_cache = np.flatnonzero(self.alive[: self.size])
             self._live_dirty = False
         return self._live_cache
+
+    def live_rows(self):
+        """Row index of the live nodes (see :func:`row_index`): a
+        zero-copy slice until the first removal leaves a hole."""
+        return row_index(self.live_ids(), 0, self.size)
 
     @property
     def live_count(self) -> int:
@@ -321,7 +373,7 @@ class ArrayState:
     # View bookkeeping
     # ------------------------------------------------------------------
 
-    def purge_dead_entries(self, rows: np.ndarray = None) -> int:
+    def purge_dead_entries(self, rows=None) -> int:
         """Blank view slots that point at dead nodes; returns how many
         were purged (the churn-bookkeeping invariant the tests check).
 
@@ -333,20 +385,24 @@ class ArrayState:
         """
         if not self.maybe_dead_entries:
             return 0
-        view = self.view_ids if rows is None else self.view_ids[rows]
+        rows = slice(None) if rows is None else rows
+        view = take_rows(self.view_ids, rows)
         occupied = view != EMPTY
-        dead = occupied & ~self.alive[np.where(occupied, view, 0)]
-        if rows is None:
-            self.view_ids[dead] = EMPTY
-            self.view_ages[dead] = 0
-        else:
-            ages = self.view_ages[rows]
+        dead = occupied & ~np.take(self.alive, np.where(occupied, view, 0))
+        if isinstance(rows, slice):
             view[dead] = EMPTY
-            ages[dead] = 0
-            self.view_ids[rows] = view
-            self.view_ages[rows] = ages
+            self.view_ages[rows][dead] = 0
+        else:
+            # Write back only the rows that held a dead pointer.
+            hit = np.unique(np.flatnonzero(dead) // self.view_size)
+            hit_rows, hit_dead = rows[hit], dead[hit]
+            ids, ages = view[hit], take_rows(self.view_ages, hit_rows)
+            ids[hit_dead] = EMPTY
+            ages[hit_dead] = 0
+            put_rows(self.view_ids, hit_rows, ids)
+            put_rows(self.view_ages, hit_rows, ages)
         self.maybe_dead_entries = False
-        return int(dead.sum())
+        return int(np.count_nonzero(dead))
 
     def fill_empty_slots(self, rng: np.random.Generator) -> None:
         """Refill empty view slots with fresh uniform random live
@@ -375,9 +431,9 @@ class ArrayState:
         if hi <= lo:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        view = self.view_ids[lo:hi]
-        empty_rows, empty_cols = np.nonzero(view == EMPTY)
-        empty_rows = empty_rows + lo
+        flat = np.flatnonzero(self.view_ids[lo:hi] == EMPTY)
+        empty_rows, empty_cols = np.divmod(flat, self.view_size)
+        empty_rows += lo
         alive_rows = self.alive[empty_rows]
         return empty_rows[alive_rows], empty_cols[alive_rows]
 
@@ -406,7 +462,7 @@ class ArrayState:
         # Cheap detection pass first: rows holding a duplicate are rare
         # (collision probability ~ c^2/2n), so the exact positional
         # dedup below usually runs on a tiny subset.
-        view = self.view_ids[rows]
+        view = take_rows(self.view_ids, rows)
         ordered = np.sort(view, axis=1)
         has_dup = (
             (ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] != EMPTY)
@@ -424,10 +480,10 @@ class ArrayState:
         dup = np.zeros_like(dup_sorted)
         np.put_along_axis(dup, order, dup_sorted, axis=1)
         view[dup] = EMPTY
-        self.view_ids[rows] = view
-        ages = self.view_ages[rows]
+        put_rows(self.view_ids, rows, view)
+        ages = take_rows(self.view_ages, rows)
         ages[dup] = 0
-        self.view_ages[rows] = ages
+        put_rows(self.view_ages, rows, ages)
 
     def bootstrap_views(self, rng: np.random.Generator) -> None:
         """Give every live node an initial random view (fresh entries)."""
