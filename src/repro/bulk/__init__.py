@@ -1,21 +1,22 @@
 """Shared cycle-plan layer of the bulk backends.
 
-Both bulk engines — the single-process :mod:`repro.vectorized` backend
-and the multi-process :mod:`repro.sharded` backend — execute the same
-per-cycle schedule: churn, view refresh, protocol round.  Their
-headline invariant is that a run is *bitwise identical* across the two
-backends (and across every sharded worker count), which requires every
-random draw to happen in exactly the same stream order and every
-exchange to be scheduled into exactly the same node-disjoint waves.
+The bulk engines — :mod:`repro.vectorized`, :mod:`repro.sharded` and
+:mod:`repro.distributed` — run one definition of the per-cycle
+schedule (churn, view refresh, protocol round;
+:mod:`repro.vectorized.cycle`) on three executors.  Their headline
+invariant is that a run is *bitwise identical* across the three (and
+across every worker count), which requires every random draw to
+happen in exactly the same stream order and every exchange to be
+scheduled into exactly the same node-disjoint waves.
 
 This package is the single source of that schedule:
 
 * :class:`~repro.bulk.plan.CyclePlan` — one cycle's full random
   schedule: churn events, every random block in canonical stream
   order, exchange-wave pairing, message-overlap masks and flush
-  delivery rounds.  Both backends construct exactly one plan per cycle
-  and request every random quantity through it; neither carries its
-  own copy of the draw-order logic.
+  delivery rounds.  A cycle constructs exactly one plan and requests
+  every random quantity through it; no executor carries its own copy
+  of the draw-order logic.
 * :mod:`~repro.bulk.matching` — conflict-free scheduling of batched
   pairwise exchanges into node-disjoint waves.
 * :mod:`~repro.bulk.concurrency` — the paper's Section-4.5.2
@@ -35,16 +36,11 @@ This package is the single source of that schedule:
   ratio), and the recomputed shard boundaries.
 
 The plan records a step trace (:attr:`CyclePlan.steps`); the parity
-tests assert the two backends produce identical traces, which is what
+tests assert every executor is served identical traces, which is what
 "single-sourced schedule" means operationally.
 """
 
-from repro.bulk.concurrency import (
-    InlineExchangeApplier,
-    deliver_one_sided,
-    run_exchanges,
-    wave_exchange,
-)
+from repro.bulk.concurrency import deliver_one_sided, run_exchanges, wave_exchange
 from repro.bulk.faults import (
     FaultModel,
     FaultQueue,
@@ -59,7 +55,6 @@ __all__ = [
     "CyclePlan",
     "FaultModel",
     "FaultQueue",
-    "InlineExchangeApplier",
     "PartitionWindow",
     "RebalancePlan",
     "build_fault_model",

@@ -22,26 +22,19 @@ backends reproduce the same physics with planned masks:
   value.  Under full concurrency this reduces to the paper's "every
   REQ of a cycle is delivered before any ACK".
 
-:func:`run_exchanges` orchestrates those phases once, for both
-backends, over an *applier* that performs the state mutations: the
-:class:`InlineExchangeApplier` applies directly to an
-:class:`~repro.vectorized.state.ArrayState`; the sharded driver's
-applier broadcasts each phase to the shard workers, which call the
-same :func:`wave_exchange` / :func:`deliver_one_sided` primitives on
-their own rows — so both backends execute, bit for bit, the same
-schedule.
+:func:`run_exchanges` orchestrates those phases once over an *applier*
+that performs the state mutations.  The one applier
+(:class:`repro.vectorized.cycle.ExchangeApplier`) dispatches each phase
+as a command through the run's executor; every shard then calls
+:func:`wave_exchange` / :func:`deliver_one_sided` on its own rows — so
+every executor runs, bit for bit, the same schedule.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "wave_exchange",
-    "deliver_one_sided",
-    "InlineExchangeApplier",
-    "run_exchanges",
-]
+__all__ = ["wave_exchange", "deliver_one_sided", "run_exchanges"]
 
 
 def wave_exchange(
@@ -90,68 +83,22 @@ def deliver_one_sided(
     return swap, r_recv
 
 
-class InlineExchangeApplier:
-    """Applies exchange phases directly to an ``ArrayState``.
-
-    Also documents the applier surface :func:`run_exchanges` drives;
-    the sharded driver implements the same three operations by
-    broadcasting each phase to its workers.  Per-exchange outcomes are
-    recorded at the exchange's slot: ``resp_swapped`` / ``req_swapped``
-    (did each side adopt a value) and ``ack_value`` (the responder's
-    pre-swap value, i.e. the ACK payload).
-    """
-
-    def __init__(self, state, n_exchanges: int) -> None:
-        self.state = state
-        self.resp_swapped = np.zeros(n_exchanges, dtype=bool)
-        self.req_swapped = np.zeros(n_exchanges, dtype=bool)
-        self.ack_value = np.zeros(n_exchanges, dtype=np.float64)
-
-    def wave(self, side_i, side_j, defer_ack, slots) -> None:
-        swap, ack = wave_exchange(self.state, side_i, side_j, defer_ack)
-        self.resp_swapped[slots] = swap
-        self.req_swapped[slots] = swap & ~defer_ack
-        self.ack_value[slots] = ack
-
-    def deliver_req(self, receivers, senders, payloads, slots) -> None:
-        swap, pre = deliver_one_sided(
-            self.state, receivers, self.state.attribute[senders], payloads
-        )
-        self.resp_swapped[slots] = swap
-        self.ack_value[slots] = pre
-
-    def deliver_ack(self, receivers, senders, slots) -> None:
-        swap, _pre = deliver_one_sided(
-            self.state,
-            receivers,
-            self.state.attribute[senders],
-            self.ack_value[slots],
-        )
-        self.req_swapped[slots] = swap
-
-    def deliver_matured(self, receivers, sender_attributes, payloads) -> None:
-        # Matured delayed mail: payloads and sender attributes were
-        # frozen at send time (possibly cycles ago), and no slot exists
-        # to record the outcome against — the sending exchange already
-        # closed its books when the delay was drawn.
-        deliver_one_sided(self.state, receivers, sender_attributes, payloads)
-
-    def ack_values(self):
-        return self.ack_value
-
-    def results(self):
-        return self.resp_swapped, self.req_swapped
-
-
 def run_exchanges(
     state, plan, initiators, targets, intended, applier, stats, queue=None, cycle=0
 ):
     """Execute one cycle's REQ/ACK exchanges under the plan's overlap
-    and fault models (shared by both bulk backends; see the module
-    docstring for the phase semantics).
+    and fault models (see the module docstring for the phase
+    semantics).
 
     ``state`` is only *read* here (send-time payload capture); all
-    mutation goes through the ``applier``.  Swap-outcome accounting
+    mutation goes through the ``applier``: ``wave(side_i, side_j,
+    defer_ack, slots)``, ``deliver_req(receivers, senders, payloads,
+    slots)``, ``deliver_ack(receivers, senders, slots)`` and
+    ``deliver_matured(receivers, sender_attributes, payloads)`` apply
+    one phase each and record per-exchange outcomes at the exchange's
+    slot, read back through ``ack_values()`` (the responders' pre-swap
+    values, i.e. the ACK payloads) and ``results()`` (did the
+    responder / the requester adopt a value).  Swap-outcome accounting
     lands in ``stats``: ``swaps`` counts exchanges whose responder
     adopted the requester's value (identical to the atomic pair count
     when concurrency is off) and ``unsuccessful`` the intended swaps

@@ -4,11 +4,12 @@ The bulk backends plan centrally and apply in bulk: every random
 quantity a cycle consumes — churn events, bootstrap view fills,
 partner-selection jitter, protocol uniforms, exchange-wave pairing,
 message-overlap masks, flush delivery order — is produced here, by one
-:class:`CyclePlan` per cycle, in a canonical order.  The vectorized
-backend consumes the planned blocks inline; the sharded driver copies
-them into shared scratch and hands each worker its slice.  Because the
-plan is the *only* code that draws, a sharded run is bitwise identical
-to a vectorized run of the same spec at every worker count.
+:class:`CyclePlan` per cycle, in a canonical order.  The cycle's
+phase functions (:mod:`repro.vectorized.cycle`) copy the planned
+blocks into the executor's scratch and hand each shard its slice.
+Because the plan is the *only* code that draws, a run is bitwise
+identical on every executor — in-process, worker pool or message
+transport — at every worker count.
 
 Canonical per-cycle draw order (streams in parentheses):
 
@@ -25,7 +26,7 @@ Canonical per-cycle draw order (streams in parentheses):
 9. delivery rounds      (concurrency/faults) — flush shuffles.
 
 A plan records every step it serves (:attr:`steps`); the parity tests
-compare traces across backends, which turns "both backends execute the
+compare traces across executors, which turns "every executor runs the
 same schedule" from a convention into an assertion.
 """
 
@@ -48,7 +49,7 @@ __all__ = ["CyclePlan"]
 
 
 class CyclePlan:
-    """The per-cycle schedule both bulk backends consume.
+    """The per-cycle schedule every bulk backend consumes.
 
     Parameters
     ----------

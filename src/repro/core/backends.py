@@ -287,7 +287,7 @@ def _bulk_kwargs(
     be a service algorithm (``"ordering"`` maps to the paper's mod-JK)
     or a bulk protocol name directly; extra keywords — the
     protocol-level options the service surface does not expose
-    (``boundary_bias``, ``sampler``, ``window_approx``) — pass through
+    (``boundary_bias``, ``sampler``) — pass through
     to the engine, which validates them."""
     return dict(
         size=size,

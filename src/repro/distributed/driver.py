@@ -1,8 +1,9 @@
 """The distributed (multi-host) bulk-simulation driver.
 
-:class:`DistributedSimulation` runs the exact cycle of the sharded
-backend — central :class:`~repro.bulk.CyclePlan`, shard kernels, wave
-scheduling, tree-reduced metrics — but replaces every shared-memory
+:class:`DistributedSimulation` runs the one bulk cycle
+(:mod:`repro.vectorized.cycle` — central :class:`~repro.bulk.CyclePlan`,
+shard kernels, wave scheduling) plus the sharded backend's row
+migration and tree-reduced metrics, but replaces every shared-memory
 surface (:class:`~repro.sharded.shm.SharedScratch` segments, state
 blocks, pipes) with an explicit message transport: length-prefixed
 framed messages over TCP sockets (or the in-process loopback
@@ -52,6 +53,7 @@ from repro.distributed.transport import (
     launch_loopback,
 )
 from repro.sharded.driver import ShardedSimulation
+from repro.vectorized.kernels import WAVE_BUFFERS
 from repro.vectorized.state import ArrayState, column_spec, take_rows
 
 __all__ = ["DistributedSimulation"]
@@ -92,8 +94,8 @@ class MessageScratch:
 
 class _MessageExecutor:
     """The transport-backed executor: same ``run(command, payloads)``
-    surface the sharded driver's phases dispatch through, implemented
-    as framed message exchanges instead of shared-memory broadcasts."""
+    surface the cycle's phases dispatch through, implemented as framed
+    message exchanges instead of shared-memory broadcasts."""
 
     def __init__(self, sim: "DistributedSimulation") -> None:
         workers = sim.workers
@@ -327,7 +329,7 @@ class _MessageExecutor:
     def run_async(self, command: str, payloads) -> list:
         """The transport executor has no cross-command pipelining —
         every exchange is synchronous — so ``run_async``/``collect``
-        just keep the sharded driver's pipelined call shape working
+        just keep the cycle's pipelined call shape working
         (the driver-side draws still happen before dispatch, so plan
         order is identical)."""
         return self.run(command, payloads)
@@ -340,8 +342,6 @@ class _MessageExecutor:
         rows from their owners, ship them to the initiators' shards as
         guests, swap, and let the reply's guest updates route the
         rewritten rows back — the wave-boundary sync, as messages."""
-        from repro.sharded.kernels import WAVE_BUFFERS
-
         wave_b = self.scratch[WAVE_BUFFERS[payloads[0].get("buffer", 0)][1]]
         needed = []
         for (lo, hi), payload in zip(self.bounds, payloads):

@@ -1,7 +1,7 @@
 """Wire protocol of the distributed backend: what each shard command
 carries down to a worker and what comes back up.
 
-The driver reuses the sharded backend's command stream verbatim (same
+The driver issues the bulk cycle's command stream verbatim (same
 :data:`repro.sharded.kernels.DISPATCH` kernels, same phase ordering,
 same :class:`~repro.bulk.CyclePlan`), but nothing is shared between
 the processes — every buffer that crossed the shared-memory boundary
@@ -38,6 +38,8 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 import numpy as np
+
+from repro.vectorized.kernels import WAVE_BUFFERS
 
 __all__ = [
     "REPLICATED_COLUMNS",
@@ -117,8 +119,6 @@ def _slice_refresh_fill_partners(payload, state):
 
 
 def _slice_refresh_swap(payload, state):
-    from repro.sharded.kernels import WAVE_BUFFERS
-
     name_a, name_b = WAVE_BUFFERS[payload.get("buffer", 0)]
     span = (payload["offset"], payload["count"])
     return {name_a: span, name_b: span}

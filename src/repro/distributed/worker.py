@@ -61,7 +61,8 @@ from repro.distributed import protocol
 from repro.distributed.framing import DEFAULT_MAX_FRAME, ConnectionClosed
 from repro.distributed.transport import Endpoint, parse_host_port
 from repro.obs.telemetry import Telemetry
-from repro.sharded.kernels import DISPATCH, ShardContext
+from repro.sharded.kernels import DISPATCH
+from repro.vectorized.kernels import ShardContext
 from repro.vectorized.metrics import PartitionArrays
 from repro.vectorized.state import EMPTY, ArrayState, column_spec, put_rows, take_rows
 

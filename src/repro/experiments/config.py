@@ -100,10 +100,6 @@ class RunSpec:
         pre-started standalone workers (``python -m
         repro.distributed.worker --listen HOST:PORT``); ``None``
         spawns local TCP workers.
-    window_approx:
-        Bulk backends only: opt into the counter-rescaling
-        approximation of the sliding window instead of the default
-        exact bit-packed buffers.
     rebalance_every, rebalance_threshold:
         Bulk backends only: plan-driven dead-row compaction
         (:mod:`repro.bulk.rebalance`) every ``rebalance_every``
@@ -165,7 +161,6 @@ class RunSpec:
     backend: str = "reference"
     workers: Optional[int] = None
     hosts: Optional[Sequence[str]] = None
-    window_approx: bool = False
     rebalance_every: Optional[int] = None
     rebalance_threshold: Optional[float] = None
     loss: float = 0.0
@@ -375,7 +370,6 @@ def build_simulation(spec: RunSpec, telemetry=None):
         view_size=spec.view_size,
         sampler=spec.sampler,
         churn=_churn_model(spec),
-        window_approx=spec.window_approx,
         concurrency=spec.concurrency,
         workers=spec.workers,
         hosts=spec.hosts,

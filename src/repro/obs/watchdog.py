@@ -4,10 +4,12 @@ the offending cycle instead of rotting into the nightly numbers.
 
 The checks mirror identities pinned by the test suite:
 
-* ``barrier_identity`` — sharded dispatch accounting: per cycle,
+* ``barrier_identity`` — dispatch accounting: per cycle,
   ``worker_kernel_ns + barrier_wait_ns == workers * sum(cmd:* span
   ns)`` exactly (wait is defined as each worker's idle remainder of
-  the dispatch span).  Distributed exchanges may address a subset of
+  the dispatch span; the in-process executor of a vectorized run is
+  the ``workers = 1`` case, all kernel and no wait).  Distributed
+  exchanges may address a subset of
   the workers (``fetch_rows`` hits only partner shards), so there the
   sum is bounded by the 1- and all-worker cases instead.
 * ``wire_sums`` — per-command ``wire.<cmd>.sent_bytes`` /
@@ -21,9 +23,9 @@ The checks mirror identities pinned by the test suite:
 
 A violation raises :class:`WatchdogViolation` carrying the check name,
 the cycle number (in the message) and the full offending record.
-Checks whose inputs are absent from a record (a vectorized run has no
-dispatch spans; refresh is skipped below two live nodes) are skipped,
-so one watchdog serves every engine.
+Checks whose inputs are absent from a record (the reference engine
+dispatches no commands; refresh is skipped below two live nodes) are
+skipped, so one watchdog serves every engine.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class Watchdog:
     def _check_barrier_identity(self, sim, record, cycle) -> None:
         counters = record.get("counters", {})
         if "worker_kernel_ns" not in counters:
-            return  # no dispatch this cycle (or not a multi-worker engine)
+            return  # no dispatch this cycle (or not a bulk engine)
         dispatch_ns = sum(v[0] for v in _dispatch_spans(record).values())
         if dispatch_ns == 0:
             return

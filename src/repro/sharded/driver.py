@@ -1,47 +1,38 @@
 """The sharded bulk-simulation driver.
 
-:class:`ShardedSimulation` runs the vectorized cycle across a
-persistent pool of worker processes.  The design splits every cycle
-into *plan* and *apply*:
+:class:`ShardedSimulation` runs the bulk cycle
+(:meth:`repro.vectorized.simulation.VectorSimulation.run_cycle` — the
+plan, the phases and the kernels are inherited, not restated) across a
+persistent pool of worker processes.  What this module adds is only
+what processes and shared memory need:
 
-* the **driver plans centrally** — one shared
-  :class:`~repro.bulk.CyclePlan` per cycle supplies churn, every
-  random draw and the exchange-wave pairing in the canonical stream
-  order (the *same* plan code the single-process
-  :class:`~repro.vectorized.simulation.VectorSimulation` consumes;
-  the driver only slices the planned blocks per shard);
-* the **workers apply in parallel** — aging/purging/filling views,
-  folding rank counters, computing partner choices, and executing the
-  wave swaps, each over its own contiguous id range of the
-  shared-memory :class:`~repro.vectorized.state.ArrayState`
-  (cross-shard wave pairs are fine: waves are node-disjoint, and the
-  arrays are shared, so "merging" a cross-shard exchange is just a
-  write).
+* :class:`_PoolExecutor` — the executor the cycle's commands are
+  dispatched through: one pipe per worker carrying tiny control tuples,
+  each worker applying the kernels over its own contiguous id range of
+  the shared-memory :class:`~repro.vectorized.state.ArrayState`.  Node
+  state never crosses a pipe: all bulk data (state columns, random
+  blocks, proposal/wave lists, metric merge buffers) lives in shared
+  memory (:mod:`repro.sharded.shm`);
+* the **row migration** behind a planned rebalance — long
+  correlated-churn runs concentrate dead rows in the low shards (ids
+  are append-only and the original cohort dies first), so with the
+  ``rebalance_every`` / ``rebalance_threshold`` knobs the plan decides a
+  dead-row compaction permutation (:mod:`repro.bulk.rebalance`), the
+  workers migrate rows through barrier-separated pack/unpack rounds
+  over a shared staging buffer, and the shard boundaries are recomputed
+  over the compacted live span.  Per-shard live-row occupancy is
+  reported every refresh (``shard_live_loads()`` /
+  ``shard_load_ratio()``);
+* the **tree-reduced metrics** — each shard sorts and ranks its own
+  rows against the others' published sort keys
+  (:mod:`repro.sharded.metrics`).
 
 Because the plan is identical for every worker count and each applied
 step is either row-local or wave-disjoint, a run's arrays are **bitwise
-identical across worker counts — including workers=1 and the plain
-vectorized backend**.  Parallelism changes wall-clock time only, never
+identical across worker counts**; ``workers=1`` needs no pool at all
+and *is* the vectorized backend — same in-process executor, same
+growable state.  Parallelism changes wall-clock time only, never
 results; the equivalence tests assert this exactly.
-
-Node state never crosses a pipe: commands are tiny control tuples, and
-all bulk data (state columns, random blocks, proposal/wave lists,
-metric merge buffers) lives in shared memory.  Bulk metrics reduce
-across shards (each shard sorts and ranks its own rows against the
-others' published sort keys — :mod:`repro.sharded.metrics`).
-
-Long correlated-churn runs concentrate dead rows in the low shards
-(ids are append-only and the original cohort dies first).  With the
-``rebalance_every`` / ``rebalance_threshold`` knobs the cycle gains a
-**rebalance phase** (:mod:`repro.bulk.rebalance`): the plan decides a
-dead-row compaction permutation, the workers migrate rows through
-barrier-separated pack/unpack rounds over a shared staging buffer, and
-the shard boundaries are recomputed over the compacted live span.
-Because the permutation and its trigger live in the plan (no RNG, no
-worker-count dependence), the rebalanced run stays bitwise identical
-to the vectorized backend at every worker count.  Per-shard live-row
-occupancy is tracked in shared memory every refresh
-(``shard_live_loads()`` / ``shard_load_ratio()``).
 """
 
 from __future__ import annotations
@@ -55,84 +46,15 @@ from typing import Optional
 
 import numpy as np
 
-from repro.bulk.concurrency import run_exchanges
 from repro.bulk.rebalance import live_load_ratio, migration_columns, rebalance_bounds
-from repro.core.ordering import SELECTION_RANDOM, SELECTION_RANDOM_MISPLACED
-from repro.sharded.kernels import DISPATCH, WAVE_BUFFERS, ShardContext
-from repro.sharded.shm import InlineScratch, SharedBlock, SharedScratch
+from repro.sharded.shm import SharedBlock, SharedScratch
 from repro.vectorized import metrics as vmetrics
-from repro.vectorized.simulation import VectorSimulation, _ORDERING_SELECTION
+from repro.vectorized.cycle import prefix_offsets, shard_run_payloads
+from repro.vectorized.simulation import VectorSimulation
 from repro.vectorized.state import ArrayState, column_spec
 from repro.metrics.statistics import z_value
 
 __all__ = ["ShardedSimulation"]
-
-
-def _prefix_offsets(counts):
-    offsets, acc = [], 0
-    for count in counts:
-        offsets.append(acc)
-        acc += count
-    return offsets, acc
-
-
-def _shard_run_payloads(bounds, capacity, keys):
-    """Per-shard ``{offset, count}`` runs of an ascending key array —
-    proposals are gathered in shard order and wave/round selection
-    preserves order, so each shard owns one contiguous run."""
-    lows = [lo for lo, _hi in bounds]
-    cuts = np.searchsorted(keys, lows + [capacity])
-    return [
-        {"offset": int(cuts[i]), "count": int(cuts[i + 1] - cuts[i])}
-        for i in range(len(bounds))
-    ]
-
-
-class _InlineExecutor:
-    """Single-shard executor running kernels in the driver process —
-    the workers=1 path (no pool, no shared memory, zero overhead)."""
-
-    def __init__(self, sim: "ShardedSimulation") -> None:
-        self.scratch = InlineScratch()
-        self.bounds = [(0, sim.state.capacity)]
-        self._telemetry = sim.telemetry
-        self._ctx = ShardContext(
-            sim.state, 0, sim.state.capacity, sim.geometry, self.scratch
-        )
-
-    def run(self, command: str, payloads) -> list:
-        return self.collect(self.run_async(command, payloads))
-
-    def run_async(self, command: str, payloads):
-        """Inline execution is synchronous: the "in-flight" handle is
-        the finished result plus its timing, booked at collect time so
-        the plan/apply pipelining call pattern works unchanged."""
-        telemetry = self._telemetry
-        if not telemetry.enabled:
-            return (command, [DISPATCH[command](self._ctx, **payloads[0])], None)
-        start = perf_counter_ns()
-        result = [DISPATCH[command](self._ctx, **payloads[0])]
-        span_ns = perf_counter_ns() - start
-        return (command, result, (start, span_ns))
-
-    def collect(self, pending) -> list:
-        command, result, timing = pending
-        if timing is not None:
-            telemetry = self._telemetry
-            start, span_ns = timing
-            telemetry.add_span("cmd:" + command, span_ns, start_ns=start)
-            telemetry.add_worker_spans(
-                0, "cmd:" + command, {"kernel": [span_ns, 1]},
-                dispatch_ns=span_ns, start_ns=start,
-            )
-            telemetry.count("commands", 1)
-            telemetry.count("barriers", 1)
-            telemetry.count("worker_kernel_ns", span_ns)
-            telemetry.count("barrier_wait_ns", 0)
-        return result
-
-    def close(self) -> None:
-        self.scratch.close()
 
 
 class _PoolExecutor:
@@ -284,99 +206,6 @@ class _PoolExecutor:
         self.scratch.close()
 
 
-class _ShardedExchangeApplier:
-    """The sharded half of :func:`repro.bulk.concurrency.run_exchanges`.
-
-    Implements the same applier surface as
-    :class:`~repro.bulk.concurrency.InlineExchangeApplier`, but each
-    operation broadcasts one phase to the shard workers: wave pairs are
-    cut by initiator, delivery rounds by receiver (the plan sorts each
-    round by receiver id), and the workers call the shared
-    ``wave_exchange`` / ``deliver_one_sided`` primitives on their own
-    contiguous runs.  Per-exchange outcomes land in shared scratch at
-    the exchange's slot (``x_resp`` / ``x_reqs`` / ``x_ackv``), where
-    both later phases and the driver's central swap accounting read
-    them — no bulk data ever rides the pipes.
-    """
-
-    def __init__(self, sim: "ShardedSimulation", executor, n_exchanges: int) -> None:
-        self._executor = executor
-        self._capacity = sim.state.capacity
-        self.n = n_exchanges
-        scratch = executor.scratch
-        size = max(1, n_exchanges)
-        for name, dtype in (
-            ("x_resp", np.uint8),
-            ("x_reqs", np.uint8),
-            ("x_ackv", np.float64),
-            ("wave_a", np.int64),
-            ("wave_b", np.int64),
-            ("wave_d", np.uint8),
-            ("wave_s", np.int64),
-            ("del_r", np.int64),
-            ("del_s", np.int64),
-            ("del_p", np.float64),
-            ("del_t", np.int64),
-            ("del_a", np.float64),
-        ):
-            scratch.ensure(name, dtype, size)
-        scratch["x_resp"][:n_exchanges] = 0
-        scratch["x_reqs"][:n_exchanges] = 0
-
-    def _cut_payloads(self, keys: np.ndarray):
-        return _shard_run_payloads(self._executor.bounds, self._capacity, keys)
-
-    def wave(self, side_i, side_j, defer_ack, slots) -> None:
-        scratch = self._executor.scratch
-        count = len(side_i)
-        scratch["wave_a"][:count] = side_i
-        scratch["wave_b"][:count] = side_j
-        scratch["wave_d"][:count] = defer_ack
-        scratch["wave_s"][:count] = slots
-        self._executor.run("conc_wave", self._cut_payloads(side_i))
-
-    def _deliver(self, command, receivers, senders, slots) -> None:
-        scratch = self._executor.scratch
-        count = len(receivers)
-        scratch["del_r"][:count] = receivers
-        scratch["del_s"][:count] = senders
-        scratch["del_t"][:count] = slots
-        self._executor.run(command, self._cut_payloads(receivers))
-
-    def deliver_req(self, receivers, senders, payloads, slots) -> None:
-        self._executor.scratch["del_p"][: len(receivers)] = payloads
-        self._deliver("conc_req", receivers, senders, slots)
-
-    def deliver_ack(self, receivers, senders, slots) -> None:
-        self._deliver("conc_ack", receivers, senders, slots)
-
-    def deliver_matured(self, receivers, sender_attributes, payloads) -> None:
-        # Matured delayed mail: attributes and payloads were frozen at
-        # send time, and no exchange slot exists to record against.
-        # The matured batch can exceed this cycle's exchange count, so
-        # the staging buffers are re-ensured at the batch size.
-        scratch = self._executor.scratch
-        count = len(receivers)
-        size = max(1, count)
-        del_r = scratch.ensure("del_r", np.int64, size)
-        del_a = scratch.ensure("del_a", np.float64, size)
-        del_p = scratch.ensure("del_p", np.float64, size)
-        del_r[:count] = receivers
-        del_a[:count] = sender_attributes
-        del_p[:count] = payloads
-        self._executor.run("fault_deliver", self._cut_payloads(receivers))
-
-    def ack_values(self):
-        return self._executor.scratch["x_ackv"][: self.n]
-
-    def results(self):
-        scratch = self._executor.scratch
-        return (
-            scratch["x_resp"][: self.n].astype(bool),
-            scratch["x_reqs"][: self.n].astype(bool),
-        )
-
-
 def _release(blocks, executor_holder) -> None:
     """Finalizer shared by close() and garbage collection."""
     executor = executor_holder.get("executor")
@@ -398,12 +227,14 @@ class ShardedSimulation(VectorSimulation):
     ----------
     workers:
         Worker-process count (``None`` = all CPU cores).  ``workers=1``
-        runs the shard kernels in-process — same plan, same results, no
-        pool.  Results are bitwise identical for every value.
+        owns no pool and no shared memory: it runs on the vectorized
+        backend's in-process executor over a growable state.  Results
+        are bitwise identical for every value.
     spare_capacity:
-        Extra rows pre-allocated for joiners.  Shared-memory segments
-        cannot grow, so a run whose churn adds more rows than this
-        raises (default: ``max(1024, size // 8)``).
+        Extra rows pre-allocated for joiners when a pool owns the
+        state.  Shared-memory segments cannot grow, so a run whose
+        churn adds more rows than this raises (default:
+        ``max(1024, size // 8)``); unused with ``workers=1``.
 
     Call :meth:`close` (or use the instance as a context manager) to
     release the worker pool and shared-memory segments; they are also
@@ -429,7 +260,8 @@ class ShardedSimulation(VectorSimulation):
         )
         self._blocks = {}
         self._executor_holder = {"executor": None}
-        self._live_counts = None
+        self._alpha_pass_cache = None
+        self._slice_stats_cache = None
         self._finalizer = weakref.finalize(
             self, _release, self._blocks, self._executor_holder
         )
@@ -440,14 +272,11 @@ class ShardedSimulation(VectorSimulation):
     # ------------------------------------------------------------------
 
     def _make_state(self, view_size: int, size: int) -> ArrayState:
+        if self.workers == 1:  # no pool, no blocks: nothing fixes the capacity
+            return super()._make_state(view_size, size)
         capacity = size + self._spare_capacity
-        window = self.window if self.window_exact else None
-        if self.workers == 1:
-            state = ArrayState(view_size, capacity=capacity)
-            state.fixed_capacity = True
-            return state
         arrays = {}
-        for name, (dtype, width) in column_spec(view_size, window).items():
+        for name, (dtype, width) in column_spec(view_size, self.window).items():
             shape = (capacity,) if width == 1 else (capacity, width)
             block = SharedBlock(shape, dtype)
             if name == "view_ids":
@@ -455,7 +284,7 @@ class ShardedSimulation(VectorSimulation):
             self._blocks[name] = block
             arrays[name] = block.array
         return ArrayState.from_arrays(
-            view_size, arrays, size=0, window=window, fixed_capacity=True
+            view_size, arrays, size=0, window=self.window, fixed_capacity=True
         )
 
     def close(self) -> None:
@@ -474,46 +303,17 @@ class ShardedSimulation(VectorSimulation):
         return executor if isinstance(executor, _PoolExecutor) else None
 
     def _executor(self):
+        if self.workers == 1:
+            return super()._executor()
         executor = self._executor_holder.get("executor")
         if executor is None:
-            executor = (
-                _InlineExecutor(self)
-                if self.workers == 1
-                else _PoolExecutor(self)
-            )
+            executor = _PoolExecutor(self)
             self._executor_holder["executor"] = executor
         return executor
 
     # ------------------------------------------------------------------
-    # Execution: plan centrally, apply in parallel
+    # Row migration
     # ------------------------------------------------------------------
-
-    def run_cycle(self) -> None:
-        telemetry = self.telemetry
-        telemetry.begin_cycle(self._cycle)
-        self._stats.begin_cycle()
-        with telemetry.span("plan"):
-            plan = self._new_plan()
-        with telemetry.span("churn"):
-            self._apply_churn(plan)
-        with telemetry.span("rebalance"):
-            self._maybe_rebalance(plan)
-        if self.state.live_count >= 2:
-            executor = self._executor()
-            with telemetry.span("refresh"):
-                self._refresh_phases(
-                    executor, plan, uniform=self.sampler == "uniform"
-                )
-            if self._is_ranking():
-                with telemetry.span("ranking"):
-                    self._ranking_phases(executor, plan)
-            else:
-                with telemetry.span("ordering"):
-                    self._ordering_phases(executor, plan)
-        self._cycle += 1
-        telemetry.end_cycle()
-        if telemetry.enabled:
-            self._post_cycle_observability(telemetry)
 
     def _broadcast(self, executor, command: str, payloads=None) -> list:
         if payloads is None:
@@ -537,6 +337,8 @@ class ShardedSimulation(VectorSimulation):
         """
         state = self.state
         executor = self._executor()
+        if self._pool is None:  # in-process, one shard: nothing migrates
+            return super()._apply_rebalance(decision)
         scratch = executor.scratch
         new_size, old_size = decision.new_size, decision.old_size
         # Publish the permutation: the live gather list (new row k
@@ -557,7 +359,7 @@ class ShardedSimulation(VectorSimulation):
         scratch.ensure(
             "mig_bytes", np.uint8, -(-(state.capacity * row_bytes) // 8) * 8
         )
-        pack_runs = _shard_run_payloads(
+        pack_runs = shard_run_payloads(
             executor.bounds, state.capacity, decision.live
         )
         new_bounds = rebalance_bounds(
@@ -626,314 +428,6 @@ class ShardedSimulation(VectorSimulation):
         the first refresh or with a single worker)."""
         return live_load_ratio(np.asarray(self.shard_live_loads(), dtype=np.int64))
 
-    def _refresh_phases(self, executor, plan, uniform: bool) -> None:
-        state = self.state
-        telemetry = self.telemetry
-        shards = len(executor.bounds)
-        occupancy = executor.scratch.ensure("occupancy", np.int64, shards)
-        pending = executor.run_async(
-            "refresh_age",
-            [{"uniform": uniform, "shard": index} for index in range(shards)],
-        )
-        # Pipelined plan/apply: the jitter block's size depends only on
-        # the live count, which age/purge/fill never change, so it is
-        # drawn while the age/purge barrier is still in flight (the
-        # canonical draw order puts the jitter before the fill draws
-        # for exactly this reason — the fill size needs the replies).
-        jitter_draw = (
-            plan.partner_jitter(state.live_count, self.view_size)
-            if not uniform
-            else None
-        )
-        replies = executor.collect(pending)
-        # Live counts ride the shared occupancy slots (one per shard,
-        # written by refresh_age) — the load tracking shard_live_loads()
-        # and the skewed-churn benchmark read.
-        live_counts = [int(count) for count in occupancy[:shards]]
-        empty_counts = [reply["empty"] for reply in replies]
-        live_offsets, live_total = _prefix_offsets(live_counts)
-        self._live_counts, self._live_offsets = live_counts, live_offsets
-        if not uniform:
-            # Every live row was purged, exactly as the vectorized
-            # refresh's purge_dead_entries(live) pass.
-            state.maybe_dead_entries = False
-
-        empty_offsets, empty_total = _prefix_offsets(empty_counts)
-        draws = plan.fill_draws(live_total, empty_total)
-        if empty_total:
-            # The driver resolves the draws to node ids itself: its
-            # alive column is current on every backend, and the
-            # concatenated per-shard live runs are exactly the
-            # ascending global live ids — so publishing a shared live
-            # index (one extra barrier) bought nothing.
-            fill_ids = executor.scratch.ensure("fill_ids", np.int64, empty_total)
-            fill_ids[:empty_total] = state.live_ids()[draws]
-        if not uniform:
-            view_size = self.view_size
-            jitter = executor.scratch.ensure(
-                "jitter", np.float32, live_total * view_size
-            )
-            jitter[: live_total * view_size] = jitter_draw.ravel()
-            executor.scratch.ensure("prop_a", np.int64, state.capacity)
-            executor.scratch.ensure("prop_b", np.int64, state.capacity)
-        if empty_total or not uniform:
-            replies = self._broadcast(
-                executor,
-                "refresh_fill_partners",
-                [
-                    {
-                        "fill_offset": fill_offset,
-                        "fill_count": fill_count,
-                        "jitter_offset": live_offset,
-                        "live_count": live_count,
-                        "partners": not uniform,
-                    }
-                    for fill_offset, fill_count, live_offset, live_count in zip(
-                        empty_offsets, empty_counts, live_offsets, live_counts
-                    )
-                ],
-            )
-        if uniform:
-            return
-
-        initiators, partners = self._gather_proposals(
-            executor, [reply["props"] for reply in replies], ("prop_a", "prop_b")
-        )
-        # Transient partitions (fault model): proposals across the
-        # partition fail to connect, exactly as in the vectorized
-        # sampler.  Filtering preserves the ascending initiator order
-        # the contiguous per-shard cutting relies on.
-        if plan.faults_enabled:
-            crossing = plan.partition_mask(initiators, partners)
-            if crossing is not None:
-                initiators = initiators[~crossing]
-                partners = partners[~crossing]
-        no_payload = np.zeros(len(initiators), dtype=bool)
-        buffers = [
-            (
-                executor.scratch.ensure(name_a, np.int64, max(1, len(initiators))),
-                executor.scratch.ensure(name_b, np.int64, max(1, len(initiators))),
-            )
-            for name_a, name_b in WAVE_BUFFERS
-        ]
-        waves = plan.waves("sampler", initiators, partners, no_payload, state.size)
-        pending = None
-        for index, (side_a, side_b, _unused) in enumerate(waves):
-            # Stage wave k+1 into the other buffer pair while the
-            # workers still execute wave k; consecutive waves can share
-            # nodes, so the swaps themselves stay barrier-separated.
-            buffer = index % 2
-            wave_a, wave_b = buffers[buffer]
-            wave_a[: len(side_a)] = side_a
-            wave_b[: len(side_b)] = side_b
-            payloads = [
-                {"buffer": buffer, **run}
-                for run in _shard_run_payloads(
-                    executor.bounds, state.capacity, side_a
-                )
-            ]
-            if pending is not None:
-                executor.collect(pending)
-            pending = executor.run_async("refresh_swap", payloads)
-        if pending is not None:
-            executor.collect(pending)
-        if telemetry.enabled:
-            telemetry.count("sampler.exchanges", len(initiators))
-            telemetry.count("sampler.waves", len(waves))
-
-    def _gather_proposals(self, executor, counts, names):
-        segments = [
-            [
-                executor.scratch[name][lo : lo + count]
-                for (lo, _hi), count in zip(executor.bounds, counts)
-            ]
-            for name in names
-        ]
-        return tuple(
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-            for parts in segments
-        )
-
-    def _ranking_phases(self, executor, plan) -> None:
-        replies = self._broadcast(
-            executor,
-            "rank_fold",
-            [
-                {
-                    "boundary_bias": self.boundary_bias,
-                    "window_exact": self.window_exact,
-                }
-            ]
-            * len(executor.bounds),
-        )
-        row_counts = [reply["rows"] for reply in replies]
-        row_offsets, total_rows = _prefix_offsets(row_counts)
-        queue, cycle = self._fault_queue, self._cycle
-        event_targets = np.empty(0, dtype=np.int64)
-        event_senders = np.empty(0, dtype=np.float64)
-        overlapping = 0
-        sent = lost_count = delayed_count = matured_count = 0
-        if total_rows:
-            planned_u1, planned_u2 = plan.ranking_uniforms(
-                total_rows, self.boundary_bias
-            )
-            if planned_u1 is not None:
-                u1 = executor.scratch.ensure("u1", np.float64, total_rows)
-                u1[:total_rows] = planned_u1
-            u2 = executor.scratch.ensure("u2", np.float64, total_rows)
-            u2[:total_rows] = planned_u2
-            capacity = self.state.capacity
-            executor.scratch.ensure("tgt1", np.int64, capacity)
-            executor.scratch.ensure("tgt2", np.int64, capacity)
-            executor.scratch.ensure("sattr", np.float64, capacity)
-            if plan.faults_enabled:
-                executor.scratch.ensure("sid", np.int64, capacity)
-            self._broadcast(
-                executor,
-                "rank_targets",
-                [
-                    {
-                        "offset": offset,
-                        "count": count,
-                        "sids": plan.faults_enabled,
-                    }
-                    for offset, count in zip(row_offsets, row_counts)
-                ],
-            )
-            # Compact per-shard target segments into the global UPD
-            # list: all j1 targets (shard order), then all j2 targets —
-            # the order the vectorized scatter-add applies them in.
-            (tgt1,) = self._gather_proposals(executor, row_counts, ("tgt1",))
-            (tgt2,) = self._gather_proposals(executor, row_counts, ("tgt2",))
-            (sattr,) = self._gather_proposals(executor, row_counts, ("sattr",))
-            event_targets = np.concatenate([tgt1, tgt2])
-            event_senders = np.concatenate([sattr, sattr])
-            # Planned message overlap reorders the UPD event stream
-            # exactly as the vectorized round applies it; rank_apply
-            # preserves global order per row, so shards stay bitwise
-            # aligned.
-            order, overlapping = plan.upd_schedule(2 * total_rows)
-            if order is not None:
-                event_targets = event_targets[order]
-                event_senders = event_senders[order]
-            sent = len(event_targets)
-
-            # Fault fates, mirroring the vectorized ranking round: lost
-            # (or partition-crossing) UPDs vanish; delayed ones are
-            # mailed with the sender attribute frozen.
-            if plan.faults_enabled:
-                (sid,) = self._gather_proposals(executor, row_counts, ("sid",))
-                sender_ids = np.concatenate([sid, sid])
-                if order is not None:
-                    sender_ids = sender_ids[order]
-                crossing = plan.partition_mask(sender_ids, event_targets)
-                lost, delay = plan.message_faults("upd", len(event_targets))
-                if crossing is not None:
-                    lost = lost | crossing
-                delayed = ~lost & (delay > 0)
-                if queue is not None and delayed.any():
-                    delayed_idx = np.flatnonzero(delayed)
-                    lateness = delay[delayed_idx]
-                    for d in np.unique(lateness):
-                        group = delayed_idx[lateness == d]
-                        queue.push_upd(
-                            cycle + int(d),
-                            event_targets[group],
-                            event_senders[group],
-                        )
-                lost_count = int(lost.sum())
-                delayed_count = int(delayed.sum())
-                if lost_count or delayed_count:
-                    keep = ~(lost | delayed)
-                    event_targets = event_targets[keep]
-                    event_senders = event_senders[keep]
-
-        # Mail sent d cycles ago lands now, ahead of this cycle's events.
-        if plan.faults_enabled and queue is not None:
-            matured = queue.pop_upd(cycle)
-            if matured is not None:
-                matured_targets, matured_attr = matured
-                still_alive = self.state.alive[matured_targets]
-                matured_targets = matured_targets[still_alive]
-                matured_attr = matured_attr[still_alive]
-                matured_count = len(matured_targets)
-                if matured_count:
-                    event_targets = np.concatenate(
-                        [matured_targets, event_targets]
-                    )
-                    event_senders = np.concatenate(
-                        [matured_attr, event_senders]
-                    )
-
-        n_events = len(event_targets)
-        if n_events:
-            targets = executor.scratch.ensure("targets", np.int64, n_events)
-            senders = executor.scratch.ensure("senders", np.float64, n_events)
-            targets[:n_events] = event_targets
-            senders[:n_events] = event_senders
-        if sent or matured_count:
-            self._stats.note_round(messages=sent, intended=0)
-            self._stats.note_overlapping(overlapping)
-            if lost_count:
-                self._stats.note_lost(lost_count)
-            if delayed_count:
-                self._stats.note_delayed(delayed_count)
-            if matured_count:
-                self._stats.note_matured(matured_count)
-        self._broadcast(
-            executor,
-            "rank_apply",
-            [
-                {
-                    "events": n_events,
-                    "window": self.window,
-                    "window_exact": self.window_exact,
-                }
-            ]
-            * len(executor.bounds),
-        )
-
-    def _ordering_phases(self, executor, plan) -> None:
-        selection = _ORDERING_SELECTION[self.protocol]
-        live_offsets = self._live_offsets
-        live_total = sum(self._live_counts)
-        if selection in (SELECTION_RANDOM, SELECTION_RANDOM_MISPLACED):
-            u1 = executor.scratch.ensure("u1", np.float64, live_total)
-            u1[:live_total] = plan.ordering_uniforms(live_total)
-        capacity = self.state.capacity
-        executor.scratch.ensure("prop_a", np.int64, capacity)
-        executor.scratch.ensure("prop_b", np.int64, capacity)
-        executor.scratch.ensure("prop_x", np.uint8, capacity)
-        replies = self._broadcast(
-            executor,
-            "ord_select",
-            [
-                {"selection": selection, "offset": offset, "count": count}
-                for offset, count in zip(live_offsets, self._live_counts)
-            ],
-        )
-        counts = [reply["props"] for reply in replies]
-        initiators, targets = self._gather_proposals(
-            executor, counts, ("prop_a", "prop_b")
-        )
-        (intended,) = self._gather_proposals(executor, counts, ("prop_x",))
-        intended = intended.astype(bool)
-        self._stats.note_round(
-            messages=2 * len(initiators), intended=int(intended.sum())
-        )
-        applier = _ShardedExchangeApplier(self, executor, len(initiators))
-        run_exchanges(
-            self.state,
-            plan,
-            initiators,
-            targets,
-            intended,
-            applier,
-            self._stats,
-            queue=self._fault_queue,
-            cycle=self._cycle,
-        )
-
     # ------------------------------------------------------------------
     # Bulk metrics: tree reduction across shards
     # ------------------------------------------------------------------
@@ -944,7 +438,7 @@ class ShardedSimulation(VectorSimulation):
             executor, "metric_prepare", [{"column": column}] * len(executor.bounds)
         )
         counts = [reply["count"] for reply in replies]
-        offsets, total = _prefix_offsets(counts)
+        offsets, total = prefix_offsets(counts)
         executor.scratch.ensure("mkeys", np.float64, max(total, 1))
         executor.scratch.ensure("mids", np.int64, max(total, 1))
         self._broadcast(
@@ -972,7 +466,7 @@ class ShardedSimulation(VectorSimulation):
         accuracy and GDM all consume the alpha ranks, and the workers
         keep them cached under ``"alpha"`` until the next pass."""
         tag = self._state_tag()
-        cached = getattr(self, "_alpha_pass_cache", None)
+        cached = self._alpha_pass_cache
         if cached is not None and cached[0] == tag:
             return cached[1]
         total = self._metric_ranks(executor, "attribute", "alpha")
@@ -984,7 +478,7 @@ class ShardedSimulation(VectorSimulation):
         # for them separately every cycle, so cache the pair until the
         # state changes (cycle advance or compat-API join/leave).
         state_tag = self._state_tag()
-        cached = getattr(self, "_slice_stats_cache", None)
+        cached = self._slice_stats_cache
         if cached is not None and cached[0] == state_tag:
             return cached[1]
         executor = self._pool

@@ -24,7 +24,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-__all__ = ["SharedBlock", "SharedScratch", "WorkerScratch", "InlineScratch"]
+__all__ = ["SharedBlock", "SharedScratch", "WorkerScratch"]
 
 
 class SharedBlock:
@@ -116,31 +116,3 @@ class WorkerScratch:
         for block in self._blocks.values():
             block.close()
         self._blocks.clear()
-
-
-class InlineScratch:
-    """Plain-array scratch for the in-process executor (workers=1):
-    same surface, no shared memory."""
-
-    def __init__(self) -> None:
-        self._arrays: Dict[str, np.ndarray] = {}
-
-    def ensure(self, name: str, dtype, size: int) -> np.ndarray:
-        array = self._arrays.get(name)
-        if array is not None and len(array) >= size and array.dtype == dtype:
-            return array
-        new_size = max(int(size), 1024)
-        if array is not None:
-            new_size = max(new_size, 2 * len(array))
-        array = np.empty(new_size, dtype=dtype)
-        self._arrays[name] = array
-        return array
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self._arrays[name]
-
-    def take_remaps(self):
-        return []
-
-    def close(self) -> None:
-        self._arrays.clear()

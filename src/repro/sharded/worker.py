@@ -2,7 +2,7 @@
 
 A worker attaches to the driver's shared-memory state blocks, builds a
 full-array :class:`~repro.vectorized.state.ArrayState` view plus a
-:class:`~repro.sharded.kernels.ShardContext` for its row range, and
+:class:`~repro.vectorized.kernels.ShardContext` for its row range, and
 then serves commands over its pipe until told to stop.  Commands are
 small control tuples — all bulk data rides in shared memory — so a
 cycle's IPC cost is a handful of sub-millisecond round trips.
@@ -31,7 +31,7 @@ The shard's row range is *not* fixed for the worker's lifetime: a
 rebalance (``rebalance_pack`` / ``rebalance_unpack`` rounds followed
 by ``rebalance_commit`` — see :mod:`repro.bulk.rebalance`) migrates
 rows between shards and installs recomputed boundaries in the
-:class:`~repro.sharded.kernels.ShardContext`.
+:class:`~repro.vectorized.kernels.ShardContext`.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ import traceback
 from time import perf_counter_ns
 
 from repro.obs.telemetry import Telemetry
-from repro.sharded.kernels import DISPATCH, ShardContext
+from repro.sharded.kernels import DISPATCH
 from repro.sharded.shm import SharedBlock, WorkerScratch
+from repro.vectorized.kernels import ShardContext
 from repro.vectorized.metrics import PartitionArrays
 from repro.vectorized.state import ArrayState
 

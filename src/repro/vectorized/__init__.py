@@ -8,6 +8,14 @@ the whole population as a struct-of-arrays
 protocol cycle as batched numpy passes, making 10^6-node runs of the
 ranking and ordering protocols tractable on one machine.
 
+It is also where the bulk cycle is *defined*, once, for all three bulk
+backends: :mod:`~repro.vectorized.cycle` is the command sequence,
+:mod:`~repro.vectorized.kernels` the per-shard work behind each
+command, and :mod:`~repro.vectorized.executor` the in-process executor
+this backend dispatches them on.  :mod:`repro.sharded` and
+:mod:`repro.distributed` add a worker pool and a message transport as
+alternative executors; nothing in this package imports them.
+
 Entry points:
 
 * :class:`VectorSimulation` — drop-in driver with the same
@@ -38,9 +46,6 @@ from repro.vectorized.metrics import (
     slice_disorder_arrays,
     true_slice_index_arrays,
 )
-from repro.vectorized.ordering import ordering_round
-from repro.vectorized.ranking import ranking_round
-from repro.vectorized.sampler import refresh_views, refresh_views_uniform
 from repro.vectorized.simulation import (
     PROTOCOLS,
     VectorNodeView,
@@ -59,10 +64,6 @@ __all__ = [
     "global_disorder_arrays",
     "slice_disorder_arrays",
     "true_slice_index_arrays",
-    "ordering_round",
-    "ranking_round",
-    "refresh_views",
-    "refresh_views_uniform",
     "PROTOCOLS",
     "VectorNodeView",
     "VectorSimulation",

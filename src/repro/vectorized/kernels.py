@@ -1,0 +1,350 @@
+"""The bulk cycle's kernels: the per-phase work one shard executes.
+
+A bulk cycle is a fixed sequence of *commands*
+(:mod:`repro.vectorized.cycle`), each dispatched to every shard of the
+:class:`~repro.vectorized.state.ArrayState` through an executor.  A
+kernel here is one command's work over a contiguous node-id range
+``[lo, hi)``.  Everything random is *pre-drawn by the driver* into
+scratch buffers — a kernel only consumes its slice — and every
+mutation is either to rows the shard owns or to the node-disjoint rows
+of a centrally scheduled exchange wave.  Together those two rules give
+the bulk backends their headline property: the arrays a cycle produces
+are bitwise identical for *any* split of the id space into shards.
+
+The in-process executor (``backend="vectorized"``) runs these kernels
+over one shard spanning the whole state; the pool and message
+executors (:mod:`repro.sharded.worker`,
+:mod:`repro.distributed.worker`) run the same functions in worker
+processes over their own row ranges.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.bulk.concurrency import deliver_one_sided, wave_exchange
+from repro.vectorized.ordering import _random_valid_column_from, select_exchanges
+from repro.vectorized.ranking import (
+    boundary_columns,
+    deliver_updates,
+    fold_views,
+    recompute_estimates,
+    sender_rows,
+)
+from repro.vectorized.sampler import (
+    _age_and_purge,
+    _propose_to_oldest,
+    _swap_views,
+)
+from repro.vectorized.state import EMPTY, ArrayState, pick_columns, row_index
+
+__all__ = ["ShardContext", "WAVE_BUFFERS", "DISPATCH"]
+
+
+class ShardContext:
+    """One shard's execution context: a full-array view of the state,
+    the owned row range, and a cycle-scoped cache carrying
+    intermediates between phases."""
+
+    def __init__(self, state: ArrayState, lo: int, hi: int, geometry, scratch):
+        self.state = state
+        self.lo = int(lo)
+        self.hi = int(hi)
+        self.geometry = geometry
+        self.scratch = scratch
+        self.cache = {}
+
+    def live_ids(self) -> np.ndarray:
+        """Ids of the live nodes this shard owns, ascending."""
+        hi = min(self.hi, self.state.size)
+        if hi <= self.lo:
+            return np.empty(0, dtype=np.int64)
+        return self.lo + np.flatnonzero(self.state.alive[self.lo : hi])
+
+
+# ----------------------------------------------------------------------
+# View refresh (Figure 3, split at its plan points)
+# ----------------------------------------------------------------------
+
+
+def cmd_refresh_age(ctx: ShardContext, uniform: bool, shard: int) -> dict:
+    """Age + purge this shard's live views (or blank them, for the
+    uniform oracle).  The live count is published to the shared
+    ``occupancy`` slot for this shard — the per-shard load tracking
+    the driver's ``shard_live_loads()`` and the refresh's own
+    live-offset bookkeeping read; the empty-slot count rides the
+    reply."""
+    state = ctx.state
+    live = ctx.live_ids()
+    rows = row_index(live, ctx.lo, min(ctx.hi, state.size))
+    ctx.cache = {"live": live, "live_rows": rows}
+    ctx.scratch["occupancy"][shard] = len(live)
+    if len(live):
+        if uniform:
+            state.view_ids[rows] = EMPTY
+            state.view_ages[rows] = 0
+        else:
+            _age_and_purge(state, rows)
+    empty_rows, empty_cols = state.empty_live_slots(ctx.lo, ctx.hi)
+    ctx.cache["empty"] = (empty_rows, empty_cols)
+    return {"empty": len(empty_rows)}
+
+
+def cmd_refresh_fill_partners(
+    ctx: ShardContext,
+    fill_offset: int,
+    jitter_offset: int,
+    partners: bool,
+    fill_count: int = 0,
+    live_count: int = 0,
+) -> dict:
+    """Apply this shard's slice of the central bootstrap fill (the
+    driver resolves the draws to live node ids in ``fill_ids``), then —
+    unless the uniform oracle is running — pick each live node's oldest
+    neighbor (central jitter block for the tie-break) and publish the
+    exchange proposals.  Fill touches only this shard's empty slots and
+    partner selection only its own rows, so the two stages need no
+    barrier between them: one round trip where write_live /
+    refresh_fill / refresh_partners used to take three.
+
+    ``fill_count`` / ``live_count`` are wire-slicing metadata: the
+    kernel derives both from its own cache, but the distributed driver
+    needs them to ship each worker only its slice of ``fill_ids`` and
+    ``jitter``."""
+    state = ctx.state
+    empty_rows, empty_cols = ctx.cache["empty"]
+    count = len(empty_rows)
+    if count:
+        state.apply_fill(
+            empty_rows,
+            empty_cols,
+            ctx.scratch["fill_ids"][fill_offset : fill_offset + count],
+        )
+    if not partners:
+        return {"props": 0}
+    live = ctx.cache["live"]
+    if len(live) == 0:
+        return {"props": 0}
+    c = state.view_size
+    jitter = ctx.scratch["jitter"][
+        jitter_offset * c : (jitter_offset + len(live)) * c
+    ].reshape(len(live), c)
+    initiators, chosen = _propose_to_oldest(
+        state, ctx.cache["live_rows"], live, jitter
+    )
+    ctx.scratch["prop_a"][ctx.lo : ctx.lo + len(initiators)] = initiators
+    ctx.scratch["prop_b"][ctx.lo : ctx.lo + len(chosen)] = chosen
+    return {"props": len(initiators)}
+
+
+#: Double-buffered wave staging: the driver stages wave k+1 into the
+#: other pair while the workers still execute wave k.
+WAVE_BUFFERS = (("wave_a", "wave_b"), ("wave_a2", "wave_b2"))
+
+
+def cmd_refresh_swap(ctx: ShardContext, offset: int, count: int, buffer: int = 0) -> dict:
+    """Execute this shard's pairs of one node-disjoint exchange wave."""
+    if count:
+        name_a, name_b = WAVE_BUFFERS[buffer]
+        _swap_views(
+            ctx.state,
+            ctx.scratch[name_a][offset : offset + count],
+            ctx.scratch[name_b][offset : offset + count],
+        )
+    return {}
+
+
+# ----------------------------------------------------------------------
+# Ranking round
+# ----------------------------------------------------------------------
+
+
+def cmd_rank_fold(ctx: ShardContext, boundary_bias: bool) -> dict:
+    """Fold refreshed views into the rank counters (Figure 5, lines
+    5-7) and pre-compute the boundary-biased j1 choice."""
+    state = ctx.state
+    live = ctx.cache["live"]
+    if len(live) == 0:
+        ctx.cache.update(rows=np.empty(0, dtype=np.int64))
+        return {"rows": 0}
+    view, valid, counts, a_self = fold_views(state, ctx.cache["live_rows"], live)
+    senders = np.flatnonzero(counts)
+    view, valid, counts = sender_rows(senders, view, valid, counts)
+    j1_cols = None
+    if boundary_bias and len(senders):
+        j1_cols = boundary_columns(state, ctx.geometry, view, valid, counts)
+    ctx.cache.update(
+        rows=senders,
+        sub_view=view,
+        sub_valid=valid,
+        sub_counts=counts,
+        j1_cols=j1_cols,
+        a_self=a_self,
+    )
+    return {"rows": len(senders)}
+
+
+def cmd_rank_targets(
+    ctx: ShardContext, offset: int, count: int = 0, sids: bool = False
+) -> dict:
+    """Resolve j1/j2 (central uniform blocks) and publish the UPD
+    targets with their senders' attributes (lines 8-14).  ``count`` is
+    wire-slicing metadata (the rank_fold row count the distributed
+    driver uses to slice ``u1``/``u2``); with ``sids`` the senders'
+    global node ids are published too (the fault model's partition
+    masks need sender identity, not just the attribute)."""
+    rows = ctx.cache["rows"]
+    count = len(rows)
+    if count == 0:
+        return {}
+    sub_view, sub_valid = ctx.cache["sub_view"], ctx.cache["sub_valid"]
+    sub_counts = ctx.cache["sub_counts"]
+    j1_cols = ctx.cache["j1_cols"]
+    if j1_cols is None:  # boundary_bias=False ablation: j1 is random too
+        j1_cols = _random_valid_column_from(
+            sub_valid, ctx.scratch["u1"][offset : offset + count], sub_counts
+        )
+    j2_cols = _random_valid_column_from(
+        sub_valid, ctx.scratch["u2"][offset : offset + count], sub_counts
+    )
+    ctx.scratch["tgt1"][ctx.lo : ctx.lo + count] = pick_columns(sub_view, j1_cols)
+    ctx.scratch["tgt2"][ctx.lo : ctx.lo + count] = pick_columns(sub_view, j2_cols)
+    ctx.scratch["sattr"][ctx.lo : ctx.lo + count] = ctx.cache["a_self"][rows]
+    if sids:
+        ctx.scratch["sid"][ctx.lo : ctx.lo + count] = ctx.cache["live"][rows]
+    return {}
+
+
+def cmd_rank_apply(ctx: ShardContext, events: int) -> dict:
+    """Deliver the ``events`` UPD messages landing on this shard's rows
+    (global order preserved, so the float accumulation is bitwise
+    identical to the single-process scatter-add), then recompute
+    estimates.  With a fault model the event list already reflects the
+    fates — lost messages filtered, matured mail prepended."""
+    state = ctx.state
+    live = ctx.cache["live"]
+    if events:
+        targets = ctx.scratch["targets"][:events]
+        senders = ctx.scratch["senders"][:events]
+        if ctx.lo > 0 or ctx.hi < state.size:  # some land on other shards
+            mine = (targets >= ctx.lo) & (targets < ctx.hi)
+            targets, senders = targets[mine], senders[mine]
+        deliver_updates(state, targets, senders)
+    if len(live):
+        recompute_estimates(state, live)
+    return {}
+
+
+# ----------------------------------------------------------------------
+# Ordering round
+# ----------------------------------------------------------------------
+
+
+def cmd_ord_select(
+    ctx: ShardContext, selection: str, offset: int, count: int = 0
+) -> dict:
+    """Evaluate the misplacement predicate, pick gossip partners, and
+    publish this shard's REQ proposals (Section 4, per variant).
+    ``count`` is wire-slicing metadata (this shard's live-row count,
+    used by the distributed driver to slice ``u1``)."""
+    state = ctx.state
+    live = ctx.cache["live"]
+    if len(live) == 0:
+        return {"props": 0, "intended": 0}
+    initiators, targets, intended = select_exchanges(
+        state,
+        ctx.cache["live_rows"],
+        live,
+        selection,
+        lambda: ctx.scratch["u1"][offset : offset + len(live)],
+    )
+    ctx.scratch["prop_a"][ctx.lo : ctx.lo + len(initiators)] = initiators
+    ctx.scratch["prop_b"][ctx.lo : ctx.lo + len(targets)] = targets
+    ctx.scratch["prop_x"][ctx.lo : ctx.lo + len(intended)] = intended
+    return {"props": len(initiators), "intended": int(intended.sum())}
+
+
+def cmd_conc_wave(ctx: ShardContext, offset: int, count: int) -> dict:
+    """One node-disjoint wave of REQ/ACK exchanges: re-check the
+    predicate at processing time, swap atomically unless the pair's
+    ACK is deferred by the overlap plan (then responder-side only).
+    Outcomes land in the per-exchange slot scratch the driver reads
+    for central swap accounting."""
+    if count:
+        scratch = ctx.scratch
+        side_i = scratch["wave_a"][offset : offset + count]
+        side_j = scratch["wave_b"][offset : offset + count]
+        defer_ack = scratch["wave_d"][offset : offset + count].astype(bool)
+        slots = scratch["wave_s"][offset : offset + count]
+        swap, ack = wave_exchange(ctx.state, side_i, side_j, defer_ack)
+        scratch["x_resp"][slots] = swap
+        scratch["x_reqs"][slots] = swap & ~defer_ack
+        scratch["x_ackv"][slots] = ack
+    return {}
+
+
+def cmd_conc_req(ctx: ShardContext, offset: int, count: int) -> dict:
+    """Deliver this shard's slice of one overlapped-REQ flush round:
+    one-sided swaps from the stale send-time payloads, recording each
+    generated ACK's payload (the receiver's pre-swap value)."""
+    if count:
+        scratch = ctx.scratch
+        receivers = scratch["del_r"][offset : offset + count]
+        senders = scratch["del_s"][offset : offset + count]
+        payloads = scratch["del_p"][offset : offset + count]
+        slots = scratch["del_t"][offset : offset + count]
+        swap, pre = deliver_one_sided(
+            ctx.state, receivers, ctx.state.attribute[senders], payloads
+        )
+        scratch["x_resp"][slots] = swap
+        scratch["x_ackv"][slots] = pre
+    return {}
+
+
+def cmd_fault_deliver(ctx: ShardContext, offset: int, count: int) -> dict:
+    """Deliver this shard's slice of one matured-mail round: one-sided
+    swaps from sender attributes and payload values frozen at send
+    time.  No exchange slot is recorded — the sending exchange closed
+    its books when the delay was drawn."""
+    if count:
+        scratch = ctx.scratch
+        receivers = scratch["del_r"][offset : offset + count]
+        attributes = scratch["del_a"][offset : offset + count]
+        payloads = scratch["del_p"][offset : offset + count]
+        deliver_one_sided(ctx.state, receivers, attributes, payloads)
+    return {}
+
+
+def cmd_conc_ack(ctx: ShardContext, offset: int, count: int) -> dict:
+    """Deliver this shard's slice of one deferred-ACK round: the
+    requester side of each exchange, applied against the responder's
+    recorded pre-swap value."""
+    if count:
+        scratch = ctx.scratch
+        receivers = scratch["del_r"][offset : offset + count]
+        senders = scratch["del_s"][offset : offset + count]
+        slots = scratch["del_t"][offset : offset + count]
+        swap, _pre = deliver_one_sided(
+            ctx.state,
+            receivers,
+            ctx.state.attribute[senders],
+            scratch["x_ackv"][slots],
+        )
+        scratch["x_reqs"][slots] = swap
+    return {}
+
+
+#: The commands of one bulk cycle, by name.
+DISPATCH = {
+    "refresh_age": cmd_refresh_age,
+    "refresh_fill_partners": cmd_refresh_fill_partners,
+    "refresh_swap": cmd_refresh_swap,
+    "rank_fold": cmd_rank_fold,
+    "rank_targets": cmd_rank_targets,
+    "rank_apply": cmd_rank_apply,
+    "ord_select": cmd_ord_select,
+    "conc_wave": cmd_conc_wave,
+    "conc_req": cmd_conc_req,
+    "conc_ack": cmd_conc_ack,
+    "fault_deliver": cmd_fault_deliver,
+}

@@ -1,7 +1,8 @@
 """Batched ordering rounds: JK / mod-JK (Section 4, vectorized).
 
-One :func:`ordering_round` performs, for every live node at once, what
-:class:`~repro.core.ordering.OrderingProtocol` does per node:
+:func:`select_exchanges` performs, for a block of live rows at once,
+the selection half of what :class:`~repro.core.ordering.OrderingProtocol`
+does per node:
 
 * evaluate the misplacement predicate ``(a_j - a_i)(r_j - r_i) < 0``
   against every view neighbor's *current* values (the cycle model's
@@ -9,37 +10,31 @@ One :func:`ordering_round` performs, for every live node at once, what
 * select a gossip partner per the configured policy — uniformly random
   (JK), uniformly random misplaced, or the Equation-2 max-gain
   misplaced neighbor (mod-JK), whose local-sequence ranks are computed
-  with per-row ``argsort`` over the view-plus-self items;
-* perform the ``REQ``/``ACK`` exchange: re-check the predicate at
-  processing time and swap random values when it holds.
+  with per-row ``argsort`` over the view-plus-self items.
 
-Exchanges are scheduled into node-disjoint waves by the shared cycle
-plan (:mod:`repro.bulk`); values update between waves, so a swap sees
-the *current* state of both sides exactly as the reference engine's
+The ``REQ``/``ACK`` exchange itself — re-check the predicate at
+processing time and swap random values when it holds — is
+:func:`repro.bulk.concurrency.run_exchanges`, driven by the cycle
+(:func:`repro.vectorized.cycle.ordering_phases`).  Exchanges are
+scheduled into node-disjoint waves by the shared cycle plan
+(:mod:`repro.bulk`); values update between waves, so a swap sees the
+*current* state of both sides exactly as the reference engine's
 sequential processing does.  With atomic exchanges the predicate is
 symmetric, hence both sides swap together and the random values are
 conserved as a multiset — the invariant behind the SDM floor analysis
-(Section 4.4).  Under the planned message-overlap model
-(:mod:`repro.bulk.concurrency`) exchanges can instead complete
-one-sidedly from stale payloads, reproducing the paper's
-Section-4.5.2 concurrency regimes in batched form.
+(Section 4.4).  Under the planned message-overlap model exchanges can
+instead complete one-sidedly from stale payloads, reproducing the
+paper's Section-4.5.2 concurrency regimes in batched form.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bulk.concurrency import InlineExchangeApplier, run_exchanges
-from repro.core.ordering import (
-    SELECTION_MAX_GAIN,
-    SELECTION_RANDOM,
-    SELECTION_RANDOM_MISPLACED,
-)
+from repro.core.ordering import SELECTION_RANDOM, SELECTION_RANDOM_MISPLACED
 from repro.vectorized.state import EMPTY, ArrayState, pick_columns, take_rows
 
-__all__ = ["ordering_round"]
-
-_SELECTIONS = (SELECTION_RANDOM, SELECTION_MAX_GAIN, SELECTION_RANDOM_MISPLACED)
+__all__ = ["select_exchanges"]
 
 
 def _valid_slots(state: ArrayState, view: np.ndarray) -> np.ndarray:
@@ -95,51 +90,6 @@ def _local_ranks(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
         ranks, order, np.broadcast_to(np.arange(keys.shape[1]), keys.shape), axis=1
     )
     return ranks
-
-
-def ordering_round(
-    state: ArrayState,
-    plan,
-    selection: str = SELECTION_MAX_GAIN,
-    stats=None,
-    queue=None,
-    cycle: int = 0,
-) -> None:
-    """One batched active round of the configured ordering variant,
-    consuming the :class:`~repro.bulk.CyclePlan`'s ordering-phase
-    schedule (including the planned message-overlap and fault models;
-    ``queue`` is the delayed-delivery mailbox, consulted only when the
-    plan carries an enabled fault model)."""
-    if selection not in _SELECTIONS:
-        raise ValueError(
-            f"unknown selection {selection!r}; expected one of {_SELECTIONS}"
-        )
-    live = state.live_ids()
-    if len(live) < 2:
-        return
-    initiators, targets, intended = select_exchanges(
-        state,
-        state.live_rows(),
-        live,
-        selection,
-        lambda: plan.ordering_uniforms(len(live)),
-    )
-    if stats is not None:
-        stats.note_round(
-            messages=2 * len(initiators), intended=int(intended.sum())
-        )
-    applier = InlineExchangeApplier(state, len(initiators))
-    run_exchanges(
-        state,
-        plan,
-        initiators,
-        targets,
-        intended,
-        applier,
-        stats,
-        queue=queue,
-        cycle=cycle,
-    )
 
 
 def select_exchanges(

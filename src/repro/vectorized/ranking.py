@@ -1,48 +1,43 @@
 """Batched ranking rounds (Section 5, Figure 5, vectorized).
 
-One :func:`ranking_round` performs, for every live node at once, the
-active thread of :class:`~repro.core.ranking.RankingProtocol`:
+The steps of the active thread of
+:class:`~repro.core.ranking.RankingProtocol`, each for a block of live
+rows at once; the cycle (:func:`repro.vectorized.cycle.ranking_phases`)
+strings them together:
 
-1. fold the refreshed view into the comparison counters — for each
-   valid view entry, count whether the neighbor's attribute is at or
-   below the node's own (lines 5-7);
-2. pick ``j1``, the neighbor whose published rank estimate is closest
-   to a slice boundary (lines 8-10; the Theorem-5.1-motivated bias),
-   and ``j2``, a uniformly random neighbor (line 12);
-3. deliver the one-way ``UPD(a_i)`` messages — a scatter-add of
-   comparison outcomes onto the targets' counters (lines 13-14 and the
-   passive thread, lines 17-21);
-4. recompute every estimate as ``l / g`` (lines 15-16).
+1. :func:`fold_views` — fold the refreshed view into the comparison
+   counters: for each valid view entry, count whether the neighbor's
+   attribute is at or below the node's own (lines 5-7);
+2. :func:`boundary_columns` picks ``j1``, the neighbor whose published
+   rank estimate is closest to a slice boundary (lines 8-10; the
+   Theorem-5.1-motivated bias); ``j2`` is a uniformly random neighbor
+   (line 12);
+3. :func:`deliver_updates` — the one-way ``UPD(a_i)`` messages as a
+   scatter-add of comparison outcomes onto the targets' counters
+   (lines 13-14 and the passive thread, lines 17-21);
+4. :func:`recompute_estimates` — every estimate becomes ``l / g``
+   (lines 15-16).
 
 The sliding-window variant (Section 5.3.4) keeps, per node, only the
-last ``window`` comparison outcomes.  The default implementation is
-*exact*: each node owns a bit-packed circular buffer of ``window``
-bits (``~window/8`` bytes/node, see :func:`window_push`), matching the
-reference :class:`~repro.core.estimators.SlidingWindowRankEstimator`'s
-FIFO semantics.  ``window_approx=True`` opts into the cheaper
-*rescaling* approximation instead: once a node's counter total exceeds
-``window``, both counters are scaled down to hold it there, so each
-cycle's new observations carry weight ``~1/window`` and older
-observations decay geometrically — no per-node buffers, but only an
-effective-sample-size equivalent of the true window.
+last ``window`` comparison outcomes, *exactly*: each node owns a
+bit-packed circular buffer of ``window`` bits (``ceil(window / 8)``
+bytes/node plus two ``int64`` cursors, see :func:`window_push`),
+matching the reference
+:class:`~repro.core.estimators.SlidingWindowRankEstimator`'s FIFO
+semantics.  A state carries the window columns iff
+``state.window is not None``, which is how every function here tells
+the two variants apart.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from repro.obs.telemetry import NULL_TELEMETRY
 from repro.vectorized.metrics import PartitionArrays
-from repro.vectorized.ordering import (
-    _random_valid_column_from,
-    _row_counts,
-    _valid_slots,
-)
-from repro.vectorized.state import ArrayState, pick_columns, take_rows
+from repro.vectorized.ordering import _row_counts, _valid_slots
+from repro.vectorized.state import ArrayState, take_rows
 
-__all__ = ["ranking_round", "window_push"]
+__all__ = ["window_push"]
 
 
 def window_push(state: ArrayState, ids: np.ndarray, bits: np.ndarray) -> None:
@@ -100,7 +95,7 @@ def window_push(state: ArrayState, ids: np.ndarray, bits: np.ndarray) -> None:
     state.obs_total[nodes] = state.win_len[nodes]
 
 
-def fold_views(state: ArrayState, rows, live: np.ndarray, window_exact: bool):
+def fold_views(state: ArrayState, rows, live: np.ndarray):
     """Lines 5-7 for the live nodes ``live`` (row index ``rows``): fold
     every valid view entry's comparison into the node's counters.
 
@@ -119,7 +114,7 @@ def fold_views(state: ArrayState, rows, live: np.ndarray, window_exact: bool):
     else:
         le_bits &= valid
         counts = _row_counts(valid)
-    if window_exact:  # the exact window observes slots in row-major order
+    if state.window is not None:  # the window observes slots in row-major order
         window_push(state, np.repeat(live, counts), le_bits[valid])
     else:
         state.obs_le[rows] += _row_counts(le_bits)
@@ -156,148 +151,23 @@ def boundary_columns(
     return np.argmin(distance, axis=1)
 
 
-def ranking_round(
-    state: ArrayState,
-    geometry: PartitionArrays,
-    plan,
-    boundary_bias: bool = True,
-    window: Optional[int] = None,
-    stats=None,
-    window_exact: bool = False,
-    telemetry=NULL_TELEMETRY,
-    queue=None,
-    cycle: int = 0,
-) -> None:
-    """One batched active round of the ranking algorithm, consuming
-    the :class:`~repro.bulk.CyclePlan`'s ranking-phase schedule.
-
-    With a fault model attached, each one-way ``UPD`` draws a fate:
-    lost (or partition-suppressed) messages are dropped from the event
-    stream, delayed ones go to the ``queue`` mailbox with the sender's
-    attribute frozen, and mail sent ``d`` cycles ago lands now —
-    prepended to the stream, so the exact window observes late events
-    before this cycle's inline ones."""
-    live, rows = state.live_ids(), state.live_rows()
-    if len(live) < 2:
-        return
-    with telemetry.span("fold"):
-        view, valid, counts, a_self = fold_views(state, rows, live, window_exact)
-
-    # Lines 8-12: target selection over nodes that have neighbors.
-    senders = np.flatnonzero(counts)
-    targets = np.empty(0, dtype=np.int64)
-    senders_attr = np.empty(0, dtype=np.float64)
-    overlapping = 0
-    sent = lost_count = delayed_count = matured_count = 0
-    if len(senders):
-        with telemetry.span("targets"):
-            view, valid, counts = sender_rows(senders, view, valid, counts)
-            u1, u2 = plan.ranking_uniforms(len(senders), boundary_bias)
-            if boundary_bias:
-                j1_cols = boundary_columns(state, geometry, view, valid, counts)
-            else:
-                j1_cols = _random_valid_column_from(valid, u1, counts)
-            j2_cols = _random_valid_column_from(valid, u2, counts)
-            targets = np.concatenate(
-                [pick_columns(view, j1_cols), pick_columns(view, j2_cols)]
-            )
-            senders_attr = np.tile(a_self[senders], 2)
-
-            # Section 4.5.2: overlapping UPD messages are flushed after
-            # the inline ones, in random order.  One-way messages
-            # compare only immutable attributes, so overlap reorders the
-            # event stream (which the exact window observes) without
-            # changing counters.
-            order, overlapping = plan.upd_schedule(len(targets))
-            if order is not None:
-                targets, senders_attr = targets[order], senders_attr[order]
-            sent = len(targets)
-
-            # Fault fates: lost (or partition-crossing) UPDs vanish;
-            # delayed ones are mailed with the sender attribute frozen.
-            if plan.faults_enabled:
-                sender_ids = np.tile(live[senders], 2)
-                if order is not None:
-                    sender_ids = sender_ids[order]
-                crossing = plan.partition_mask(sender_ids, targets)
-                lost, delay = plan.message_faults("upd", len(targets))
-                if crossing is not None:
-                    lost = lost | crossing
-                delayed = ~lost & (delay > 0)
-                if queue is not None and delayed.any():
-                    delayed_idx = np.flatnonzero(delayed)
-                    lateness = delay[delayed_idx]
-                    for d in np.unique(lateness):
-                        group = delayed_idx[lateness == d]
-                        queue.push_upd(
-                            cycle + int(d), targets[group], senders_attr[group]
-                        )
-                lost_count = int(lost.sum())
-                delayed_count = int(delayed.sum())
-                if lost_count or delayed_count:
-                    keep = ~(lost | delayed)
-                    targets, senders_attr = targets[keep], senders_attr[keep]
-
-    # Mail sent d cycles ago lands now, ahead of this cycle's events.
-    if plan.faults_enabled and queue is not None:
-        matured = queue.pop_upd(cycle)
-        if matured is not None:
-            matured_targets, matured_attr = matured
-            still_alive = state.alive[matured_targets]
-            matured_targets = matured_targets[still_alive]
-            matured_attr = matured_attr[still_alive]
-            matured_count = len(matured_targets)
-            if matured_count:
-                targets = np.concatenate([matured_targets, targets])
-                senders_attr = np.concatenate([matured_attr, senders_attr])
-
-    if len(targets):
-        with telemetry.span("upd_deliver"):
-            deliver_updates(state, targets, senders_attr, window_exact)
-    if stats is not None and (sent or matured_count):
-        stats.note_round(messages=sent, intended=0)
-        stats.note_overlapping(overlapping)
-        if lost_count:
-            stats.note_lost(lost_count)
-        if delayed_count:
-            stats.note_delayed(delayed_count)
-        if matured_count:
-            stats.note_matured(matured_count)
-    if telemetry.enabled:
-        telemetry.count("ranking.upd_messages", len(targets))
-
-    with telemetry.span("estimates"):
-        recompute_estimates(state, live, window, window_exact)
-
-
 def deliver_updates(
-    state: ArrayState, targets: np.ndarray, senders_attr: np.ndarray, window_exact: bool
+    state: ArrayState, targets: np.ndarray, senders_attr: np.ndarray
 ) -> None:
     """Lines 13-14 + 17-21: one-way ``UPD`` delivery as scatter-adds
-    (or, in exact-window mode, as window events), in event order."""
+    (or, with a sliding window, as window events), in event order."""
     upd_le = (senders_attr <= state.attribute[targets]).astype(np.float64)
-    if window_exact:
+    if state.window is not None:
         window_push(state, targets, upd_le)
     else:
         np.add.at(state.obs_total, targets, 1.0)
         np.add.at(state.obs_le, targets, upd_le)
 
 
-def recompute_estimates(
-    state: ArrayState, live: np.ndarray, window: Optional[int], window_exact: bool
-) -> None:
+def recompute_estimates(state: ArrayState, live: np.ndarray) -> None:
     """Lines 15-16 for the live nodes ``live``: ``value = l / g`` where
-    any observation exists, after the rescaling approximation (if on)
-    capped the effective sample count at ``window``."""
-    totals = state.obs_total[live]  # a copy: the cap is mirrored into it
-    if window is not None and not window_exact:
-        over = totals > window
-        if over.any():
-            factor = window / totals[over]
-            rows_over = live[over]
-            state.obs_le[rows_over] *= factor
-            state.obs_total[rows_over] = float(window)
-            totals[over] = float(window)
+    any observation exists."""
+    totals = state.obs_total[live]
     observed = totals > 0
     rows_obs = live[observed]
     state.value[rows_obs] = state.obs_le[rows_obs] / totals[observed]

@@ -18,17 +18,20 @@ Two API surfaces are exposed:
   vectorized metrics that stay cheap at a million nodes, where
   building a proxy per node per cycle would dominate the run.
 
-Every cycle's random schedule — churn, draws, exchange waves, message
-overlap — comes from one shared :class:`~repro.bulk.CyclePlan`; the
-sharded backend consumes the same plan, which is what makes the two
+:meth:`VectorSimulation.run_cycle` is the one definition of a bulk
+cycle: every cycle's random schedule — churn, draws, exchange waves,
+message overlap — comes from one :class:`~repro.bulk.CyclePlan`, and
+the refresh and protocol phases (:mod:`repro.vectorized.cycle`) are
+dispatched as commands through an executor.  Here that executor runs
+the kernels in this process (:mod:`repro.vectorized.executor`); the
+sharded and distributed backends subclass this driver and swap in a
+worker pool or a message transport, which is what makes the three
 bitwise interchangeable.  The paper's artificial message-overlap model
 (``concurrency="half"``/``"full"``, Section 4.5.2) runs in batched
 form (:mod:`repro.bulk.concurrency`).  Limitations compared to the
 reference engine: only the Cyclon-variant / uniform-oracle samplers
 are supported.  The sliding-window ranking variant keeps an exact
-bit-packed window by default; pass ``window_approx=True`` for the
-cheaper rescaling approximation documented in
-:mod:`repro.vectorized.ranking`.
+bit-packed window (:mod:`repro.vectorized.ranking`).
 """
 
 from __future__ import annotations
@@ -55,10 +58,9 @@ from repro.metrics.statistics import z_value
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.vectorized import churn as bulk_churn
 from repro.vectorized import metrics as vmetrics
-from repro.vectorized.ordering import ordering_round
-from repro.vectorized.ranking import ranking_round
+from repro.vectorized.cycle import ordering_phases, ranking_phases, refresh_phases
+from repro.vectorized.executor import InlineExecutor
 from repro.vectorized.rankindex import AlphaRankIndex
-from repro.vectorized.sampler import refresh_views, refresh_views_uniform
 from repro.vectorized.state import ArrayState
 from repro.workloads.attributes import AttributeDistribution, UniformAttributes
 
@@ -224,12 +226,6 @@ class VectorSimulation:
         reference :class:`~repro.churn.models.ChurnModel` (converted to
         bulk form when possible, else driven through the compatibility
         API).
-    window_approx:
-        ``"ranking-window"`` keeps an exact bit-packed sliding window
-        per node by default (~window/8 bytes/node).  ``True`` opts into
-        the counter-rescaling approximation instead — no per-node
-        buffers, matching window-sized effective sample counts but not
-        the exact FIFO semantics.
     concurrency:
         ``"none"`` (atomic exchanges), ``"half"``/``"full"`` or an
         overlap probability — the paper's Section-4.5.2 artificial
@@ -279,7 +275,6 @@ class VectorSimulation:
         view_size: int = 20,
         sampler: str = "cyclon-variant",
         churn=None,
-        window_approx: bool = False,
         concurrency: Union[str, float] = "none",
         rebalance_every: Optional[int] = None,
         rebalance_threshold: Optional[float] = None,
@@ -317,7 +312,6 @@ class VectorSimulation:
         self.geometry = vmetrics.PartitionArrays(partition)
         self.protocol = protocol
         self.window = window if protocol == "ranking-window" else None
-        self.window_exact = self.window is not None and not window_approx
         self.boundary_bias = boundary_bias
         self.sampler = sampler
         self.trace = trace
@@ -327,13 +321,15 @@ class VectorSimulation:
         self._cycle = 0
         self._alpha_index = AlphaRankIndex()
         self._truth_cache = None
+        self._inline_executor = None
+        self._live_counts = None
 
         self._random_source = RandomSource(seed)
         self._np_rngs = {}
         self._seed = seed
 
         self.state = self._make_state(view_size, size)
-        if self.window_exact and self.state.window is None:
+        if self.window is not None and self.state.window is None:
             self.state.enable_window(self.window)
         attribute_values = self._draw_attributes(size, attributes)
         values = self._draw_initial_values(size)
@@ -347,6 +343,16 @@ class VectorSimulation:
         """State allocation hook: the sharded backend overrides this to
         lay the same columns out in shared memory."""
         return ArrayState(view_size, capacity=size)
+
+    def _executor(self):
+        """Executor hook: what the cycle's commands are dispatched
+        through.  In-process here; the sharded and distributed drivers
+        return their worker pool / message transport instead."""
+        if self._inline_executor is None:
+            self._inline_executor = InlineExecutor(
+                self.state, self.geometry, self.telemetry
+            )
+        return self._inline_executor
 
     # ------------------------------------------------------------------
     # Random streams
@@ -422,8 +428,7 @@ class VectorSimulation:
     # ------------------------------------------------------------------
 
     def _new_plan(self) -> CyclePlan:
-        """One cycle's random schedule (see :mod:`repro.bulk.plan`);
-        both bulk backends build their plans through this hook."""
+        """One cycle's random schedule (see :mod:`repro.bulk.plan`)."""
         return CyclePlan(
             self.np_rng,
             self.concurrency.probability,
@@ -434,8 +439,9 @@ class VectorSimulation:
         )
 
     def run_cycle(self) -> None:
-        """One full cycle: churn, rebalance, refresh, protocol round,
-        advance."""
+        """One full cycle: plan, churn, rebalance, refresh, protocol
+        round, advance — planned centrally, applied through the
+        executor (:mod:`repro.vectorized.cycle`)."""
         telemetry = self.telemetry
         telemetry.begin_cycle(self._cycle)
         self._stats.begin_cycle()
@@ -445,35 +451,26 @@ class VectorSimulation:
             self._apply_churn(plan)
         with telemetry.span("rebalance"):
             self._maybe_rebalance(plan)
-        with telemetry.span("refresh"):
-            if self.sampler == "uniform":
-                refresh_views_uniform(self.state, plan)
+        state = self.state
+        if state.live_count >= 2:
+            executor = self._executor()
+            with telemetry.span("refresh"):
+                self._live_counts = refresh_phases(
+                    executor, state, plan, self.sampler == "uniform", telemetry
+                )
+            if self._is_ranking():
+                with telemetry.span("ranking"):
+                    ranking_phases(
+                        executor, state, plan, self.boundary_bias,
+                        self._stats, self._fault_queue, self._cycle, telemetry,
+                    )
             else:
-                refresh_views(self.state, plan, telemetry=telemetry)
-        if self._is_ranking():
-            with telemetry.span("ranking"):
-                ranking_round(
-                    self.state,
-                    self.geometry,
-                    plan,
-                    boundary_bias=self.boundary_bias,
-                    window=self.window,
-                    stats=self._stats,
-                    window_exact=self.window_exact,
-                    telemetry=telemetry,
-                    queue=self._fault_queue,
-                    cycle=self._cycle,
-                )
-        else:
-            with telemetry.span("ordering"):
-                ordering_round(
-                    self.state,
-                    plan,
-                    selection=_ORDERING_SELECTION[self.protocol],
-                    stats=self._stats,
-                    queue=self._fault_queue,
-                    cycle=self._cycle,
-                )
+                with telemetry.span("ordering"):
+                    ordering_phases(
+                        executor, state, plan, _ORDERING_SELECTION[self.protocol],
+                        self._live_counts,
+                        self._stats, self._fault_queue, self._cycle,
+                    )
         self._cycle += 1
         telemetry.end_cycle()
         if telemetry.enabled:

@@ -1,0 +1,120 @@
+"""Golden full-state digests of the bulk cycle.
+
+``golden_digests.json`` was recorded at the commit it names — the last
+one that still carried the whole-population functions next to the
+command sequence — by running this file as a script there
+(``PYTHONPATH=src python tests/bulk/test_golden_digests.py``).  Every
+bulk executor must keep reproducing it bit for bit: that is what lets
+the cycle be rewritten without keeping an old copy as an oracle.
+"""
+
+import hashlib
+import itertools
+import json
+import pathlib
+import subprocess
+
+import numpy as np
+import pytest
+
+from repro.experiments.config import RunSpec, build_simulation
+from repro.vectorized.state import column_spec
+
+FIXTURE = pathlib.Path(__file__).with_name("golden_digests.json")
+N, CYCLES = 2000, 10
+AXES = {
+    "protocol": {
+        "ranking": dict(protocol="ranking"),
+        "ranking-window": dict(protocol="ranking-window", window=40),
+        "jk": dict(protocol="jk"),
+        "mod-jk": dict(protocol="mod-jk"),
+        "random-misplaced": dict(protocol="random-misplaced"),
+    },
+    "sampler": {
+        "cyclon-variant": dict(sampler="cyclon-variant"),
+        "uniform": dict(sampler="uniform"),
+    },
+    "concurrency": {c: dict(concurrency=c) for c in ("none", "half", "full")},
+    "churn": {
+        "static": {},
+        "regular": dict(
+            churn="regular", churn_rate=0.05, churn_period=1, rebalance_threshold=1.2
+        ),
+        "burst": dict(churn="burst", churn_rate=0.03, churn_burst_end=5),
+    },
+    "faults": {
+        "off": {},
+        "on": dict(loss=0.1, delay="0.1:3", partitions="3:3:2"),
+    },
+}
+BUS_FIELDS = (
+    "sent", "delivered", "overlapping", "lost", "delayed",
+    "intended_swaps", "unsuccessful_swaps", "swaps",
+)
+
+
+def configs():
+    """``{key: RunSpec overrides}`` over the full cross product."""
+    out = {}
+    for names in itertools.product(*AXES.values()):
+        overrides = {}
+        for axis, name in zip(AXES.values(), names):
+            overrides.update(axis[name])
+        out["/".join(names)] = overrides
+    return out
+
+
+def run_digest(overrides, **backend) -> str:
+    """Run one config and hash every state column over the live rows,
+    the transport counters and the cycle number."""
+    spec = RunSpec(n=N, slice_count=10, view_size=10, seed=29, **overrides, **backend)
+    sim = build_simulation(spec)
+    try:
+        sim.run(CYCLES)
+        state = sim.state
+        live = state.live_ids()
+        digest = hashlib.sha256()
+        for name in column_spec(state.view_size, state.window):
+            digest.update(np.ascontiguousarray(getattr(state, name)[live]).tobytes())
+        stats = [int(getattr(sim.bus_stats, name)) for name in BUS_FIELDS]
+        digest.update(repr((stats, sim.now, sim.rebalance_count)).encode())
+        return digest.hexdigest()[:24]
+    finally:
+        if hasattr(sim, "close"):
+            sim.close()
+
+
+GOLDEN = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {"digests": {}}
+
+
+def test_fixture_covers_the_matrix():
+    assert len(GOLDEN["commit"]) == 40
+    assert set(GOLDEN["digests"]) == set(configs())
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [dict(backend="vectorized"), dict(backend="sharded", workers=2)],
+    ids=["vectorized", "sharded2"],
+)
+@pytest.mark.parametrize("protocol", AXES["protocol"])
+def test_reproduces_the_recorded_digests(protocol, backend):
+    mismatched = [
+        key
+        for key, overrides in configs().items()
+        if key.startswith(protocol + "/")
+        and run_digest(overrides, **backend) != GOLDEN["digests"][key]
+    ]
+    assert not mismatched
+
+
+if __name__ == "__main__":
+    commit = subprocess.check_output(["git", "rev-parse", "HEAD"], text=True).strip()
+    digests = {
+        key: run_digest(overrides, backend="vectorized")
+        for key, overrides in configs().items()
+    }
+    FIXTURE.write_text(
+        json.dumps({"commit": commit, "n": N, "cycles": CYCLES, "digests": digests}, indent=0)
+        + "\n"
+    )

@@ -5,28 +5,20 @@ the overhead guard for the no-op default."""
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.core.slices import SlicePartition
 from repro.engine.trace import TraceLog
-from repro.experiments.config import RunSpec, build_simulation
+from repro.experiments import config
+from repro.experiments.config import RunSpec
 from repro.obs import CycleReport, Telemetry, Watchdog
 from repro.vectorized.simulation import VectorSimulation
+from tests.conftest import assert_states_identical, closing
 
-STATE_COLUMNS = ("attribute", "value", "alive", "obs_le", "obs_total")
 
-
-def assert_states_identical(sim_a, sim_b):
-    state_a, state_b = sim_a.state, sim_b.state
-    assert state_a.size == state_b.size
-    n = state_a.size
-    for column in STATE_COLUMNS:
-        a = getattr(state_a, column)[:n]
-        b = getattr(state_b, column)[:n]
-        assert np.array_equal(a, b), f"{column} diverged"
-    assert np.array_equal(state_a.view_ids[:n], state_b.view_ids[:n])
-    assert np.array_equal(state_a.view_ages[:n], state_b.view_ages[:n])
+def build_simulation(spec, telemetry=None):
+    """``config.build_simulation``, closed when the test ends."""
+    return closing(config.build_simulation(spec, telemetry=telemetry))
 
 
 def assert_tree_well_formed(report):
@@ -64,11 +56,8 @@ class TestParityPins:
         profiled = build_simulation(
             spec.with_overrides(backend="sharded", workers=2), telemetry=telemetry
         )
-        try:
-            profiled.run(6)
-            assert_states_identical(plain, profiled)
-        finally:
-            profiled.close()
+        profiled.run(6)
+        assert_states_identical(plain, profiled)
         assert len(telemetry.cycle_records()) == 6
 
     def test_reference_bitwise_with_and_without_telemetry(self):
@@ -115,14 +104,8 @@ class TestFullStackParityPins:
             spec.with_overrides(backend=backend, **overrides),
             telemetry=telemetry,
         )
-        try:
-            observed.run(6)
-            if hasattr(observed, "sync_state"):
-                observed.sync_state()
-            assert_states_identical(plain, observed)
-        finally:
-            if hasattr(observed, "close"):
-                observed.close()
+        observed.run(6)
+        assert_states_identical(plain, observed)
         assert telemetry.watchdog.cycles_checked == 6
         assert len(telemetry.metrics_records()) == 6
         assert all("events" in r for r in telemetry.cycle_records())
@@ -179,11 +162,7 @@ class TestMetricsStream:
                 spec.with_overrides(backend=backend, **overrides),
                 telemetry=telemetry,
             )
-            try:
-                sim.run(6)
-            finally:
-                if hasattr(sim, "close"):
-                    sim.close()
+            sim.run(6)
             streams[backend] = [
                 {k: v for k, v in record.items() if k != "engine"}
                 for record in telemetry.metrics_records()
@@ -197,10 +176,7 @@ class TestWorkerSubSpans:
         spec = RunSpec(n=600, slice_count=5, protocol="ranking",
                        backend=backend, workers=workers, seed=4)
         sim = build_simulation(spec, telemetry=telemetry)
-        try:
-            sim.run(4)
-        finally:
-            sim.close()
+        sim.run(4)
         return telemetry
 
     def test_sharded_worker_sums_reproduce_the_identity_per_record(self):
@@ -263,9 +239,22 @@ class TestWorkerSubSpans:
 
 
 class TestVectorizedSpans:
-    def test_phase_tree_and_coverage(self):
-        telemetry = Telemetry(engine="vectorized")
-        spec = RunSpec(n=2000, slice_count=10, protocol="ranking", backend="vectorized")
+    """One span tree for every executor: the phase functions open the
+    sub-phase spans, the executor's dispatch spans nest one level
+    below — in-process and pooled alike."""
+
+    SUB_PHASES = {
+        "refresh/age_purge": "refresh_age",
+        "refresh/partner_select": "refresh_fill_partners",
+        "refresh/waves": "refresh_swap",
+        "ranking/fold": "rank_fold",
+        "ranking/targets": "rank_targets",
+        "ranking/upd_deliver": "rank_apply",
+    }
+
+    def check_tree(self, **overrides):
+        telemetry = Telemetry(engine="bulk", watchdog=Watchdog())
+        spec = RunSpec(n=2000, slice_count=10, protocol="ranking", **overrides)
         sim = build_simulation(spec, telemetry=telemetry)
         sim.run(8)
         report = CycleReport(telemetry.records)
@@ -273,12 +262,25 @@ class TestVectorizedSpans:
         assert_tree_well_formed(report)
         top = {s.path for s in report.spans.values() if s.depth == 0}
         assert {"plan", "churn", "refresh", "ranking"} <= top
-        assert {"refresh/age_purge", "refresh/partner_select", "refresh/waves"} <= set(
-            report.spans
-        )
-        assert report.coverage > 0.9
+        driver_spans = {p for p, s in report.spans.items() if not s.is_worker}
+        assert {
+            f"{phase}/cmd:{command}" for phase, command in self.SUB_PHASES.items()
+        } == {p for p in driver_spans if "/cmd:" in p}
+        # rank_apply delivers and recomputes: no separate estimates span.
+        assert "ranking/estimates" not in report.spans
         assert report.counters["sampler.exchanges"] > 0
         assert report.counters["ranking.upd_messages"] > 0
+        # The in-process executor dispatches, so its runs carry the
+        # dispatch accounting too (barrier identity with workers = 1).
+        assert report.counters["commands"] == report.counters["barriers"] > 0
+        assert telemetry.watchdog.cycles_checked == 8
+        return report
+
+    def test_phase_tree_and_coverage(self):
+        assert self.check_tree(backend="vectorized").coverage > 0.9
+
+    def test_pool_grows_the_same_tree(self):
+        self.check_tree(backend="sharded", workers=2)
 
 
 class TestShardedBarrierAccounting:
@@ -294,10 +296,7 @@ class TestShardedBarrierAccounting:
             backend="sharded", workers=workers,
         )
         sim = build_simulation(spec, telemetry=telemetry)
-        try:
-            sim.run(5)
-        finally:
-            sim.close()
+        sim.run(5)
         records = telemetry.cycle_records()
         assert len(records) == 5
         for record in records:
@@ -321,10 +320,7 @@ class TestShardedBarrierAccounting:
             backend="sharded", workers=2,
         )
         sim = build_simulation(spec, telemetry=telemetry)
-        try:
-            sim.run(3)
-        finally:
-            sim.close()
+        sim.run(3)
         report = CycleReport(telemetry.records)
         assert_tree_well_formed(report)
         nested = [p for p in report.spans if "/cmd:" in p]
@@ -343,12 +339,8 @@ class TestDistributedWireAccounting:
             spec.with_overrides(backend="distributed", workers=2),
             telemetry=telemetry,
         )
-        try:
-            profiled.run(4)
-            profiled.sync_state()  # pull worker-resident columns down
-            assert_states_identical(plain, profiled)
-        finally:
-            profiled.close()
+        profiled.run(4)
+        assert_states_identical(plain, profiled)
         report = CycleReport(telemetry.records)
         assert report.counters["wire.sent_bytes"] > 0
         assert report.counters["wire.recv_bytes"] > 0

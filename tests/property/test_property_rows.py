@@ -257,7 +257,7 @@ def test_kernels_agree_on_slice_and_gathered_rows(
         out = {}
 
         # Fold and j1/j2 first, while the dead pointers are still there.
-        view, valid, counts, a_self = fold_views(state, rows, ids, window_exact)
+        view, valid, counts, a_self = fold_views(state, rows, ids)
         expected_valid = state.view_ids[:live] != EMPTY
         expected_valid &= state.alive[np.where(expected_valid, view, 0)]
         assert np.array_equal(valid, expected_valid)

@@ -1,8 +1,10 @@
-"""Barrier-count smoke pins for the sharded driver.
+"""Barrier-count smoke pins for the bulk cycle's dispatch.
 
-Every sharded phase costs one barrier round-trip per dispatched
-command — workers cannot proceed until the driver has collected the
-whole wave.  The fused dispatch keeps a ranking cycle at exactly
+Every phase costs one collective round-trip per dispatched command —
+on a pool, workers cannot proceed until the driver has collected the
+whole wave; in-process the "barrier" is a function return, but the
+command sequence, and so the count, is the same.  The fused dispatch
+keeps a ranking cycle at exactly
 
     refresh   age + fill_partners + W swap waves   = 2 + W
     ranking   fold + targets + apply               = 3
@@ -19,6 +21,7 @@ long before the nightly ladder would notice the wall-clock cost.
 
 from repro.experiments.config import RunSpec, build_simulation
 from repro.obs.telemetry import Telemetry
+from tests.conftest import closing
 
 # The pre-PR-8 driver's per-cycle cost, kept as the ceiling we must
 # stay strictly under.
@@ -26,18 +29,15 @@ LEGACY_RANKING_OVERHEAD = 7
 FUSED_RANKING_OVERHEAD = 5
 
 
-def _cycle_counters(workers, cycles=5, n=10_000):
-    telemetry = Telemetry(engine="sharded")
+def _cycle_counters(workers, cycles=5, n=10_000, backend="sharded"):
+    telemetry = Telemetry(engine=backend)
     spec = RunSpec(
         n=n, slice_count=10, protocol="ranking",
-        backend="sharded", workers=workers, seed=13,
+        backend=backend, workers=workers, seed=13,
         churn="regular", churn_rate=0.01, churn_period=1,
     )
-    sim = build_simulation(spec, telemetry=telemetry)
-    try:
-        sim.run(cycles)
-    finally:
-        sim.close()
+    sim = closing(build_simulation(spec, telemetry=telemetry))
+    sim.run(cycles)
     records = telemetry.cycle_records()
     assert len(records) == cycles
     return [record["counters"] for record in records]
@@ -59,13 +59,15 @@ class TestBarrierLeanDispatch:
             assert counters["barriers"] < legacy
 
     def test_inline_executor_counts_identically(self):
-        """workers=1 (inline executor) accounts barriers the same way
-        as the pool — the counter reflects dispatch structure, not
-        transport."""
-        inline = _cycle_counters(workers=1, cycles=3)
+        """The in-process executor (``backend="vectorized"``) accounts
+        barriers the same way as the pool — the counter reflects
+        dispatch structure, not transport — so the waves + 5 pin holds
+        for it too."""
+        inline = _cycle_counters(workers=None, cycles=3, backend="vectorized")
         pooled = _cycle_counters(workers=2, cycles=3)
         for a, b in zip(inline, pooled):
-            assert a["barriers"] == b["barriers"]
+            assert a["barriers"] == a["sampler.waves"] + FUSED_RANKING_OVERHEAD
+            assert a["barriers"] == b["barriers"] == a["commands"]
             assert a["sampler.waves"] == b["sampler.waves"]
 
     def test_one_barrier_per_command(self):

@@ -225,10 +225,14 @@ class TestLifecycle:
 
     def test_spare_capacity_exhaustion_raises(self):
         churn = RegularChurn(rate=0.2, period=1)
-        sim = make_sim(workers=1, size=100, churn=churn, spare_capacity=10)
-        with pytest.raises(RuntimeError, match="spare_capacity"):
+        # Only a pool pins the capacity (shared-memory blocks cannot
+        # grow); workers=1 owns none and grows like the vectorized state.
+        with make_sim(workers=2, size=100, churn=churn, spare_capacity=10) as sim:
+            with pytest.raises(RuntimeError, match="spare_capacity"):
+                sim.run(50)
+        with make_sim(workers=1, size=100, churn=churn, spare_capacity=10) as sim:
             sim.run(50)
-        sim.close()
+            assert sim.state.size > 110
 
     def test_worker_validation(self):
         with pytest.raises(ValueError, match="workers"):

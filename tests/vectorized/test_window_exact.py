@@ -100,36 +100,23 @@ def test_windowed_run_tracks_correlated_churn_better_than_cumulative():
     assert results["ranking-window"] < results["ranking"]
 
 
-def test_approximation_flag_switches_implementations():
-    partition = SlicePartition.equal(10)
+def test_window_counters_are_exact_in_window_counts():
     exact = VectorSimulation(
         size=300,
-        partition=partition,
+        partition=SlicePartition.equal(10),
         protocol="ranking-window",
         window=16,
         view_size=8,
         seed=4,
     )
-    approx = VectorSimulation(
-        size=300,
-        partition=partition,
-        protocol="ranking-window",
-        window=16,
-        view_size=8,
-        seed=4,
-        window_approx=True,
-    )
-    assert exact.state.window == 16 and exact.window_exact
-    assert approx.state.window is None and not approx.window_exact
+    assert exact.state.window == 16
     exact.run(6)
-    approx.run(6)
-    # Both cap the sample count at the window...
+    # The sample count is capped at the window...
     live = exact.state.live_ids()
     assert exact.state.obs_total[live].max() <= 16
-    assert approx.state.obs_total[approx.state.live_ids()].max() <= 16
-    # ...but only the exact window holds integer in-window counts.
+    # ...and the window holds integer in-window counts,
     assert np.array_equal(exact.state.obs_le[live], exact.state.obs_le[live].round())
-    # The exact counters equal the buffer popcounts.
+    # equal to the buffer popcounts.
     popcount = np.unpackbits(
         exact.state.win_bits[live], axis=1, bitorder="little"
     )[:, :16].sum(axis=1)
