@@ -498,14 +498,6 @@ class DistributedSimulation(ShardedSimulation):
         self._closed = True
         super().close()
 
-    @property
-    def _pool(self):
-        # The metric tree reductions always run over the transport
-        # (driver-side heavy columns are not authoritative); after
-        # close() this is None and the replicated-column metrics fall
-        # back to the local fast path.
-        return self._executor_holder.get("executor")
-
     def _queue_updates(self, updates) -> None:
         executor = self._executor_holder.get("executor")
         if executor is not None and updates:

@@ -29,10 +29,10 @@ what processes and shared memory need:
 
 Because the plan is identical for every worker count and each applied
 step is either row-local or wave-disjoint, a run's arrays are **bitwise
-identical across worker counts**; ``workers=1`` needs no pool at all
-and *is* the vectorized backend — same in-process executor, same
-growable state.  Parallelism changes wall-clock time only, never
-results; the equivalence tests assert this exactly.
+identical across worker counts**; ``workers=1`` needs no pool at all,
+so the constructor returns the vectorized backend itself.  Parallelism
+changes wall-clock time only, never results; the equivalence tests
+assert this exactly.
 """
 
 from __future__ import annotations
@@ -206,6 +206,13 @@ class _PoolExecutor:
         self.scratch.close()
 
 
+def _worker_count(workers: Optional[int]) -> int:
+    workers = (os.cpu_count() or 1) if workers is None else int(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
 def _release(blocks, executor_holder) -> None:
     """Finalizer shared by close() and garbage collection."""
     executor = executor_holder.get("executor")
@@ -226,20 +233,34 @@ class ShardedSimulation(VectorSimulation):
     Parameters
     ----------
     workers:
-        Worker-process count (``None`` = all CPU cores).  ``workers=1``
-        owns no pool and no shared memory: it runs on the vectorized
-        backend's in-process executor over a growable state.  Results
-        are bitwise identical for every value.
+        Worker-process count (``None`` = all CPU cores).  Results are
+        bitwise identical for every value.  One worker needs no pool
+        and no shared memory, so ``ShardedSimulation(workers=1)``
+        returns a plain :class:`VectorSimulation` — the same cycle on
+        the in-process executor over a growable state.
     spare_capacity:
-        Extra rows pre-allocated for joiners when a pool owns the
-        state.  Shared-memory segments cannot grow, so a run whose
-        churn adds more rows than this raises (default:
-        ``max(1024, size // 8)``); unused with ``workers=1``.
+        Extra rows pre-allocated for joiners.  Shared-memory segments
+        cannot grow, so a run whose churn adds more rows than this
+        raises (default: ``max(1024, size // 8)``); rejected with
+        ``workers=1``, which has no fixed capacity.
 
     Call :meth:`close` (or use the instance as a context manager) to
     release the worker pool and shared-memory segments; they are also
     released on garbage collection.
     """
+
+    def __new__(cls, size, partition, workers=None, spare_capacity=None, **kwargs):
+        # One worker needs no pool and no shared memory, and the cycle
+        # on the in-process executor *is* the vectorized backend — so
+        # hand back exactly that, not a pool-less variant of this class.
+        if cls is ShardedSimulation and _worker_count(workers) == 1:
+            if spare_capacity is not None:
+                raise ValueError(
+                    "spare_capacity sizes shared-memory shards; workers=1 "
+                    "owns none (its state grows on demand)"
+                )
+            return VectorSimulation(size, partition, **kwargs)
+        return super().__new__(cls)
 
     def __init__(
         self,
@@ -249,12 +270,7 @@ class ShardedSimulation(VectorSimulation):
         spare_capacity: Optional[int] = None,
         **kwargs,
     ) -> None:
-        if workers is None:
-            workers = os.cpu_count() or 1
-        workers = int(workers)
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
+        self.workers = _worker_count(workers)
         self._spare_capacity = (
             max(1024, size // 8) if spare_capacity is None else int(spare_capacity)
         )
@@ -272,8 +288,6 @@ class ShardedSimulation(VectorSimulation):
     # ------------------------------------------------------------------
 
     def _make_state(self, view_size: int, size: int) -> ArrayState:
-        if self.workers == 1:  # no pool, no blocks: nothing fixes the capacity
-            return super()._make_state(view_size, size)
         capacity = size + self._spare_capacity
         arrays = {}
         for name, (dtype, width) in column_spec(view_size, self.window).items():
@@ -291,20 +305,14 @@ class ShardedSimulation(VectorSimulation):
         """Stop the worker pool and release shared memory."""
         _release(self._blocks, self._executor_holder)
 
-    def __enter__(self) -> "ShardedSimulation":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     @property
     def _pool(self):
-        executor = self._executor_holder.get("executor")
-        return executor if isinstance(executor, _PoolExecutor) else None
+        """The running executor, or ``None`` before the first cycle and
+        after :meth:`close` — the metrics then read the driver's own
+        columns instead of reducing across the shards."""
+        return self._executor_holder.get("executor")
 
     def _executor(self):
-        if self.workers == 1:
-            return super()._executor()
         executor = self._executor_holder.get("executor")
         if executor is None:
             executor = _PoolExecutor(self)
@@ -337,8 +345,6 @@ class ShardedSimulation(VectorSimulation):
         """
         state = self.state
         executor = self._executor()
-        if self._pool is None:  # in-process, one shard: nothing migrates
-            return super()._apply_rebalance(decision)
         scratch = executor.scratch
         new_size, old_size = decision.new_size, decision.old_size
         # Publish the permutation: the live gather list (new row k

@@ -354,6 +354,16 @@ class VectorSimulation:
             )
         return self._inline_executor
 
+    def close(self) -> None:
+        """Release what the executor holds.  Nothing in-process; the
+        sharded and distributed drivers stop their workers here."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     # ------------------------------------------------------------------
     # Random streams
     # ------------------------------------------------------------------

@@ -16,7 +16,34 @@ from repro.churn.models import RegularChurn
 from repro.core.slices import SlicePartition
 from repro.distributed import DistributedSimulation
 from repro.vectorized.simulation import VectorSimulation
-from tests.conftest import assert_states_identical, closing, skewed_churn
+
+STATE_COLUMNS = ("attribute", "value", "alive", "obs_le", "obs_total")
+
+
+def assert_states_identical(vectorized, distributed):
+    state_d = distributed.sync_state()
+    state_v = vectorized.state
+    assert state_v.size == state_d.size
+    n = state_v.size
+    for column in STATE_COLUMNS:
+        assert np.array_equal(
+            getattr(state_v, column)[:n], getattr(state_d, column)[:n]
+        ), f"{column} diverged"
+    assert np.array_equal(state_v.view_ids[:n], state_d.view_ids[:n])
+    assert np.array_equal(state_v.view_ages[:n], state_d.view_ages[:n])
+    assert vectorized.bus_stats.sent == distributed.bus_stats.sent
+    assert vectorized.bus_stats.swaps == distributed.bus_stats.swaps
+    assert (
+        vectorized.bus_stats.unsuccessful_swaps
+        == distributed.bus_stats.unsuccessful_swaps
+    )
+    assert vectorized.bus_stats.overlapping == distributed.bus_stats.overlapping
+
+
+def skewed_churn(rate=0.05):
+    """Correlated churn (lowest leave, above-max join) — concentrates
+    dead rows so the rebalancing path actually fires."""
+    return RegularChurn(rate=rate, period=1)
 
 
 def paired_runs(protocol, workers, transport, cycles=6, size=200, **overrides):
@@ -30,8 +57,8 @@ def paired_runs(protocol, workers, transport, cycles=6, size=200, **overrides):
     )
     vectorized = VectorSimulation(**kwargs)
     vectorized.run(cycles)
-    distributed = closing(
-        DistributedSimulation(workers=workers, transport=transport, **kwargs)
+    distributed = DistributedSimulation(
+        workers=workers, transport=transport, **kwargs
     )
     distributed.run(cycles)
     return vectorized, distributed
@@ -47,8 +74,11 @@ class TestTcpAcceptanceMatrix:
         vectorized, distributed = paired_runs(
             "mod-jk", workers, "tcp", concurrency=concurrency
         )
-        assert vectorized.rebalance_count == 0
-        assert_states_identical(vectorized, distributed)
+        try:
+            assert vectorized.rebalance_count == 0
+            assert_states_identical(vectorized, distributed)
+        finally:
+            distributed.close()
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("concurrency", ["none", "half", "full"])
@@ -62,9 +92,12 @@ class TestTcpAcceptanceMatrix:
             concurrency=concurrency,
             rebalance_every=2,
         )
-        assert vectorized.rebalance_count > 0
-        assert distributed.rebalance_count == vectorized.rebalance_count
-        assert_states_identical(vectorized, distributed)
+        try:
+            assert vectorized.rebalance_count > 0
+            assert distributed.rebalance_count == vectorized.rebalance_count
+            assert_states_identical(vectorized, distributed)
+        finally:
+            distributed.close()
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_service_over_tcp_matches_vectorized(self, workers):
@@ -94,8 +127,11 @@ class TestTcpAcceptanceMatrix:
         vectorized, distributed = paired_runs(
             "ranking", 2, "tcp", cycles=8, churn=RegularChurn(rate=0.02, period=2)
         )
-        assert vectorized.state.size > 200  # churn actually fired
-        assert_states_identical(vectorized, distributed)
+        try:
+            assert vectorized.state.size > 200  # churn actually fired
+            assert_states_identical(vectorized, distributed)
+        finally:
+            distributed.close()
 
 
 class TestLoopbackParity:
@@ -107,17 +143,23 @@ class TestLoopbackParity:
     )
     def test_protocols_identical(self, protocol):
         vectorized, distributed = paired_runs(protocol, 2, "loopback")
-        assert_states_identical(vectorized, distributed)
+        try:
+            assert_states_identical(vectorized, distributed)
+        finally:
+            distributed.close()
 
     def test_exact_window_identical(self):
         vectorized, distributed = paired_runs(
             "ranking-window", 2, "loopback", window=15
         )
-        assert_states_identical(vectorized, distributed)
-        n = vectorized.state.size
-        assert np.array_equal(
-            vectorized.state.win_bits[:n], distributed.state.win_bits[:n]
-        )
+        try:
+            assert_states_identical(vectorized, distributed)
+            n = vectorized.state.size
+            assert np.array_equal(
+                vectorized.state.win_bits[:n], distributed.state.win_bits[:n]
+            )
+        finally:
+            distributed.close()
 
     def test_exact_window_identical_with_rebalancing(self):
         # The migration must ship the bit-packed window columns too.
@@ -130,20 +172,26 @@ class TestLoopbackParity:
             churn=skewed_churn(),
             rebalance_every=2,
         )
-        assert vectorized.rebalance_count > 0
-        assert_states_identical(vectorized, distributed)
-        n = vectorized.state.size
-        for column in ("win_bits", "win_pos", "win_len"):
-            assert np.array_equal(
-                getattr(vectorized.state, column)[:n],
-                getattr(distributed.state, column)[:n],
-            ), column
+        try:
+            assert vectorized.rebalance_count > 0
+            assert_states_identical(vectorized, distributed)
+            n = vectorized.state.size
+            for column in ("win_bits", "win_pos", "win_len"):
+                assert np.array_equal(
+                    getattr(vectorized.state, column)[:n],
+                    getattr(distributed.state, column)[:n],
+                ), column
+        finally:
+            distributed.close()
 
     def test_uniform_oracle_identical(self):
         vectorized, distributed = paired_runs(
             "ranking", 2, "loopback", sampler="uniform"
         )
-        assert_states_identical(vectorized, distributed)
+        try:
+            assert_states_identical(vectorized, distributed)
+        finally:
+            distributed.close()
 
     def test_threshold_rebalance_identical_and_loads_even(self):
         vectorized, distributed = paired_runs(
@@ -154,12 +202,15 @@ class TestLoopbackParity:
             churn=skewed_churn(),
             rebalance_threshold=1.5,
         )
-        assert vectorized.rebalance_count > 0
-        loads = distributed.shard_live_loads()
-        assert len(loads) == 4
-        assert sum(loads) == distributed.live_count
-        assert distributed.shard_load_ratio() <= 2.0
-        assert_states_identical(vectorized, distributed)
+        try:
+            assert vectorized.rebalance_count > 0
+            loads = distributed.shard_live_loads()
+            assert len(loads) == 4
+            assert sum(loads) == distributed.live_count
+            assert distributed.shard_load_ratio() <= 2.0
+            assert_states_identical(vectorized, distributed)
+        finally:
+            distributed.close()
 
     @pytest.mark.parametrize("workers", [2, 5])
     def test_tree_reduced_metrics_exactly_equal_vectorized(self, workers):
@@ -174,14 +225,17 @@ class TestLoopbackParity:
             churn=skewed_churn(),
             rebalance_every=3,
         )
-        assert distributed.slice_disorder() == vectorized.slice_disorder()
-        assert distributed.accuracy() == vectorized.accuracy()
-        assert (
-            distributed.confident_fraction()
-            == vectorized.confident_fraction()
-        )
-        assert distributed.slice_sizes() == vectorized.slice_sizes()
-        assert distributed.global_disorder() == vectorized.global_disorder()
+        try:
+            assert distributed.slice_disorder() == vectorized.slice_disorder()
+            assert distributed.accuracy() == vectorized.accuracy()
+            assert (
+                distributed.confident_fraction()
+                == vectorized.confident_fraction()
+            )
+            assert distributed.slice_sizes() == vectorized.slice_sizes()
+            assert distributed.global_disorder() == vectorized.global_disorder()
+        finally:
+            distributed.close()
 
     def test_compat_churn_api_identical(self):
         # add_node/remove_node between cycles must replicate to the
@@ -194,15 +248,18 @@ class TestLoopbackParity:
             seed=5,
         )
         vectorized = VectorSimulation(**kwargs)
-        distributed = closing(
-            DistributedSimulation(workers=2, transport="loopback", **kwargs)
+        distributed = DistributedSimulation(
+            workers=2, transport="loopback", **kwargs
         )
-        for sim in (vectorized, distributed):
-            sim.run(2)
-            sim.add_node(0.77)
-            sim.remove_node(3)
-            sim.run(3)
-        assert_states_identical(vectorized, distributed)
+        try:
+            for sim in (vectorized, distributed):
+                sim.run(2)
+                sim.add_node(0.77)
+                sim.remove_node(3)
+                sim.run(3)
+            assert_states_identical(vectorized, distributed)
+        finally:
+            distributed.close()
 
 
 class TestTransportEquivalence:
@@ -233,13 +290,24 @@ class TestTransportEquivalence:
             seed=21,
             **scenario,
         )
-        over_tcp, over_loopback = (
-            closing(DistributedSimulation(workers=2, transport=transport, **kwargs))
-            for transport in ("tcp", "loopback")
+        over_tcp = DistributedSimulation(workers=2, transport="tcp", **kwargs)
+        over_loopback = DistributedSimulation(
+            workers=2, transport="loopback", **kwargs
         )
-        over_tcp.run(cycles)
-        over_loopback.run(cycles)
-        assert_states_identical(over_tcp, over_loopback)
+        try:
+            over_tcp.run(cycles)
+            over_loopback.run(cycles)
+            state_t = over_tcp.sync_state()
+            state_l = over_loopback.sync_state()
+            n = state_t.size
+            assert state_l.size == n
+            for column in STATE_COLUMNS + ("view_ids", "view_ages"):
+                assert np.array_equal(
+                    getattr(state_t, column)[:n], getattr(state_l, column)[:n]
+                ), column
+        finally:
+            over_tcp.close()
+            over_loopback.close()
 
 
 class TestFaultParityBitwise:
@@ -265,14 +333,20 @@ class TestFaultParityBitwise:
     @pytest.mark.parametrize("protocol", ["ranking", "mod-jk"])
     def test_loopback_full_fault_regime(self, workers, protocol):
         vectorized, distributed = self.fault_runs(protocol, workers, "loopback")
-        assert vectorized.bus_stats.lost > 0
-        assert distributed.bus_stats.lost == vectorized.bus_stats.lost
-        assert distributed.bus_stats.delayed == vectorized.bus_stats.delayed
-        assert_states_identical(vectorized, distributed)
+        try:
+            assert vectorized.bus_stats.lost > 0
+            assert distributed.bus_stats.lost == vectorized.bus_stats.lost
+            assert distributed.bus_stats.delayed == vectorized.bus_stats.delayed
+            assert_states_identical(vectorized, distributed)
+        finally:
+            distributed.close()
 
     def test_tcp_full_fault_regime(self):
         vectorized, distributed = self.fault_runs("mod-jk", 2, "tcp")
-        assert_states_identical(vectorized, distributed)
+        try:
+            assert_states_identical(vectorized, distributed)
+        finally:
+            distributed.close()
 
     def test_faults_with_rebalancing_identical(self):
         vectorized, distributed = self.fault_runs(
@@ -283,5 +357,8 @@ class TestFaultParityBitwise:
             churn=skewed_churn(),
             rebalance_every=2,
         )
-        assert vectorized.rebalance_count > 0
-        assert_states_identical(vectorized, distributed)
+        try:
+            assert vectorized.rebalance_count > 0
+            assert_states_identical(vectorized, distributed)
+        finally:
+            distributed.close()

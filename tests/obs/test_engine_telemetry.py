@@ -5,20 +5,28 @@ the overhead guard for the no-op default."""
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.slices import SlicePartition
 from repro.engine.trace import TraceLog
-from repro.experiments import config
-from repro.experiments.config import RunSpec
+from repro.experiments.config import RunSpec, build_simulation
 from repro.obs import CycleReport, Telemetry, Watchdog
 from repro.vectorized.simulation import VectorSimulation
-from tests.conftest import assert_states_identical, closing
+
+STATE_COLUMNS = ("attribute", "value", "alive", "obs_le", "obs_total")
 
 
-def build_simulation(spec, telemetry=None):
-    """``config.build_simulation``, closed when the test ends."""
-    return closing(config.build_simulation(spec, telemetry=telemetry))
+def assert_states_identical(sim_a, sim_b):
+    state_a, state_b = sim_a.state, sim_b.state
+    assert state_a.size == state_b.size
+    n = state_a.size
+    for column in STATE_COLUMNS:
+        a = getattr(state_a, column)[:n]
+        b = getattr(state_b, column)[:n]
+        assert np.array_equal(a, b), f"{column} diverged"
+    assert np.array_equal(state_a.view_ids[:n], state_b.view_ids[:n])
+    assert np.array_equal(state_a.view_ages[:n], state_b.view_ages[:n])
 
 
 def assert_tree_well_formed(report):
@@ -56,8 +64,11 @@ class TestParityPins:
         profiled = build_simulation(
             spec.with_overrides(backend="sharded", workers=2), telemetry=telemetry
         )
-        profiled.run(6)
-        assert_states_identical(plain, profiled)
+        try:
+            profiled.run(6)
+            assert_states_identical(plain, profiled)
+        finally:
+            profiled.close()
         assert len(telemetry.cycle_records()) == 6
 
     def test_reference_bitwise_with_and_without_telemetry(self):
@@ -104,8 +115,14 @@ class TestFullStackParityPins:
             spec.with_overrides(backend=backend, **overrides),
             telemetry=telemetry,
         )
-        observed.run(6)
-        assert_states_identical(plain, observed)
+        try:
+            observed.run(6)
+            if hasattr(observed, "sync_state"):
+                observed.sync_state()
+            assert_states_identical(plain, observed)
+        finally:
+            if hasattr(observed, "close"):
+                observed.close()
         assert telemetry.watchdog.cycles_checked == 6
         assert len(telemetry.metrics_records()) == 6
         assert all("events" in r for r in telemetry.cycle_records())
@@ -162,7 +179,11 @@ class TestMetricsStream:
                 spec.with_overrides(backend=backend, **overrides),
                 telemetry=telemetry,
             )
-            sim.run(6)
+            try:
+                sim.run(6)
+            finally:
+                if hasattr(sim, "close"):
+                    sim.close()
             streams[backend] = [
                 {k: v for k, v in record.items() if k != "engine"}
                 for record in telemetry.metrics_records()
@@ -176,7 +197,10 @@ class TestWorkerSubSpans:
         spec = RunSpec(n=600, slice_count=5, protocol="ranking",
                        backend=backend, workers=workers, seed=4)
         sim = build_simulation(spec, telemetry=telemetry)
-        sim.run(4)
+        try:
+            sim.run(4)
+        finally:
+            sim.close()
         return telemetry
 
     def test_sharded_worker_sums_reproduce_the_identity_per_record(self):
@@ -255,8 +279,8 @@ class TestVectorizedSpans:
     def check_tree(self, **overrides):
         telemetry = Telemetry(engine="bulk", watchdog=Watchdog())
         spec = RunSpec(n=2000, slice_count=10, protocol="ranking", **overrides)
-        sim = build_simulation(spec, telemetry=telemetry)
-        sim.run(8)
+        with build_simulation(spec, telemetry=telemetry) as sim:
+            sim.run(8)
         report = CycleReport(telemetry.records)
         assert report.cycles == 8
         assert_tree_well_formed(report)
@@ -296,7 +320,10 @@ class TestShardedBarrierAccounting:
             backend="sharded", workers=workers,
         )
         sim = build_simulation(spec, telemetry=telemetry)
-        sim.run(5)
+        try:
+            sim.run(5)
+        finally:
+            sim.close()
         records = telemetry.cycle_records()
         assert len(records) == 5
         for record in records:
@@ -320,7 +347,10 @@ class TestShardedBarrierAccounting:
             backend="sharded", workers=2,
         )
         sim = build_simulation(spec, telemetry=telemetry)
-        sim.run(3)
+        try:
+            sim.run(3)
+        finally:
+            sim.close()
         report = CycleReport(telemetry.records)
         assert_tree_well_formed(report)
         nested = [p for p in report.spans if "/cmd:" in p]
@@ -339,8 +369,12 @@ class TestDistributedWireAccounting:
             spec.with_overrides(backend="distributed", workers=2),
             telemetry=telemetry,
         )
-        profiled.run(4)
-        assert_states_identical(plain, profiled)
+        try:
+            profiled.run(4)
+            profiled.sync_state()  # pull worker-resident columns down
+            assert_states_identical(plain, profiled)
+        finally:
+            profiled.close()
         report = CycleReport(telemetry.records)
         assert report.counters["wire.sent_bytes"] > 0
         assert report.counters["wire.recv_bytes"] > 0

@@ -21,7 +21,6 @@ long before the nightly ladder would notice the wall-clock cost.
 
 from repro.experiments.config import RunSpec, build_simulation
 from repro.obs.telemetry import Telemetry
-from tests.conftest import closing
 
 # The pre-PR-8 driver's per-cycle cost, kept as the ceiling we must
 # stay strictly under.
@@ -36,8 +35,11 @@ def _cycle_counters(workers, cycles=5, n=10_000, backend="sharded"):
         backend=backend, workers=workers, seed=13,
         churn="regular", churn_rate=0.01, churn_period=1,
     )
-    sim = closing(build_simulation(spec, telemetry=telemetry))
-    sim.run(cycles)
+    sim = build_simulation(spec, telemetry=telemetry)
+    try:
+        sim.run(cycles)
+    finally:
+        sim.close()
     records = telemetry.cycle_records()
     assert len(records) == cycles
     return [record["counters"] for record in records]

@@ -225,14 +225,16 @@ class TestLifecycle:
 
     def test_spare_capacity_exhaustion_raises(self):
         churn = RegularChurn(rate=0.2, period=1)
-        # Only a pool pins the capacity (shared-memory blocks cannot
-        # grow); workers=1 owns none and grows like the vectorized state.
         with make_sim(workers=2, size=100, churn=churn, spare_capacity=10) as sim:
             with pytest.raises(RuntimeError, match="spare_capacity"):
                 sim.run(50)
-        with make_sim(workers=1, size=100, churn=churn, spare_capacity=10) as sim:
-            sim.run(50)
-            assert sim.state.size > 110
+        # Only shared-memory blocks pin the capacity; workers=1 owns
+        # none, so the knob is refused and the state simply grows.
+        with pytest.raises(ValueError, match="spare_capacity"):
+            make_sim(workers=1, size=100, churn=churn, spare_capacity=10)
+        sim = make_sim(workers=1, size=100, churn=churn)
+        sim.run(50)
+        assert sim.state.size > 110
 
     def test_worker_validation(self):
         with pytest.raises(ValueError, match="workers"):

@@ -5,9 +5,9 @@ Two levels of agreement are asserted:
 * **bitwise** — every bulk backend runs one cycle definition over one
   :class:`~repro.bulk.CyclePlan`; only the executor differs.  So a
   real multi-process pool must produce arrays *identical* to the
-  in-process executor's (``VectorSimulation``), at every worker count,
-  and ``ShardedSimulation(workers=1)`` must *be* the in-process
-  executor, not a third thing;
+  in-process executor's (``VectorSimulation``) at every worker count,
+  and ``ShardedSimulation(workers=1)`` must *be* a ``VectorSimulation``,
+  not a third thing;
 * **statistical** — all three backends, from one seed, produce the
   same SDM/accuracy story at n = 1k (the backends draw from different
   streams, so trajectories can only agree in distribution).
@@ -22,7 +22,24 @@ from repro.experiments.config import RunSpec, build_simulation
 from repro.metrics.collectors import SliceDisorderCollector
 from repro.sharded import ShardedSimulation
 from repro.vectorized.simulation import VectorSimulation
-from tests.conftest import assert_states_identical, closing, skewed_churn
+
+STATE_COLUMNS = ("attribute", "value", "alive", "obs_le", "obs_total")
+
+
+def assert_states_identical(sim_a, sim_b):
+    state_a, state_b = sim_a.state, sim_b.state
+    assert state_a.size == state_b.size
+    n = state_a.size
+    for column in STATE_COLUMNS:
+        a = getattr(state_a, column)[:n]
+        b = getattr(state_b, column)[:n]
+        assert np.array_equal(a, b), f"{column} diverged"
+    assert np.array_equal(state_a.view_ids[:n], state_b.view_ids[:n])
+    assert np.array_equal(state_a.view_ages[:n], state_b.view_ages[:n])
+    assert sim_a.bus_stats.sent == sim_b.bus_stats.sent
+    assert sim_a.bus_stats.swaps == sim_b.bus_stats.swaps
+    assert sim_a.bus_stats.unsuccessful_swaps == sim_b.bus_stats.unsuccessful_swaps
+    assert sim_a.bus_stats.overlapping == sim_b.bus_stats.overlapping
 
 
 def paired_runs(protocol, workers, cycles=6, size=300, **overrides):
@@ -37,20 +54,20 @@ def paired_runs(protocol, workers, cycles=6, size=300, **overrides):
     )
     vectorized = VectorSimulation(**kwargs)
     vectorized.run(cycles)
-    sharded = closing(ShardedSimulation(workers=workers, **kwargs))
+    sharded = ShardedSimulation(workers=workers, **kwargs)
     sharded.run(cycles)
     return vectorized, sharded
 
 
 class TestWorkersOneBitwise:
-    """`sharded` with workers=1 *is* `vectorized`: no pool, the same
-    in-process executor, the same growable state — and so the same
+    """`sharded` with workers=1 *is* `vectorized`: the constructor
+    hands back a plain ``VectorSimulation`` (no pool, no shared blocks,
+    growable state) with every option forwarded — and so the same
     bits."""
 
     @staticmethod
     def assert_same_backend(vectorized, sharded):
-        assert type(sharded._executor()) is type(vectorized._executor())
-        assert sharded._pool is None and not sharded._blocks
+        assert type(sharded) is VectorSimulation
         assert not sharded.state.fixed_capacity
         assert_states_identical(vectorized, sharded)
 
@@ -95,7 +112,10 @@ class TestPoolBitwise:
 
     def test_pool_matches_vectorized(self):
         vectorized, sharded = paired_runs("ranking", workers=2)
-        assert_states_identical(vectorized, sharded)
+        try:
+            assert_states_identical(vectorized, sharded)
+        finally:
+            sharded.close()
 
     def test_pool_matches_inline_under_churn(self):
         partition = SlicePartition.equal(10)
@@ -112,6 +132,7 @@ class TestPoolBitwise:
         with ShardedSimulation(workers=3, **kwargs) as pooled:
             pooled.run(8)
             assert_states_identical(inline, pooled)
+        inline.close()
 
 
 class TestConcurrencyParity:
@@ -125,15 +146,21 @@ class TestConcurrencyParity:
         vectorized, sharded = paired_runs(
             "mod-jk", workers=workers, concurrency=concurrency
         )
-        assert_states_identical(vectorized, sharded)
-        assert vectorized.bus_stats.overlapping > 0
+        try:
+            assert_states_identical(vectorized, sharded)
+            assert vectorized.bus_stats.overlapping > 0
+        finally:
+            sharded.close()
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_jk_full_identical(self, workers):
         vectorized, sharded = paired_runs(
             "jk", workers=workers, concurrency="full"
         )
-        assert_states_identical(vectorized, sharded)
+        try:
+            assert_states_identical(vectorized, sharded)
+        finally:
+            sharded.close()
 
     def test_exact_window_identical_under_concurrency(self):
         # Overlap reorders the UPD event stream, which the exact
@@ -141,19 +168,33 @@ class TestConcurrencyParity:
         vectorized, sharded = paired_runs(
             "ranking-window", workers=2, window=15, concurrency="half"
         )
-        assert_states_identical(vectorized, sharded)
-        state_v, state_s = vectorized.state, sharded.state
-        assert np.array_equal(
-            state_v.win_bits[: state_v.size], state_s.win_bits[: state_s.size]
-        )
+        try:
+            assert_states_identical(vectorized, sharded)
+            state_v, state_s = vectorized.state, sharded.state
+            assert np.array_equal(
+                state_v.win_bits[: state_v.size], state_s.win_bits[: state_s.size]
+            )
+        finally:
+            sharded.close()
 
     def test_identical_under_concurrency_and_churn(self):
         churn = RegularChurn(rate=0.01, period=2)
         vectorized, sharded = paired_runs(
             "mod-jk", workers=3, cycles=8, churn=churn, concurrency="half"
         )
-        assert vectorized.state.size > 300  # churn actually fired
-        assert_states_identical(vectorized, sharded)
+        try:
+            assert vectorized.state.size > 300  # churn actually fired
+            assert_states_identical(vectorized, sharded)
+        finally:
+            sharded.close()
+
+
+def skewed_churn(rate=0.05):
+    """The paper's correlated-churn policy at an aggressive rate:
+    lowest attributes leave every cycle, above-max attributes join, so
+    the original id range [0, size) dies off while every joiner lands
+    at the top — dead rows concentrate in one (low) id range."""
+    return RegularChurn(rate=rate, period=1)
 
 
 class TestRebalancingParity:
@@ -177,13 +218,16 @@ class TestRebalancingParity:
         vectorized, sharded = paired_runs(
             "ranking", workers=workers, cycles=10, churn=skewed_churn(), **knobs
         )
-        if knobs:
-            # The scenario is only meaningful if compaction fired.
-            assert vectorized.rebalance_count > 0
-        else:
-            assert vectorized.rebalance_count == 0
-        assert sharded.rebalance_count == vectorized.rebalance_count
-        assert_states_identical(vectorized, sharded)
+        try:
+            if knobs:
+                # The scenario is only meaningful if compaction fired.
+                assert vectorized.rebalance_count > 0
+            else:
+                assert vectorized.rebalance_count == 0
+            assert sharded.rebalance_count == vectorized.rebalance_count
+            assert_states_identical(vectorized, sharded)
+        finally:
+            sharded.close()
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("concurrency", ["none", "half", "full"])
@@ -198,8 +242,11 @@ class TestRebalancingParity:
             concurrency=concurrency,
             rebalance_every=2,
         )
-        assert vectorized.rebalance_count > 0
-        assert_states_identical(vectorized, sharded)
+        try:
+            assert vectorized.rebalance_count > 0
+            assert_states_identical(vectorized, sharded)
+        finally:
+            sharded.close()
 
     def test_exact_window_identical_with_rebalancing(self):
         # The migration must move the bit-packed window columns too.
@@ -211,13 +258,16 @@ class TestRebalancingParity:
             churn=skewed_churn(),
             rebalance_every=2,
         )
-        assert vectorized.rebalance_count > 0
-        assert_states_identical(vectorized, sharded)
-        state_v, state_s = vectorized.state, sharded.state
-        n = state_v.size
-        assert np.array_equal(state_v.win_bits[:n], state_s.win_bits[:n])
-        assert np.array_equal(state_v.win_pos[:n], state_s.win_pos[:n])
-        assert np.array_equal(state_v.win_len[:n], state_s.win_len[:n])
+        try:
+            assert vectorized.rebalance_count > 0
+            assert_states_identical(vectorized, sharded)
+            state_v, state_s = vectorized.state, sharded.state
+            n = state_v.size
+            assert np.array_equal(state_v.win_bits[:n], state_s.win_bits[:n])
+            assert np.array_equal(state_v.win_pos[:n], state_s.win_pos[:n])
+            assert np.array_equal(state_v.win_len[:n], state_s.win_len[:n])
+        finally:
+            sharded.close()
 
     def test_compaction_reclaims_capacity(self):
         # Without rebalancing this churn schedule would exhaust a tight
@@ -250,11 +300,14 @@ class TestRebalancingParity:
             churn=skewed_churn(),
             rebalance_threshold=1.5,
         )
-        loads = sharded.shard_live_loads()
-        assert len(loads) == 4
-        assert sum(loads) == sharded.live_count
-        assert sharded.shard_load_ratio() <= 2.0
-        assert_states_identical(vectorized, sharded)
+        try:
+            loads = sharded.shard_live_loads()
+            assert len(loads) == 4
+            assert sum(loads) == sharded.live_count
+            assert sharded.shard_load_ratio() <= 2.0
+            assert_states_identical(vectorized, sharded)
+        finally:
+            sharded.close()
 
     @pytest.mark.parametrize("workers", [2, 4, 5])
     def test_tree_reduced_metrics_exactly_equal_vectorized(self, workers):
@@ -269,10 +322,13 @@ class TestRebalancingParity:
             churn=skewed_churn(),
             rebalance_every=3,
         )
-        assert sharded.slice_disorder() == vectorized.slice_disorder()
-        assert sharded.accuracy() == vectorized.accuracy()
-        assert sharded.confident_fraction() == vectorized.confident_fraction()
-        assert sharded.slice_sizes() == vectorized.slice_sizes()
+        try:
+            assert sharded.slice_disorder() == vectorized.slice_disorder()
+            assert sharded.accuracy() == vectorized.accuracy()
+            assert sharded.confident_fraction() == vectorized.confident_fraction()
+            assert sharded.slice_sizes() == vectorized.slice_sizes()
+        finally:
+            sharded.close()
 
 
 class TestCrossBackendStatistical:
@@ -321,29 +377,45 @@ class TestFaultParityBitwise:
     loss + delay + partitions produce bit-identical state at every
     worker count — and identical fault accounting."""
 
-    def fault_runs(self, protocol, workers, cycles=8, partition="2:3:2", **overrides):
+    FAULTS = dict(loss=0.15, delay="0.25:3", partitions="2:3:2")
+
+    def fault_runs(self, protocol, workers, cycles=8, **overrides):
         from repro.bulk.faults import build_fault_model
 
-        faults = build_fault_model(loss=0.15, delay="0.25:3", partition=partition)
+        faults = build_fault_model(
+            loss=self.FAULTS["loss"],
+            delay=self.FAULTS["delay"],
+            partition=self.FAULTS["partitions"],
+        )
         return paired_runs(
-            protocol, workers=workers, cycles=cycles, faults=faults, **overrides
+            protocol,
+            workers=workers,
+            cycles=cycles,
+            faults=faults,
+            **overrides,
         )
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("protocol", ["ranking", "mod-jk"])
     def test_full_fault_regime_identical(self, workers, protocol):
         vectorized, sharded = self.fault_runs(protocol, workers)
-        assert_states_identical(vectorized, sharded)
-        assert vectorized.bus_stats.lost > 0
-        assert sharded.bus_stats.lost == vectorized.bus_stats.lost
-        assert sharded.bus_stats.delayed == vectorized.bus_stats.delayed
+        try:
+            assert_states_identical(vectorized, sharded)
+            assert vectorized.bus_stats.lost > 0
+            assert sharded.bus_stats.lost == vectorized.bus_stats.lost
+            assert sharded.bus_stats.delayed == vectorized.bus_stats.delayed
+        finally:
+            sharded.close()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_faults_with_concurrency_identical(self, workers):
         vectorized, sharded = self.fault_runs(
             "mod-jk", workers, concurrency="half"
         )
-        assert_states_identical(vectorized, sharded)
+        try:
+            assert_states_identical(vectorized, sharded)
+        finally:
+            sharded.close()
 
     def test_faults_with_rebalancing_identical(self):
         # Queued mail survives row relabeling: the mailbox remap is
@@ -352,17 +424,36 @@ class TestFaultParityBitwise:
         vectorized, sharded = self.fault_runs(
             "ranking", workers=2, cycles=10, churn=churn, rebalance_every=2
         )
-        assert vectorized.rebalance_count > 0
-        assert sharded.rebalance_count == vectorized.rebalance_count
-        assert_states_identical(vectorized, sharded)
+        try:
+            assert vectorized.rebalance_count > 0
+            assert sharded.rebalance_count == vectorized.rebalance_count
+            assert_states_identical(vectorized, sharded)
+        finally:
+            sharded.close()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_ten_thousand_node_fault_parity(self, workers):
         # The CI fault-parity job's headline point: n = 10^4 (the
         # paper's scale) under loss + delay + partition, still bitwise.
-        vectorized, sharded = self.fault_runs(
-            "ranking", workers, cycles=4, partition="1:3:2", size=10_000
+        from repro.bulk.faults import build_fault_model
+
+        kwargs = dict(
+            size=10_000,
+            partition=SlicePartition.equal(10),
+            protocol="ranking",
+            view_size=8,
+            seed=13,
+            faults=build_fault_model(
+                loss=0.15, delay="0.25:3", partition="1:3:2"
+            ),
         )
-        assert vectorized.bus_stats.lost > 0
-        assert vectorized.bus_stats.delayed > 0
-        assert_states_identical(vectorized, sharded)
+        vectorized = VectorSimulation(**kwargs)
+        vectorized.run(4)
+        sharded = ShardedSimulation(workers=workers, **kwargs)
+        try:
+            sharded.run(4)
+            assert vectorized.bus_stats.lost > 0
+            assert vectorized.bus_stats.delayed > 0
+            assert_states_identical(vectorized, sharded)
+        finally:
+            sharded.close()
