@@ -10,9 +10,9 @@ ablation.
 
 
 from repro.experiments.config import RunSpec
-from repro.experiments.figures import _sdm_run
+from repro.experiments.figures import run_spec
 from repro.experiments.results import FigureResult
-from repro.metrics.disorder import global_disorder
+from repro.metrics.collectors import GlobalDisorderCollector
 
 from conftest import emit
 
@@ -30,11 +30,12 @@ def run_ablation():
     )
     finals = {}
     for protocol in ("jk", "random-misplaced", "mod-jk"):
-        series, sim, _values = _sdm_run(base.with_overrides(protocol=protocol))
+        gdm = GlobalDisorderCollector()
+        series, _values = run_spec(base.with_overrides(protocol=protocol), [gdm])
         result.add_series(series, protocol)
         finals[protocol] = series.final
         result.add_scalar(f"{protocol}_final_sdm", series.final)
-        result.add_scalar(f"{protocol}_final_gdm", global_disorder(sim.live_nodes()))
+        result.add_scalar(f"{protocol}_final_gdm", gdm.series.final)
     result.add_note(
         "Expected: random-misplaced already beats jk (useless exchanges "
         "eliminated); mod-jk's max-gain choice buys a further speedup."

@@ -11,7 +11,7 @@ from repro.experiments.figures import run_fig6c
 
 def test_fig6c_churn_burst(regenerate):
     result = regenerate(
-        run_fig6c, n=1000, cycles=600, burst_end=200, churn_rate=0.001, seed=0
+        run_fig6c, n=1000, cycles=600, churn_burst_end=200, churn_rate=0.001, seed=0
     )
 
     # Ranking recovers after the burst: final well below its burst-end SDM.

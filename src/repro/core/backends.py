@@ -13,7 +13,8 @@ concurrency regime (the bulk backends model the paper's message
 overlap in batched form, :mod:`repro.bulk.concurrency`); the specs
 differ in how they execute — single-process object-per-node,
 single-process numpy, or a multi-process worker pool — and therefore
-in which ``workers`` values they accept.
+in which ``workers`` values they accept.  :func:`create_simulation` is
+the one path from flat run options to a validated, running engine.
 """
 
 from __future__ import annotations
@@ -21,10 +22,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Protocol, Tuple, runtime_checkable
 
+from repro.bulk.faults import build_fault_model
 from repro.bulk.rebalance import validate_rebalance_knobs
-from repro.core.ordering import OrderingProtocol
+from repro.core.ordering import (
+    SELECTION_MAX_GAIN,
+    SELECTION_RANDOM,
+    SELECTION_RANDOM_MISPLACED,
+    OrderingProtocol,
+)
 from repro.core.ranking import DEFAULT_WINDOW, RankingProtocol
 from repro.engine.network import ConcurrencyModel
+from repro.engine.simulator import CycleSimulation
+from repro.obs.telemetry import telemetry_from_options
+from repro.sampling.cyclon import CyclonSampler
+from repro.sampling.cyclon_variant import CyclonVariantSampler
+from repro.sampling.newscast import NewscastSampler
+from repro.sampling.uniform import UniformOracleSampler
 
 __all__ = [
     "SimulationBackend",
@@ -33,8 +46,33 @@ __all__ = [
     "get_backend",
     "backend_names",
     "supported_combinations",
+    "create_simulation",
     "slicer_factory",
+    "PROTOCOLS",
+    "SAMPLERS",
 ]
+
+#: The ordering variants by protocol name: which partner each one picks.
+_ORDERING_SELECTIONS = {
+    "jk": SELECTION_RANDOM,
+    "mod-jk": SELECTION_MAX_GAIN,
+    "random-misplaced": SELECTION_RANDOM_MISPLACED,
+}
+
+#: Protocol names every backend serves.
+PROTOCOLS = (*_ORDERING_SELECTIONS, "ranking", "ranking-window")
+
+#: The reference engine's per-node samplers by name (the bulk engines
+#: serve ``"cyclon-variant"`` and ``"uniform"`` in batched form).
+_SAMPLER_CLASSES = {
+    "cyclon-variant": CyclonVariantSampler,
+    "cyclon": CyclonSampler,
+    "newscast": NewscastSampler,
+    "uniform": UniformOracleSampler,
+}
+
+#: Sampler names (all four on the reference backend).
+SAMPLERS = tuple(_SAMPLER_CLASSES)
 
 
 @runtime_checkable
@@ -72,11 +110,10 @@ class SimulationBackend(Protocol):
 class BackendSpec:
     """One registered simulation engine.
 
-    ``factory`` receives the service-level keyword arguments (``size``,
-    ``partition``, ``algorithm``, ``window``, ``attributes``,
-    ``view_size``, ``concurrency``, ``workers``, ``hosts``, ``churn``,
-    ``rebalance_every``, ``rebalance_threshold``, ``seed``,
-    ``faults``) and returns a ready :class:`SimulationBackend`.
+    ``factory`` receives the engine options :func:`create_simulation`
+    resolved — ``size``, ``partition``, ``protocol``, ``churn``,
+    ``faults``, ``telemetry`` and every other run option under its own
+    name — and returns a ready :class:`SimulationBackend`.
     ``multiprocess`` states whether the engine accepts ``workers > 1``;
     ``rebalances`` whether it serves the plan-driven dead-row
     compaction knobs (:mod:`repro.bulk.rebalance`); ``remote_hosts``
@@ -98,15 +135,18 @@ class BackendSpec:
 
     def validate(
         self,
-        concurrency,
-        workers,
+        concurrency="none",
+        workers=None,
         rebalance_every=None,
         rebalance_threshold=None,
         hosts=None,
         faults=None,
+        **_unconstrained,
     ) -> None:
         """Fail fast on parameters this backend cannot serve, naming
-        the supported combinations."""
+        the supported combinations.  The whole engine option set may be
+        passed (:meth:`create` does); options no capability constrains
+        are left to the engine."""
         # Every backend shares the reference spec grammar for the
         # paper's concurrency regimes; malformed specs die here.
         ConcurrencyModel.from_spec(concurrency)
@@ -165,8 +205,16 @@ class BackendSpec:
                     "bulk backend" + _supported_suffix()
                 )
 
-    def create(self, **kwargs) -> SimulationBackend:
-        return self.factory(**kwargs)
+    def create(self, **options) -> SimulationBackend:
+        """Validate ``options`` against this backend's capabilities,
+        then build the engine from the ones that are set: ``None``
+        means "unset" for every run option, so it is left to the
+        engine's own default and a factory never has to swallow an
+        option its engine does not have."""
+        self.validate(**options)
+        return self.factory(
+            **{name: value for name, value in options.items() if value is not None}
+        )
 
 
 _REGISTRY: Dict[str, BackendSpec] = {}
@@ -210,118 +258,108 @@ def _supported_suffix() -> str:
 
 
 # ----------------------------------------------------------------------
+# The one construction path
+# ----------------------------------------------------------------------
+
+
+def create_simulation(
+    backend: str,
+    *,
+    telemetry=None,
+    loss: float = 0.0,
+    delay=None,
+    partitions=None,
+    **options,
+) -> SimulationBackend:
+    """Build the engine ``backend`` names from flat run options.
+
+    The single path from option values to a running engine, shared by
+    :func:`repro.experiments.config.build_simulation` and
+    :class:`~repro.core.service.SlicingService`: the observability
+    options become a telemetry object
+    (:func:`~repro.obs.telemetry.telemetry_from_options`), ``loss`` /
+    ``delay`` / ``partitions`` become a
+    :class:`~repro.bulk.faults.FaultModel`, and
+    :meth:`BackendSpec.create` validates what is left against the
+    backend's capabilities before its factory receives it.  Callers
+    translate only their own vocabulary (a slice count into a
+    ``partition``, a churn shorthand into a model) and pass everything
+    else through by name, so a new engine option needs no edit here.
+    """
+    spec = get_backend(backend)
+    faults = build_fault_model(loss=loss, delay=delay, partition=partitions)
+    telemetry, options = telemetry_from_options(telemetry, engine=backend, **options)
+    return spec.create(faults=faults, telemetry=telemetry, **options)
+
+
+# ----------------------------------------------------------------------
 # The built-in backends
 # ----------------------------------------------------------------------
 
 
-def slicer_factory(partition, algorithm: str, window) -> Callable:
-    """Per-node protocol factory for the reference engine's service
-    algorithms (``ranking`` / ``ranking-window`` / ``ordering``)."""
-    if algorithm == "ranking":
-        return lambda: RankingProtocol(partition)
-    if algorithm == "ranking-window":
+def slicer_factory(
+    partition, protocol: str, window=None, boundary_bias: bool = True
+) -> Callable:
+    """Per-node protocol factory for the reference engine: the slicer
+    a protocol name (one of :data:`PROTOCOLS`) stands for."""
+    if protocol in _ORDERING_SELECTIONS:
+        selection = _ORDERING_SELECTIONS[protocol]
+        return lambda: OrderingProtocol(partition, selection=selection)
+    if protocol == "ranking":
+        return lambda: RankingProtocol(partition, boundary_bias=boundary_bias)
+    if protocol == "ranking-window":
+        if window is None:
+            window = DEFAULT_WINDOW
         return lambda: RankingProtocol(
-            partition, window=window if window is not None else DEFAULT_WINDOW
+            partition, window=window, boundary_bias=boundary_bias
         )
-    if algorithm == "ordering":
-        return lambda: OrderingProtocol(partition)
-    raise ValueError(
-        f"unknown algorithm {algorithm!r}; expected 'ranking', "
-        "'ranking-window' or 'ordering'"
-    )
+    raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
 
 
 def _reference_factory(
     *,
-    size,
     partition,
-    algorithm,
-    window,
-    attributes,
+    protocol,
     view_size,
-    concurrency,
-    workers,
-    churn,
-    seed,
-    rebalance_every=None,
-    rebalance_threshold=None,
-    hosts=None,
+    window=None,
+    boundary_bias=True,
+    sampler="cyclon-variant",
     faults=None,
-    telemetry=None,
+    workers=None,
+    **engine_options,
 ):
-    # The rebalance/hosts knobs are rejected for this backend by
-    # validate(); they appear here only so spec.create() can pass one
-    # kwargs dict.  A fault model that survived validate() carries loss
-    # only, which maps onto the reference message bus directly.
-    from repro.engine.simulator import CycleSimulation
-
+    # ``workers`` can only be 1 here and means nothing to a
+    # single-process engine; a fault model that survived validate()
+    # carries loss only, which maps onto the reference message bus.
+    if sampler not in _SAMPLER_CLASSES:
+        raise ValueError(f"unknown sampler {sampler!r}; expected one of {SAMPLERS}")
+    sampler_class = _SAMPLER_CLASSES[sampler]
     return CycleSimulation(
-        size=size,
         partition=partition,
-        slicer_factory=slicer_factory(partition, algorithm, window),
-        attributes=attributes,
+        slicer_factory=slicer_factory(partition, protocol, window, boundary_bias),
+        sampler_factory=lambda node_id: sampler_class(node_id, view_size),
         view_size=view_size,
-        concurrency=concurrency,
-        churn=churn,
-        seed=seed,
         loss_probability=faults.loss if faults is not None else 0.0,
-        telemetry=telemetry,
+        **engine_options,
     )
 
 
-def _bulk_kwargs(
-    *,
-    size,
-    partition,
-    algorithm,
-    window,
-    attributes,
-    view_size,
-    concurrency,
-    churn,
-    seed,
-    telemetry=None,
-    **protocol_options,
-):
-    """Engine kwargs shared by the bulk factories.  ``algorithm`` may
-    be a service algorithm (``"ordering"`` maps to the paper's mod-JK)
-    or a bulk protocol name directly; extra keywords — the
-    protocol-level options the service surface does not expose
-    (``boundary_bias``, ``sampler``) — pass through
-    to the engine, which validates them."""
-    return dict(
-        size=size,
-        partition=partition,
-        protocol={"ordering": "mod-jk"}.get(algorithm, algorithm),
-        window=window,
-        attributes=attributes,
-        view_size=view_size,
-        concurrency=concurrency,
-        churn=churn,
-        seed=seed,
-        telemetry=telemetry,
-        **protocol_options,
-    )
-
-
-def _vectorized_factory(*, workers, hosts=None, **kwargs):
+def _vectorized_factory(*, workers=None, **engine_options):
     from repro.vectorized import VectorSimulation
 
-    return VectorSimulation(**_bulk_kwargs(**kwargs))
+    return VectorSimulation(**engine_options)
 
 
-def _sharded_factory(*, workers, hosts=None, **kwargs):
+def _sharded_factory(**engine_options):
     from repro.sharded import ShardedSimulation
 
-    return ShardedSimulation(workers=workers, **_bulk_kwargs(**kwargs))
+    return ShardedSimulation(**engine_options)
 
 
-def _distributed_factory(*, workers, hosts=None, **kwargs):
+def _distributed_factory(**engine_options):
     from repro.distributed import DistributedSimulation
 
-    return DistributedSimulation(
-        workers=workers, hosts=hosts, **_bulk_kwargs(**kwargs)
-    )
+    return DistributedSimulation(**engine_options)
 
 
 register_backend(

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.analysis.sample_size import slice_estimate_is_confident
-from repro.bulk.faults import build_fault_model
-from repro.core.backends import SimulationBackend, get_backend
+from repro.core.backends import SimulationBackend, create_simulation
 from repro.core.slices import SlicePartition
 from repro.metrics.disorder import slice_disorder, true_slice_indices
 from repro.workloads.attributes import AttributeDistribution
@@ -154,42 +153,27 @@ class SlicingService:
         self.partition = self._build_partition(slices)
         self.algorithm = algorithm
         self.backend = backend
-        if watchdog or metrics_every is not None:
-            from repro.obs import Telemetry, Watchdog
-
-            if telemetry is None:
-                telemetry = Telemetry(engine=backend)
-            if telemetry.enabled:
-                if watchdog and telemetry.watchdog is None:
-                    telemetry.watchdog = Watchdog()
-                if metrics_every is not None and telemetry.metrics_every is None:
-                    telemetry.metrics_every = int(metrics_every)
-        faults = build_fault_model(loss=loss, delay=delay, partition=partition)
-        spec = get_backend(backend)
-        spec.validate(
-            concurrency=concurrency,
-            workers=workers,
-            rebalance_every=rebalance_every,
-            rebalance_threshold=rebalance_threshold,
-            hosts=hosts,
-            faults=faults,
-        )
-        self._sim = spec.create(
+        self._sim = create_simulation(
+            backend,
             size=size,
             partition=self.partition,
-            algorithm=algorithm,
+            protocol="mod-jk" if algorithm == "ordering" else algorithm,
+            partitions=partition,
             window=window,
-            attributes=attributes,
-            view_size=view_size,
-            concurrency=concurrency,
             workers=workers,
             hosts=hosts,
-            churn=churn,
+            concurrency=concurrency,
             rebalance_every=rebalance_every,
             rebalance_threshold=rebalance_threshold,
-            faults=faults,
+            loss=loss,
+            delay=delay,
+            attributes=attributes,
+            view_size=view_size,
             seed=seed,
+            churn=churn,
             telemetry=telemetry,
+            watchdog=watchdog,
+            metrics_every=metrics_every,
         )
         self._subscribers: List[Callable[[SliceChange], None]] = []
         self._last_assignment: Dict[int, Optional[int]] = {}

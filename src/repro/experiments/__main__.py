@@ -10,46 +10,57 @@ Usage::
 
 ``--full-scale`` runs the paper's exact parameters (n = 10^4, paper
 cycle counts); the default scale reproduces the same shapes in a
-fraction of the time.
+fraction of the time.  Every run option is a ``RunSpec`` field and
+overrides the figure's setup; the theory checks (``lemma41``,
+``theorem51``) run no simulation and take ``--seed`` only.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 import time
+from dataclasses import fields
 from typing import List
 
-from repro.experiments.config import BACKENDS
+from repro.experiments.config import BACKENDS, RunSpec
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.report import render_result
 
 
+def _host_list(text: str) -> tuple:
+    return tuple(host.strip() for host in text.split(",") if host.strip())
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    # Every run option's ``dest`` is its RunSpec field and is absent
+    # from the namespace unless the flag was given (SUPPRESS), so "the
+    # overrides" are exactly the RunSpec-named attributes that are set.
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate figures of 'Distributed Slicing in Dynamic Systems'.",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument(
         "figure",
         choices=sorted(ALL_FIGURES) + ["all"],
         help="which figure to regenerate ('all' runs every one)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="root random seed")
+    parser.add_argument("--seed", type=int, help="root random seed")
     parser.add_argument(
         "--full-scale",
         action="store_true",
-        help="use the paper's exact scale (n=10^4; slower)",
+        default=False,
+        help="use the paper's exact scale (n=10^4; slower); an explicit "
+        "--n / --cycles still wins",
     )
-    parser.add_argument("--n", type=int, default=None, help="override population size")
-    parser.add_argument("--cycles", type=int, default=None, help="override cycle count")
+    parser.add_argument("--n", type=int, help="override population size")
+    parser.add_argument("--cycles", type=int, help="override cycle count")
     parser.add_argument(
         "--backend",
         choices=list(BACKENDS),
-        default="reference",
-        help="simulation engine: per-node objects (reference), the "
-        "numpy bulk engine (vectorized; reaches 10^6 nodes), the "
+        help="simulation engine: per-node objects (reference, the default), "
+        "the numpy bulk engine (vectorized; reaches 10^6 nodes), the "
         "multi-process shared-memory engine (sharded; reaches 10^7 "
         "nodes, see --workers), or the multi-host message-transport "
         "engine (distributed; see --workers/--hosts). Every figure "
@@ -59,13 +70,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers",
         type=int,
-        default=None,
         help="worker processes for --backend sharded/distributed "
         "(default: all CPU cores)",
     )
     parser.add_argument(
         "--hosts",
-        default=None,
+        type=_host_list,
         metavar="HOST:PORT,HOST:PORT,...",
         help="--backend distributed only: comma-separated pre-started "
         "remote workers (start each with 'python -m "
@@ -75,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--rebalance-every",
         type=int,
-        default=None,
         metavar="K",
         help="bulk backends: compact dead rows (and rebalance the "
         "sharded worker loads) every K cycles — effective on the "
@@ -84,7 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--rebalance-threshold",
         type=float,
-        default=None,
         metavar="R",
         help="bulk backends: compact when the max/min live-load ratio "
         "over the occupancy probe exceeds R (> 1.0) — effective on "
@@ -93,7 +101,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--loss",
         type=float,
-        default=None,
         metavar="P",
         help="drop each protocol message independently with probability "
         "P; the bulk backends draw fault fates from the shared cycle "
@@ -102,7 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--delay",
-        default=None,
         metavar="P[:D]",
         help="bulk backends: delay each surviving protocol message with "
         "probability P by 1..D cycles (uniform; D defaults to 1) — "
@@ -110,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--partition",
-        default=None,
+        dest="partitions",
         metavar="START:DUR[:GROUPS],...",
         help="bulk backends: transient network partitions that heal — "
         "from cycle START, for DUR cycles, split nodes into GROUPS "
@@ -119,7 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--profile",
-        default=None,
         metavar="OUT.ndjson",
         help="write per-cycle phase telemetry (span timings, counters, "
         "worker kernel/barrier-wait and wire-byte accounting) as "
@@ -137,7 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--metrics-every",
         type=int,
-        default=None,
         metavar="K",
         help="stream a {\"kind\": \"metrics\"} convergence record "
         "(SDM/GDM/accuracy/live count) every K cycles into the profile "
@@ -156,47 +160,33 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--chart",
         action="store_true",
+        default=False,
         help="also render the series as an ASCII chart (log scale)",
     )
     return parser
 
 
+_RUN_OPTIONS = frozenset(field.name for field in fields(RunSpec))
+
+
+def _overrides(args: argparse.Namespace) -> dict:
+    """The ``RunSpec`` fields the command line set."""
+    overrides = {
+        name: value for name, value in vars(args).items() if name in _RUN_OPTIONS
+    }
+    if args.trace is not None:
+        overrides["timeline"] = True
+    return overrides
+
+
 def _run_one(name: str, args: argparse.Namespace) -> None:
     function = ALL_FIGURES[name]
-    accepted = set(inspect.signature(function).parameters)
-    kwargs = {"seed": args.seed}
-    if "full_scale" in accepted and args.full_scale:
-        kwargs["full_scale"] = True
-    if args.n is not None and "n" in accepted:
-        kwargs["n"] = args.n
-    if args.cycles is not None and "cycles" in accepted:
-        kwargs["cycles"] = args.cycles
-    if args.backend != "reference" and "backend" in accepted:
-        kwargs["backend"] = args.backend
-    if args.workers is not None and "workers" in accepted:
-        kwargs["workers"] = args.workers
-    if args.hosts is not None and "hosts" in accepted:
-        kwargs["hosts"] = tuple(
-            spec.strip() for spec in args.hosts.split(",") if spec.strip()
-        )
-    for knob in ("rebalance_every", "rebalance_threshold", "loss", "delay"):
-        value = getattr(args, knob)
-        if value is not None and knob in accepted:
-            kwargs[knob] = value
-    if args.partition is not None and "partitions" in accepted:
-        kwargs["partitions"] = args.partition
-    if args.profile is not None and "profile" in accepted:
-        kwargs["profile"] = args.profile
-    if (args.trace is not None or getattr(args, "timeline", False)) and (
-        "timeline" in accepted
-    ):
-        kwargs["timeline"] = True
-    if args.metrics_every is not None and "metrics_every" in accepted:
-        kwargs["metrics_every"] = args.metrics_every
-    if args.watchdog and "watchdog" in accepted:
-        kwargs["watchdog"] = True
+    overrides = _overrides(args)
     started = time.time()
-    result = function(**kwargs)
+    if hasattr(function, "sweeps"):
+        result = function(full_scale=args.full_scale, **overrides)
+    else:  # the theory checks run no simulation: the seed is all they share
+        result = function(seed=overrides.get("seed", 0))
     elapsed = time.time() - started
     print(render_result(result, max_rows=args.max_rows))
     if args.chart and result.series:
@@ -211,25 +201,26 @@ def _run_one(name: str, args: argparse.Namespace) -> None:
 def main(argv: List[str] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.trace is not None and args.profile is None:
+    profile = getattr(args, "profile", None)
+    if args.trace is not None and profile is None:
         parser.error("--trace requires --profile (the NDJSON source)")
     names = sorted(ALL_FIGURES) if args.figure == "all" else [args.figure]
-    if args.profile is not None:
+    if profile is not None:
         # Truncate once up front: figure runs (and the multiple
         # simulations inside one figure) append per-cycle records.
-        open(args.profile, "w").close()
+        open(profile, "w").close()
     for name in names:
         _run_one(name, args)
-    if args.profile is not None:
+    if profile is not None:
         from repro.obs import CycleReport
 
-        report = CycleReport.from_ndjson(args.profile)
+        report = CycleReport.from_ndjson(profile)
         print(report.render())
-        print(f"[phase telemetry written to {args.profile}]")
+        print(f"[phase telemetry written to {profile}]")
         if args.trace is not None:
             from repro.obs import traceview
 
-            count = traceview.convert(args.profile, args.trace)
+            count = traceview.convert(profile, args.trace)
             print(
                 f"[{count} trace events written to {args.trace}; "
                 "open in https://ui.perfetto.dev]"

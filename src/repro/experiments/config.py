@@ -11,35 +11,16 @@ can read, copy and sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass, fields, replace
+from typing import Optional, Sequence, Union
 
-from repro.bulk.faults import build_fault_model
 from repro.churn.correlated import DistributionArrivals, UniformDepartures
 from repro.churn.models import BurstChurn, ChurnModel, RegularChurn
-from repro.core.backends import backend_names, get_backend
-from repro.core.ordering import (
-    SELECTION_MAX_GAIN,
-    SELECTION_RANDOM,
-    SELECTION_RANDOM_MISPLACED,
-    OrderingProtocol,
-)
-from repro.core.ranking import DEFAULT_WINDOW, RankingProtocol
+from repro.core.backends import PROTOCOLS, SAMPLERS, backend_names, create_simulation
 from repro.core.slices import SlicePartition
-from repro.engine.simulator import CycleSimulation
-from repro.sampling.cyclon import CyclonSampler
-from repro.sampling.cyclon_variant import CyclonVariantSampler
-from repro.sampling.newscast import NewscastSampler
-from repro.sampling.uniform import UniformOracleSampler
 from repro.workloads.attributes import AttributeDistribution
 
 __all__ = ["RunSpec", "build_simulation", "PROTOCOLS", "SAMPLERS", "BACKENDS"]
-
-#: Protocol spec names accepted by :class:`RunSpec.protocol`.
-PROTOCOLS = ("jk", "mod-jk", "random-misplaced", "ranking", "ranking-window")
-
-#: Sampler spec names accepted by :class:`RunSpec.sampler`.
-SAMPLERS = ("cyclon-variant", "cyclon", "newscast", "uniform")
 
 #: The built-in simulation backends (any backend registered with
 #: :func:`repro.core.backends.register_backend` is accepted too).
@@ -180,79 +161,18 @@ class RunSpec:
         return SlicePartition.equal(self.slice_count)
 
     def describe(self) -> str:
-        """One-line human summary for reports."""
-        bits = [
-            f"n={self.n}",
-            f"cycles={self.cycles}",
-            f"slices={self.slice_count}",
-            f"view={self.view_size}",
-            f"protocol={self.protocol}",
-            f"sampler={self.sampler}",
-        ]
-        if self.window is not None:
-            bits.append(f"window={self.window}")
-        if self.concurrency != "none":
-            bits.append(f"concurrency={self.concurrency}")
-        if self.backend != "reference":
-            bits.append(f"backend={self.backend}")
-        if self.workers is not None:
-            bits.append(f"workers={self.workers}")
-        if self.hosts is not None:
-            bits.append(f"hosts={','.join(self.hosts)}")
-        if self.rebalance_every is not None:
-            bits.append(f"rebalance_every={self.rebalance_every}")
-        if self.rebalance_threshold is not None:
-            bits.append(f"rebalance_threshold={self.rebalance_threshold}")
-        if self.loss:
-            bits.append(f"loss={self.loss}")
-        if self.delay is not None:
-            bits.append(f"delay={self.delay}")
-        if self.partitions is not None:
-            bits.append(f"partitions={self.partitions}")
-        if self.churn is not None:
-            bits.append(f"churn={self.churn}")
-        if self.profile is not None:
-            bits.append(f"profile={self.profile}")
-        if self.timeline:
-            bits.append("timeline")
-        if self.metrics_every is not None:
-            bits.append(f"metrics_every={self.metrics_every}")
-        if self.watchdog:
-            bits.append("watchdog")
-        bits.append(f"seed={self.seed}")
+        """One-line human summary for reports: every field that differs
+        from its default, as ``name=value``."""
+        bits = []
+        for field in fields(self):
+            value, default = getattr(self, field.name), field.default
+            # Same-type comparison only: ``attributes`` may be an array.
+            if value is default or (type(value) is type(default) and value == default):
+                continue
+            if field.name == "hosts":
+                value = ",".join(value)
+            bits.append(f"{field.name}={value}")
         return ", ".join(bits)
-
-
-def _slicer_factory(spec: RunSpec, partition: SlicePartition) -> Callable:
-    if spec.protocol == "jk":
-        return lambda: OrderingProtocol(partition, selection=SELECTION_RANDOM)
-    if spec.protocol == "mod-jk":
-        return lambda: OrderingProtocol(partition, selection=SELECTION_MAX_GAIN)
-    if spec.protocol == "random-misplaced":
-        return lambda: OrderingProtocol(
-            partition, selection=SELECTION_RANDOM_MISPLACED
-        )
-    if spec.protocol == "ranking":
-        return lambda: RankingProtocol(partition, boundary_bias=spec.boundary_bias)
-    if spec.protocol == "ranking-window":
-        window = spec.window if spec.window is not None else DEFAULT_WINDOW
-        return lambda: RankingProtocol(
-            partition, window=window, boundary_bias=spec.boundary_bias
-        )
-    raise ValueError(f"unknown protocol {spec.protocol!r}; expected one of {PROTOCOLS}")
-
-
-def _sampler_factory(spec: RunSpec) -> Callable:
-    view_size = spec.view_size
-    if spec.sampler == "cyclon-variant":
-        return lambda node_id: CyclonVariantSampler(node_id, view_size)
-    if spec.sampler == "cyclon":
-        return lambda node_id: CyclonSampler(node_id, view_size)
-    if spec.sampler == "newscast":
-        return lambda node_id: NewscastSampler(node_id, view_size)
-    if spec.sampler == "uniform":
-        return lambda node_id: UniformOracleSampler(node_id, view_size)
-    raise ValueError(f"unknown sampler {spec.sampler!r}; expected one of {SAMPLERS}")
 
 
 def _churn_model(spec: RunSpec) -> Optional[ChurnModel]:
@@ -273,21 +193,40 @@ def _churn_model(spec: RunSpec) -> Optional[ChurnModel]:
             "arrivals": DistributionArrivals(spec.attributes),
         }
     if spec.churn == "burst":
-        return BurstChurn(rate=spec.churn_rate, start=0, end=spec.churn_burst_end, **kwargs)
+        return BurstChurn(
+            rate=spec.churn_rate, start=0, end=spec.churn_burst_end, **kwargs
+        )
     if spec.churn == "regular":
         return RegularChurn(rate=spec.churn_rate, period=spec.churn_period, **kwargs)
     raise ValueError(f"unknown churn shorthand {spec.churn!r}")
 
 
+#: The fields :func:`build_simulation` translates itself (``cycles`` is
+#: consumed by whoever runs the simulation).  Every other field reaches
+#: the construction path, and through it the engine, under its own name.
+_TRANSLATED = (
+    "n",
+    "cycles",
+    "slice_count",
+    "backend",
+    "churn",
+    "churn_rate",
+    "churn_burst_end",
+    "churn_period",
+    "correlated_churn",
+)
+
+
 def build_simulation(spec: RunSpec, telemetry=None):
     """Instantiate the simulation a spec describes.
 
-    Dispatches through the backend registry
-    (:mod:`repro.core.backends`), so a newly registered engine is
-    reachable from specs, the CLI and the figure harnesses without
-    touching this module.  The reference backend is built directly:
-    its per-node factories carry spec options (protocol variants, all
-    four samplers) the registry's service surface does not model.
+    Goes through the one construction path
+    (:func:`repro.core.backends.create_simulation`) and its backend
+    registry, so a newly registered engine is reachable from specs, the
+    CLI and the figure harnesses without touching this module — and so
+    is a new spec field: only the population, partition and churn
+    shorthand are translated here, every other field is passed through
+    by name.
 
     ``telemetry`` attaches an explicit
     :class:`~repro.obs.telemetry.Telemetry`; when omitted and any of
@@ -297,85 +236,16 @@ def build_simulation(spec: RunSpec, telemetry=None):
     telemetry object gains the spec's observability knobs for any it
     does not already set.
     """
-    wants_obs = (
-        spec.profile is not None
-        or spec.timeline
-        or spec.metrics_every is not None
-        or spec.watchdog
-    )
-    if telemetry is None and wants_obs:
-        from repro.obs import NdjsonSink, Telemetry, Watchdog
-
-        telemetry = Telemetry(
-            engine=spec.backend,
-            sink=(
-                NdjsonSink(spec.profile, append=True)
-                if spec.profile is not None
-                else None
-            ),
-            timeline=spec.timeline,
-            metrics_every=spec.metrics_every,
-            watchdog=Watchdog() if spec.watchdog else None,
-        )
-    elif telemetry is not None and telemetry.enabled and wants_obs:
-        from repro.obs import Watchdog
-
-        if spec.timeline:
-            telemetry.timeline = True
-        if spec.metrics_every is not None and telemetry.metrics_every is None:
-            telemetry.metrics_every = int(spec.metrics_every)
-        if spec.watchdog and telemetry.watchdog is None:
-            telemetry.watchdog = Watchdog()
-    backend_spec = get_backend(spec.backend)
-    faults = build_fault_model(
-        loss=spec.loss, delay=spec.delay, partition=spec.partitions
-    )
-    backend_spec.validate(
-        concurrency=spec.concurrency,
-        workers=spec.workers,
-        rebalance_every=spec.rebalance_every,
-        rebalance_threshold=spec.rebalance_threshold,
-        hosts=spec.hosts,
-        faults=faults,
-    )
-    partition = spec.partition()
-    if spec.backend == "reference":
-        return CycleSimulation(
-            size=spec.n,
-            partition=partition,
-            slicer_factory=_slicer_factory(spec, partition),
-            attributes=spec.attributes,
-            sampler_factory=_sampler_factory(spec),
-            view_size=spec.view_size,
-            concurrency=spec.concurrency,
-            churn=_churn_model(spec),
-            seed=spec.seed,
-            loss_probability=faults.loss if faults is not None else 0.0,
-            telemetry=telemetry,
-        )
-    if spec.protocol not in PROTOCOLS:
-        raise ValueError(
-            f"unknown protocol {spec.protocol!r}; expected one of {PROTOCOLS}"
-        )
-    window = spec.window
-    if spec.protocol == "ranking-window" and window is None:
-        window = DEFAULT_WINDOW
-    return backend_spec.create(
+    options = {
+        field.name: getattr(spec, field.name)
+        for field in fields(spec)
+        if field.name not in _TRANSLATED
+    }
+    return create_simulation(
+        spec.backend,
         size=spec.n,
-        partition=partition,
-        algorithm=spec.protocol,
-        window=window,
-        boundary_bias=spec.boundary_bias,
-        attributes=spec.attributes,
-        view_size=spec.view_size,
-        sampler=spec.sampler,
+        partition=spec.partition(),
         churn=_churn_model(spec),
-        concurrency=spec.concurrency,
-        workers=spec.workers,
-        hosts=spec.hosts,
-        rebalance_every=spec.rebalance_every,
-        rebalance_threshold=spec.rebalance_threshold,
-        faults=faults,
-        seed=spec.seed,
         telemetry=telemetry,
+        **options,
     )

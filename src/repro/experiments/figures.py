@@ -1,14 +1,16 @@
 """One experiment per figure of the paper's evaluation.
 
-Each ``run_figXY`` function regenerates the corresponding figure:
-it builds the paper's setup through :class:`~repro.experiments.config.
-RunSpec`, runs the simulation(s), and returns a
+Each ``run_figXY`` function regenerates the corresponding figure.  A
+figure is a *definition* (:func:`figure`) — the paper's setup as
+:class:`~repro.experiments.config.RunSpec` fields, and a body that
+runs the simulation(s) through :func:`run_spec` and returns a
 :class:`~repro.experiments.results.FigureResult` whose series are the
-curves the paper plots.  The *default* scale is reduced (n=1000-ish)
-so the whole suite regenerates in minutes on a laptop; every function
-accepts ``full_scale=True`` to run the paper's exact parameters
-(n = 10^4 and the paper's cycle counts).  The *shapes* asserted in
-DESIGN.md hold at both scales.
+curves the paper plots.  Every runner is ``run_figXY(full_scale=False,
+**overrides)`` where ``overrides`` are ``RunSpec`` fields, any of
+them.  The *default* scale is reduced (n=1000-ish) so the whole suite
+regenerates in minutes on a laptop; ``full_scale=True`` runs the
+paper's exact parameters (n = 10^4 and the paper's cycle counts).  The
+*shapes* asserted in DESIGN.md hold at both scales.
 
 Scale reference (paper):
 
@@ -27,7 +29,8 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Callable, Dict, List, Tuple
 
 from repro.analysis.binomial import sdm_floor_of_values, simulated_sdm_floor
 from repro.analysis.chernoff import cardinality_bounds
@@ -45,6 +48,9 @@ from repro.metrics.collectors import (
 )
 
 __all__ = [
+    "figure",
+    "simulation",
+    "run_spec",
     "run_fig4a",
     "run_fig4b",
     "run_fig4c",
@@ -59,46 +65,110 @@ __all__ = [
 ]
 
 
-def _sdm_run(
-    spec: RunSpec, extra_collectors=()
-) -> Tuple[TimeSeries, object, List[float]]:
+#: Registry used by the CLI and the benchmark harness: every
+#: :func:`figure` definition enters itself, the theory checks are added
+#: at the bottom of the module.
+ALL_FIGURES: Dict[str, Callable] = {}
+
+
+@contextmanager
+def simulation(spec: RunSpec):
+    """The simulation ``spec`` describes, closed on exit: a
+    multi-process backend's worker pool and shared memory (and a
+    telemetry sink the spec opened) are released before the caller
+    builds its next run, not whenever the garbage collector gets to
+    them."""
+    sim = build_simulation(spec)
+    try:
+        yield sim
+    finally:
+        if hasattr(sim, "close"):  # the reference engine holds nothing
+            sim.close()
+        sim.telemetry.close()
+
+
+def run_spec(spec: RunSpec, extra_collectors=()) -> Tuple[TimeSeries, List[float]]:
     """Run one spec to completion.
 
-    Returns ``(sdm_series, sim, initial_values)`` where
-    ``initial_values`` are the nodes' ``r`` values *before* the first
-    cycle — for ordering runs these are the drawn random values, whose
-    realized SDM floor (Section 4.4) the run converges to.
+    Returns ``(sdm_series, initial_values)`` where ``initial_values``
+    are the nodes' ``r`` values *before* the first cycle — for ordering
+    runs these are the drawn random values, whose realized SDM floor
+    (Section 4.4) the run converges to.  The simulation is closed
+    before this returns.
     """
-    sim = build_simulation(spec)
-    initial_values = [node.value for node in sim.live_nodes()]
-    sdm = SliceDisorderCollector(spec.partition(), name=spec.protocol)
-    collectors = [sdm, *extra_collectors]
-    sim.run(spec.cycles, collectors=collectors)
-    return sdm.series, sim, initial_values
+    with simulation(spec) as sim:
+        initial_values = [node.value for node in sim.live_nodes()]
+        sdm = SliceDisorderCollector(spec.partition(), name=spec.protocol)
+        sim.run(spec.cycles, collectors=[sdm, *extra_collectors])
+    return sdm.series, initial_values
+
+
+def figure(name: str, title: str, sweeps=(), full_scale=None, **defaults):
+    """Define a figure: decorate its body ``(base: RunSpec, result) ->
+    FigureResult`` into the runner ``run(full_scale=False,
+    **overrides)``.
+
+    ``defaults`` are the figure's ``RunSpec`` fields at the reduced
+    scale (n = 1000 throughout), ``full_scale`` the fields the paper's
+    exact scale replaces besides n = 10^4, ``sweeps`` the fields the
+    body varies itself.  The base spec is built in that order —
+    defaults < full-scale row < explicit overrides — so an explicit
+    ``n`` survives ``full_scale=True``.  Overrides are checked by
+    :func:`dataclasses.replace` (an unknown name is a ``TypeError``),
+    and overriding a swept field is refused by name rather than
+    silently ignored.  The body receives ``result`` empty but for
+    ``name``, ``title`` and the ``params`` header derived from the
+    base spec.
+    """
+    defaults = {"n": 1000, **defaults}
+    scaled = {**defaults, "n": 10_000, **(full_scale or {})}
+
+    def define(body):
+        def run(full_scale: bool = False, **overrides) -> FigureResult:
+            refused = sorted(set(overrides).intersection(sweeps))
+            if refused:
+                raise TypeError(
+                    f"{name} sweeps {', '.join(refused)} itself; "
+                    "the override would be ignored"
+                )
+            setup = RunSpec(**(scaled if full_scale else defaults))
+            base = setup.with_overrides(**overrides)
+            params = {
+                "n": base.n,
+                "cycles": base.cycles,
+                "slices": base.slice_count,
+                "view": base.view_size,
+            }
+            return body(base, FigureResult(name, title, params=params))
+
+        run.__name__ = run.__qualname__ = body.__name__
+        run.__doc__ = body.__doc__
+        run.sweeps = tuple(sweeps)
+        ALL_FIGURES[name] = run
+        return run
+
+    return define
 
 
 def _floor_note(
-    result: FigureResult,
-    n: int,
-    partition: SlicePartition,
-    seed: int,
-    initial_values: Optional[List[float]] = None,
+    result: FigureResult, spec: RunSpec, initial_values: List[float]
 ) -> float:
     """Attach the random-value SDM floor (Section 4.4).
 
-    When the run's actual initial random values are available, their
-    *realized* floor is the exact plateau a perfectly-ordering run ends
-    at; the Monte-Carlo mean/std quantify how (widely) that floor
-    varies across draws — the paper's "inherent limitation".
+    The *realized* floor of the run's actual initial random values is
+    the exact plateau a perfectly-ordering run ends at; the Monte-Carlo
+    mean/std quantify how (widely) that floor varies across draws —
+    the paper's "inherent limitation".
     """
-    mean, std = simulated_sdm_floor(n, partition, trials=5, rng=random.Random(seed))
+    partition = spec.partition()
+    mean, std = simulated_sdm_floor(
+        spec.n, partition, trials=5, rng=random.Random(spec.seed)
+    )
     result.add_scalar("predicted_sdm_floor_mean", mean)
     result.add_scalar("predicted_sdm_floor_std", std)
-    if initial_values is not None:
-        realized = sdm_floor_of_values(initial_values, partition)
-        result.add_scalar("realized_sdm_floor", realized)
-        return realized
-    return mean
+    realized = sdm_floor_of_values(initial_values, partition)
+    result.add_scalar("realized_sdm_floor", realized)
+    return realized
 
 
 # ----------------------------------------------------------------------
@@ -106,67 +176,32 @@ def _floor_note(
 # ----------------------------------------------------------------------
 
 
-def run_fig4a(
-    n: int = 1000,
-    cycles: int = 100,
-    slice_count: int = 100,
-    view_size: int = 20,
-    seed: int = 0,
-    full_scale: bool = False,
-    backend: str = "reference",
-    workers=None,
-    hosts=None,
-    loss: float = 0.0,
-    delay=None,
-    partitions=None,
-    profile=None,
-    timeline: bool = False,
-    metrics_every=None,
-    watchdog: bool = False,
-) -> FigureResult:
+@figure(
+    "fig4a",
+    "SDM vs GDM over one mod-JK run",
+    cycles=100,
+    slice_count=100,
+    view_size=20,
+    protocol="mod-jk",
+)
+def run_fig4a(base: RunSpec, result: FigureResult) -> FigureResult:
     """Figure 4(a): SDM vs GDM along one mod-JK run.
 
     The paper's point: GDM reaches 0 (perfect ordering) while SDM is
     "lower bounded by a positive value" — ordering alone cannot fix the
     slice assignment.
     """
-    if full_scale:
-        n, cycles = 10_000, 100
-    spec = RunSpec(
-        n=n,
-        cycles=cycles,
-        slice_count=slice_count,
-        view_size=view_size,
-        protocol="mod-jk",
-        seed=seed,
-        backend=backend,
-        workers=workers,
-        hosts=hosts,
-        loss=loss,
-        delay=delay,
-        partitions=partitions,
-        profile=profile,
-        timeline=timeline,
-        metrics_every=metrics_every,
-        watchdog=watchdog,
-    )
-    partition = spec.partition()
-    sim = build_simulation(spec)
-    initial_values = [node.value for node in sim.live_nodes()]
-    sdm = SliceDisorderCollector(partition, name="sdm")
+    sdm = SliceDisorderCollector(base.partition(), name="sdm")
     gdm = GlobalDisorderCollector(name="gdm")
-    sim.run(cycles, collectors=[sdm, gdm])
+    with simulation(base) as sim:
+        initial_values = [node.value for node in sim.live_nodes()]
+        sim.run(base.cycles, collectors=[sdm, gdm])
 
-    result = FigureResult(
-        "fig4a",
-        "SDM vs GDM over one mod-JK run",
-        params={"n": n, "cycles": cycles, "slices": slice_count, "view": view_size},
-    )
     result.add_series(sdm.series)
     result.add_series(gdm.series)
     result.add_scalar("final_gdm", gdm.series.final)
     result.add_scalar("final_sdm", sdm.series.final)
-    floor = _floor_note(result, n, partition, seed, initial_values)
+    floor = _floor_note(result, base, initial_values)
     result.add_note(
         "Expected shape: GDM converges toward 0 while SDM plateaus near the "
         f"predicted random-value floor (~{floor:.0f})."
@@ -174,24 +209,15 @@ def run_fig4a(
     return result
 
 
-def run_fig4b(
-    n: int = 1000,
-    cycles: int = 60,
-    slice_count: int = 10,
-    view_size: int = 20,
-    seed: int = 0,
-    full_scale: bool = False,
-    backend: str = "reference",
-    workers=None,
-    hosts=None,
-    loss: float = 0.0,
-    delay=None,
-    partitions=None,
-    profile=None,
-    timeline: bool = False,
-    metrics_every=None,
-    watchdog: bool = False,
-) -> FigureResult:
+@figure(
+    "fig4b",
+    "SDM over time: JK vs mod-JK",
+    sweeps=("protocol",),
+    cycles=60,
+    slice_count=10,
+    view_size=20,
+)
+def run_fig4b(base: RunSpec, result: FigureResult) -> FigureResult:
     """Figure 4(b): SDM over time — JK vs mod-JK, 10 equal slices.
 
     The paper's point: mod-JK "converges significantly faster than JK";
@@ -199,37 +225,12 @@ def run_fig4b(
     values.  Both runs share the seed, so initial views, attribute
     values and initial random values coincide.
     """
-    if full_scale:
-        n, cycles = 10_000, 60
-    base = RunSpec(
-        n=n,
-        cycles=cycles,
-        slice_count=slice_count,
-        view_size=view_size,
-        seed=seed,
-        backend=backend,
-        workers=workers,
-        hosts=hosts,
-        loss=loss,
-        delay=delay,
-        partitions=partitions,
-        profile=profile,
-        timeline=timeline,
-        metrics_every=metrics_every,
-        watchdog=watchdog,
-    )
-    partition = base.partition()
-    jk_series, _sim, initial_values = _sdm_run(base.with_overrides(protocol="jk"))
-    mod_series, _sim, _values = _sdm_run(base.with_overrides(protocol="mod-jk"))
+    jk_series, initial_values = run_spec(base.with_overrides(protocol="jk"))
+    mod_series, _ = run_spec(base.with_overrides(protocol="mod-jk"))
 
-    result = FigureResult(
-        "fig4b",
-        "SDM over time: JK vs mod-JK",
-        params={"n": n, "cycles": cycles, "slices": slice_count, "view": view_size},
-    )
     result.add_series(jk_series, "jk")
     result.add_series(mod_series, "mod-jk")
-    floor = _floor_note(result, n, partition, seed, initial_values)
+    floor = _floor_note(result, base, initial_values)
     threshold = max(2.0 * floor, 1.0)
     jk_hit = jk_series.first_time_below(threshold)
     mod_hit = mod_series.first_time_below(threshold)
@@ -247,24 +248,15 @@ def run_fig4b(
     return result
 
 
-def run_fig4c(
-    n: int = 1000,
-    cycles: int = 100,
-    slice_count: int = 10,
-    view_size: int = 20,
-    seed: int = 0,
-    full_scale: bool = False,
-    backend: str = "reference",
-    workers=None,
-    hosts=None,
-    loss: float = 0.0,
-    delay=None,
-    partitions=None,
-    profile=None,
-    timeline: bool = False,
-    metrics_every=None,
-    watchdog: bool = False,
-) -> FigureResult:
+@figure(
+    "fig4c",
+    "Percentage of unsuccessful swaps",
+    sweeps=("protocol", "concurrency"),
+    cycles=100,
+    slice_count=10,
+    view_size=20,
+)
+def run_fig4c(base: RunSpec, result: FigureResult) -> FigureResult:
     """Figure 4(c): percentage of unsuccessful swaps under half/full
     concurrency, for JK and mod-JK, sampled at cycles 10/50/90.
 
@@ -275,36 +267,11 @@ def run_fig4c(
     (:mod:`repro.bulk.concurrency`), so this study scales to millions
     of nodes with ``backend="vectorized"`` or ``"sharded"``.
     """
-    if full_scale:
-        n, cycles = 10_000, 100
-    base = RunSpec(
-        n=n,
-        cycles=cycles,
-        slice_count=slice_count,
-        view_size=view_size,
-        seed=seed,
-        backend=backend,
-        workers=workers,
-        hosts=hosts,
-        loss=loss,
-        delay=delay,
-        partitions=partitions,
-        profile=profile,
-        timeline=timeline,
-        metrics_every=metrics_every,
-        watchdog=watchdog,
-    )
-    result = FigureResult(
-        "fig4c",
-        "Percentage of unsuccessful swaps",
-        params={"n": n, "cycles": cycles, "slices": slice_count, "view": view_size},
-    )
-    checkpoints = [c for c in (10, 50, 90) if c < cycles] or [cycles - 1]
+    checkpoints = [c for c in (10, 50, 90) if c < base.cycles] or [base.cycles - 1]
     for protocol in ("jk", "mod-jk"):
         for concurrency in ("half", "full"):
             label = f"{protocol}-{concurrency}"
             spec = base.with_overrides(protocol=protocol, concurrency=concurrency)
-            sim = build_simulation(spec)
             per_cycle = UnsuccessfulSwapCollector(name=label)
             # Cumulative percentage: single-cycle ratios get noisy once
             # the system converges and few swaps are intended, so the
@@ -315,7 +282,8 @@ def run_fig4c(
                 * s.bus_stats.unsuccessful_swaps
                 / max(s.bus_stats.intended_swaps, 1),
             )
-            sim.run(cycles, collectors=[per_cycle, cumulative])
+            with simulation(spec) as sim:
+                sim.run(base.cycles, collectors=[per_cycle, cumulative])
             result.add_series(per_cycle.series)
             for checkpoint in checkpoints:
                 result.add_scalar(
@@ -329,24 +297,16 @@ def run_fig4c(
     return result
 
 
-def run_fig4d(
-    n: int = 1000,
-    cycles: int = 100,
-    slice_count: int = 100,
-    view_size: int = 20,
-    seed: int = 0,
-    full_scale: bool = False,
-    backend: str = "reference",
-    workers=None,
-    hosts=None,
-    loss: float = 0.0,
-    delay=None,
-    partitions=None,
-    profile=None,
-    timeline: bool = False,
-    metrics_every=None,
-    watchdog: bool = False,
-) -> FigureResult:
+@figure(
+    "fig4d",
+    "mod-JK under no vs full concurrency",
+    sweeps=("concurrency",),
+    cycles=100,
+    slice_count=100,
+    view_size=20,
+    protocol="mod-jk",
+)
+def run_fig4d(base: RunSpec, result: FigureResult) -> FigureResult:
     """Figure 4(d): mod-JK convergence, no concurrency vs full
     concurrency.
 
@@ -354,44 +314,16 @@ def run_fig4d(
     speed very slightly."  Runs on any backend; the bulk engines model
     the same overlap regimes in batched form.
     """
-    if full_scale:
-        n, cycles = 10_000, 100
-    base = RunSpec(
-        n=n,
-        cycles=cycles,
-        slice_count=slice_count,
-        view_size=view_size,
-        protocol="mod-jk",
-        seed=seed,
-        backend=backend,
-        workers=workers,
-        hosts=hosts,
-        loss=loss,
-        delay=delay,
-        partitions=partitions,
-        profile=profile,
-        timeline=timeline,
-        metrics_every=metrics_every,
-        watchdog=watchdog,
-    )
-    partition = base.partition()
-    none_series, _sim, initial_values = _sdm_run(
-        base.with_overrides(concurrency="none")
-    )
-    full_series, _sim, _values = _sdm_run(base.with_overrides(concurrency="full"))
+    none_series, initial_values = run_spec(base.with_overrides(concurrency="none"))
+    full_series, _ = run_spec(base.with_overrides(concurrency="full"))
 
-    result = FigureResult(
-        "fig4d",
-        "mod-JK under no vs full concurrency",
-        params={"n": n, "cycles": cycles, "slices": slice_count, "view": view_size},
-    )
     result.add_series(none_series, "no-concurrency")
     result.add_series(full_series, "full-concurrency")
-    _floor_note(result, n, partition, seed, initial_values)
+    _floor_note(result, base, initial_values)
     # Under full concurrency one-sided swaps can perturb the random-value
     # multiset, so the realized floor of the initial values no longer
     # binds exactly; compare the curves directly instead.
-    mid = cycles // 2
+    mid = base.cycles // 2
     result.add_scalar("none_sdm_at_mid", none_series.value_at_or_before(mid))
     result.add_scalar("full_sdm_at_mid", full_series.value_at_or_before(mid))
     result.add_scalar("none_final_sdm", none_series.final)
@@ -412,63 +344,28 @@ def run_fig4d(
 # ----------------------------------------------------------------------
 
 
-def run_fig6a(
-    n: int = 1000,
-    cycles: int = 400,
-    slice_count: int = 100,
-    view_size: int = 10,
-    seed: int = 0,
-    full_scale: bool = False,
-    backend: str = "reference",
-    workers=None,
-    hosts=None,
-    loss: float = 0.0,
-    delay=None,
-    partitions=None,
-    profile=None,
-    timeline: bool = False,
-    metrics_every=None,
-    watchdog: bool = False,
-) -> FigureResult:
+@figure(
+    "fig6a",
+    "Ranking vs ordering, static system",
+    sweeps=("protocol",),
+    cycles=400,
+    slice_count=100,
+    view_size=10,
+    full_scale={"cycles": 1000},
+)
+def run_fig6a(base: RunSpec, result: FigureResult) -> FigureResult:
     """Figure 6(a): SDM over time — ranking vs ordering, static system.
 
     The paper's point: the ordering algorithm's SDM is lower bounded
     (random-value floor) "while the one of the ranking algorithm is
     not" — ranking keeps improving.
     """
-    if full_scale:
-        n, cycles = 10_000, 1000
-    base = RunSpec(
-        n=n,
-        cycles=cycles,
-        slice_count=slice_count,
-        view_size=view_size,
-        seed=seed,
-        backend=backend,
-        workers=workers,
-        hosts=hosts,
-        loss=loss,
-        delay=delay,
-        partitions=partitions,
-        profile=profile,
-        timeline=timeline,
-        metrics_every=metrics_every,
-        watchdog=watchdog,
-    )
-    partition = base.partition()
-    ordering_series, _sim, initial_values = _sdm_run(
-        base.with_overrides(protocol="mod-jk")
-    )
-    ranking_series, _sim, _values = _sdm_run(base.with_overrides(protocol="ranking"))
+    ordering_series, initial_values = run_spec(base.with_overrides(protocol="mod-jk"))
+    ranking_series, _ = run_spec(base.with_overrides(protocol="ranking"))
 
-    result = FigureResult(
-        "fig6a",
-        "Ranking vs ordering, static system",
-        params={"n": n, "cycles": cycles, "slices": slice_count, "view": view_size},
-    )
     result.add_series(ordering_series, "ordering")
     result.add_series(ranking_series, "ranking")
-    floor = _floor_note(result, n, partition, seed, initial_values)
+    floor = _floor_note(result, base, initial_values)
     result.add_scalar("ordering_final_sdm", ordering_series.final)
     result.add_scalar("ranking_final_sdm", ranking_series.final)
     result.add_note(
@@ -478,24 +375,17 @@ def run_fig6a(
     return result
 
 
-def run_fig6b(
-    n: int = 1000,
-    cycles: int = 400,
-    slice_count: int = 100,
-    view_size: int = 10,
-    seed: int = 0,
-    full_scale: bool = False,
-    backend: str = "reference",
-    workers=None,
-    hosts=None,
-    loss: float = 0.0,
-    delay=None,
-    partitions=None,
-    profile=None,
-    timeline: bool = False,
-    metrics_every=None,
-    watchdog: bool = False,
-) -> FigureResult:
+@figure(
+    "fig6b",
+    "Ranking: uniform oracle vs Cyclon-variant views",
+    sweeps=("sampler",),
+    cycles=400,
+    slice_count=100,
+    view_size=10,
+    protocol="ranking",
+    full_scale={"cycles": 1000},
+)
+def run_fig6b(base: RunSpec, result: FigureResult) -> FigureResult:
     """Figure 6(b): ranking on an idealized uniform sampler vs on the
     Cyclon-variant views, plus the percentage deviation between the
     two SDM curves.
@@ -504,30 +394,8 @@ def run_fig6b(
     within a few percent — so the Cyclon variant is an adequate
     sampling substrate.
     """
-    if full_scale:
-        n, cycles = 10_000, 1000
-    base = RunSpec(
-        n=n,
-        cycles=cycles,
-        slice_count=slice_count,
-        view_size=view_size,
-        protocol="ranking",
-        seed=seed,
-        backend=backend,
-        workers=workers,
-        hosts=hosts,
-        loss=loss,
-        delay=delay,
-        partitions=partitions,
-        profile=profile,
-        timeline=timeline,
-        metrics_every=metrics_every,
-        watchdog=watchdog,
-    )
-    uniform_series, _sim, _values = _sdm_run(base.with_overrides(sampler="uniform"))
-    views_series, _sim, _values = _sdm_run(
-        base.with_overrides(sampler="cyclon-variant")
-    )
+    uniform_series, _ = run_spec(base.with_overrides(sampler="uniform"))
+    views_series, _ = run_spec(base.with_overrides(sampler="cyclon-variant"))
 
     deviation = TimeSeries("deviation_pct")
     for time, views_value in views_series:
@@ -535,15 +403,10 @@ def run_fig6b(
         reference = max(uniform_value, 1e-9)
         deviation.append(time, 100.0 * (views_value - uniform_value) / reference)
 
-    result = FigureResult(
-        "fig6b",
-        "Ranking: uniform oracle vs Cyclon-variant views",
-        params={"n": n, "cycles": cycles, "slices": slice_count, "view": view_size},
-    )
     result.add_series(uniform_series, "sdm-uniform")
     result.add_series(views_series, "sdm-views")
     result.add_series(deviation)
-    warmup = max(1, cycles // 10)
+    warmup = max(1, base.cycles // 10)
     late = [v for t, v in deviation if t >= warmup]
     result.add_scalar("max_abs_deviation_pct_after_warmup", max(abs(v) for v in late))
     result.add_note(
@@ -553,77 +416,33 @@ def run_fig6b(
     return result
 
 
-def run_fig6c(
-    n: int = 1000,
-    cycles: int = 600,
-    slice_count: int = 100,
-    view_size: int = 10,
-    seed: int = 0,
-    burst_end: int = 200,
-    churn_rate: float = 0.001,
-    full_scale: bool = False,
-    backend: str = "reference",
-    workers=None,
-    hosts=None,
-    rebalance_every=None,
-    rebalance_threshold=None,
-    loss: float = 0.0,
-    delay=None,
-    partitions=None,
-    profile=None,
-    timeline: bool = False,
-    metrics_every=None,
-    watchdog: bool = False,
-) -> FigureResult:
+@figure(
+    "fig6c",
+    "Churn burst (correlated): ranking vs JK",
+    sweeps=("protocol",),
+    cycles=600,
+    slice_count=100,
+    view_size=10,
+    churn="burst",
+    churn_rate=0.001,
+    churn_burst_end=200,
+    full_scale={"cycles": 1000},
+)
+def run_fig6c(base: RunSpec, result: FigureResult) -> FigureResult:
     """Figure 6(c): churn burst — ``churn_rate`` of the nodes leave and
-    join per cycle (paper: 0.1%) for the first ``burst_end`` cycles,
-    correlated with the attribute (lowest leave, above-max join) —
-    ranking vs JK.
+    join per cycle (paper: 0.1%) for the first ``churn_burst_end``
+    cycles, correlated with the attribute (lowest leave, above-max
+    join) — ranking vs JK.
 
     The paper's point: when the burst stops, the ranking algorithm's
     SDM "starts decreasing again" while the ordering algorithm's
     convergence "gets stuck".
     """
-    if full_scale:
-        n, cycles = 10_000, 1000
-    base = RunSpec(
-        n=n,
-        cycles=cycles,
-        slice_count=slice_count,
-        view_size=view_size,
-        churn="burst",
-        churn_rate=churn_rate,
-        churn_burst_end=burst_end,
-        seed=seed,
-        backend=backend,
-        workers=workers,
-        hosts=hosts,
-        rebalance_every=rebalance_every,
-        rebalance_threshold=rebalance_threshold,
-        loss=loss,
-        delay=delay,
-        partitions=partitions,
-        profile=profile,
-        timeline=timeline,
-        metrics_every=metrics_every,
-        watchdog=watchdog,
-    )
-    jk_series, _sim, _values = _sdm_run(base.with_overrides(protocol="jk"))
-    ranking_series, _sim, _values = _sdm_run(
-        base.with_overrides(protocol="ranking")
-    )
+    burst_end = base.churn_burst_end
+    result.params.update(churn_rate=base.churn_rate, burst_end=burst_end)
+    jk_series, _ = run_spec(base.with_overrides(protocol="jk"))
+    ranking_series, _ = run_spec(base.with_overrides(protocol="ranking"))
 
-    result = FigureResult(
-        "fig6c", "Churn burst (correlated): ranking vs JK",
-        params={
-            "n": n,
-            "cycles": cycles,
-            "slices": slice_count,
-            "view": view_size,
-            "churn_rate": churn_rate,
-            "burst_end": burst_end,
-        },
-    )
     result.add_series(jk_series, "jk")
     result.add_series(ranking_series, "ranking")
     jk_at_burst_end = jk_series.value_at_or_before(burst_end)
@@ -636,9 +455,7 @@ def run_fig6c(
         "ranking_recovery_ratio",
         ranking_series.final / max(ranking_at_burst_end, 1e-9),
     )
-    result.add_scalar(
-        "jk_recovery_ratio", jk_series.final / max(jk_at_burst_end, 1e-9)
-    )
+    result.add_scalar("jk_recovery_ratio", jk_series.final / max(jk_at_burst_end, 1e-9))
     result.add_note(
         "Expected shape: after the burst stops, ranking's SDM resumes "
         "decreasing (recovery ratio < 1) while jk stays stuck (ratio ~ 1)."
@@ -646,84 +463,36 @@ def run_fig6c(
     return result
 
 
-def run_fig6d(
-    n: int = 1000,
-    cycles: int = 600,
-    slice_count: int = 100,
-    view_size: int = 10,
-    seed: int = 0,
-    window: Optional[int] = None,
-    churn_rate: float = 0.001,
-    full_scale: bool = False,
-    backend: str = "reference",
-    workers=None,
-    hosts=None,
-    rebalance_every=None,
-    rebalance_threshold=None,
-    loss: float = 0.0,
-    delay=None,
-    partitions=None,
-    profile=None,
-    timeline: bool = False,
-    metrics_every=None,
-    watchdog: bool = False,
-) -> FigureResult:
-    """Figure 6(d): low regular churn (``churn_rate`` every 10 cycles,
-    paper: 0.1%, correlated) — ordering vs ranking vs sliding-window
-    ranking.
+@figure(
+    "fig6d",
+    "Regular churn: ordering vs ranking vs sliding-window",
+    sweeps=("protocol",),
+    cycles=600,
+    slice_count=100,
+    view_size=10,
+    churn="regular",
+    churn_rate=0.001,
+    churn_period=10,
+    window=2_000,
+    full_scale={"cycles": 1000, "window": DEFAULT_WINDOW},
+)
+def run_fig6d(base: RunSpec, result: FigureResult) -> FigureResult:
+    """Figure 6(d): low regular churn (``churn_rate`` every
+    ``churn_period`` cycles, paper: 0.1% every 10, correlated) —
+    ordering vs ranking vs sliding-window ranking (``window``
+    observations; only that run reads it).
 
     The paper's points: the ordering algorithm's SDM starts rising
     early (cycle ~120 at paper scale); plain ranking much later
     (~730); the sliding-window variant does not rise.
     """
-    if full_scale:
-        n, cycles = 10_000, 1000
-        window = window if window is not None else DEFAULT_WINDOW
-    window = window if window is not None else 2_000
-    base = RunSpec(
-        n=n,
-        cycles=cycles,
-        slice_count=slice_count,
-        view_size=view_size,
-        churn="regular",
-        churn_rate=churn_rate,
-        churn_period=10,
-        seed=seed,
-        backend=backend,
-        workers=workers,
-        hosts=hosts,
-        rebalance_every=rebalance_every,
-        rebalance_threshold=rebalance_threshold,
-        loss=loss,
-        delay=delay,
-        partitions=partitions,
-        profile=profile,
-        timeline=timeline,
-        metrics_every=metrics_every,
-        watchdog=watchdog,
+    result.params.update(
+        churn_rate=base.churn_rate, churn_period=base.churn_period, window=base.window
     )
-    ordering_series, _sim, _values = _sdm_run(
-        base.with_overrides(protocol="mod-jk")
-    )
-    ranking_series, _sim, _values = _sdm_run(
-        base.with_overrides(protocol="ranking")
-    )
-    window_series, _sim, _values = _sdm_run(
-        base.with_overrides(protocol="ranking-window", window=window)
-    )
+    ordering_series, _ = run_spec(base.with_overrides(protocol="mod-jk"))
+    ranking_series, _ = run_spec(base.with_overrides(protocol="ranking"))
+    window_series, _ = run_spec(base.with_overrides(protocol="ranking-window"))
 
-    result = FigureResult(
-        "fig6d", "Regular churn: ordering vs ranking vs sliding-window",
-        params={
-            "n": n,
-            "cycles": cycles,
-            "slices": slice_count,
-            "view": view_size,
-            "churn_rate": churn_rate,
-            "churn_period": 10,
-            "window": window,
-        },
-    )
     result.add_series(ordering_series, "ordering")
     result.add_series(ranking_series, "ranking")
     result.add_series(window_series, "sliding-window")
@@ -735,9 +504,7 @@ def run_fig6d(
         minimum = series.minimum
         result.add_scalar(f"{label}_min_sdm", minimum)
         result.add_scalar(f"{label}_final_sdm", series.final)
-        result.add_scalar(
-            f"{label}_rise_ratio", series.final / max(minimum, 1e-9)
-        )
+        result.add_scalar(f"{label}_rise_ratio", series.final / max(minimum, 1e-9))
     result.add_note(
         "Expected shape: ordering's SDM rises well above its minimum; plain "
         "ranking rises later/less; sliding-window stays near its minimum."
@@ -844,16 +611,4 @@ def run_theorem51(
     return result
 
 
-#: Registry used by the CLI and the benchmark harness.
-ALL_FIGURES = {
-    "fig4a": run_fig4a,
-    "fig4b": run_fig4b,
-    "fig4c": run_fig4c,
-    "fig4d": run_fig4d,
-    "fig6a": run_fig6a,
-    "fig6b": run_fig6b,
-    "fig6c": run_fig6c,
-    "fig6d": run_fig6d,
-    "lemma41": run_lemma41,
-    "theorem51": run_theorem51,
-}
+ALL_FIGURES.update(lemma41=run_lemma41, theorem51=run_theorem51)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
 from repro.core.slices import SlicePartition
-from repro.experiments.config import RunSpec, build_simulation
-from repro.metrics.collectors import SliceDisorderCollector
+from repro.experiments.config import RunSpec
+from repro.experiments.figures import run_spec, simulation
 from repro.metrics.disorder import global_disorder, slice_disorder
 from repro.metrics.statistics import SummaryStats, summarize
 
@@ -63,15 +63,11 @@ def cycles_to_sdm(threshold: float) -> Callable:
 
 
 def _run_outcome(spec: RunSpec, outcome: Callable) -> float:
-    partition = spec.partition()
     if getattr(outcome, "needs_series", False):
-        sim = build_simulation(spec)
-        collector = SliceDisorderCollector(partition)
-        sim.run(spec.cycles, collectors=[collector])
-        return outcome(collector.series)
-    sim = build_simulation(spec)
-    sim.run(spec.cycles)
-    return outcome(sim, partition)
+        return outcome(run_spec(spec)[0])
+    with simulation(spec) as sim:
+        sim.run(spec.cycles)
+        return outcome(sim, spec.partition())
 
 
 def replicate(

@@ -12,7 +12,12 @@ invariant checking.
 from repro.obs.health import health_summary, render_health
 from repro.obs.report import CycleReport
 from repro.obs.sink import NdjsonSink, read_ndjson
-from repro.obs.telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry
+from repro.obs.telemetry import (
+    NULL_TELEMETRY,
+    NullTelemetry,
+    Telemetry,
+    telemetry_from_options,
+)
 from repro.obs.watchdog import Watchdog, WatchdogViolation
 
 __all__ = [
@@ -22,6 +27,7 @@ __all__ = [
     "Telemetry",
     "NullTelemetry",
     "NULL_TELEMETRY",
+    "telemetry_from_options",
     "Watchdog",
     "WatchdogViolation",
     "health_summary",

@@ -55,7 +55,10 @@ from __future__ import annotations
 from time import perf_counter_ns
 from typing import Dict, List, Optional
 
-__all__ = ["Telemetry", "NullTelemetry", "NULL_TELEMETRY"]
+from repro.obs.sink import NdjsonSink
+from repro.obs.watchdog import Watchdog
+
+__all__ = ["Telemetry", "NullTelemetry", "NULL_TELEMETRY", "telemetry_from_options"]
 
 
 class _Span:
@@ -461,3 +464,50 @@ class NullTelemetry:
 
 #: Shared no-op instance used as the default everywhere.
 NULL_TELEMETRY = NullTelemetry()
+
+
+def telemetry_from_options(
+    telemetry=None,
+    *,
+    engine: str = "",
+    profile: Optional[str] = None,
+    timeline: bool = False,
+    metrics_every: Optional[int] = None,
+    watchdog: bool = False,
+    **rest,
+):
+    """Resolve the observability run options into a telemetry object.
+
+    This is the one place ``profile`` / ``timeline`` / ``metrics_every``
+    / ``watchdog`` turn into a :class:`Telemetry`.  With none of them
+    set, ``telemetry`` comes back as passed (``None`` stays ``None``:
+    the engines then run on :data:`NULL_TELEMETRY`).  Otherwise a
+    missing telemetry is created — with an
+    :class:`~repro.obs.sink.NdjsonSink` appending to ``profile`` when
+    that names a path — and an explicitly passed, enabled one gains
+    every option it does not already set (its sink is the caller's
+    choice, so ``profile`` is ignored then).
+
+    Returns ``(telemetry, rest)``, ``rest`` being the keywords that are
+    not observability options: a caller holding one flat dict of run
+    options peels this layer's share off it in a single call and hands
+    the remainder to the engine.
+    """
+    if profile is None and not timeline and metrics_every is None and not watchdog:
+        return telemetry, rest
+    if telemetry is None:
+        telemetry = Telemetry(
+            engine=engine,
+            sink=NdjsonSink(profile, append=True) if profile is not None else None,
+            timeline=timeline,
+            metrics_every=metrics_every,
+            watchdog=Watchdog() if watchdog else None,
+        )
+    elif telemetry.enabled:
+        if timeline:
+            telemetry.timeline = True
+        if metrics_every is not None and telemetry.metrics_every is None:
+            telemetry.metrics_every = int(metrics_every)
+        if watchdog and telemetry.watchdog is None:
+            telemetry.watchdog = Watchdog()
+    return telemetry, rest

@@ -6,8 +6,11 @@ full-scale numbers live in the benchmarks; these tests guard the
 harness logic itself.
 """
 
+import multiprocessing
+
 import pytest
 
+from repro.experiments import figures
 from repro.experiments.figures import (
     ALL_FIGURES,
     run_fig4a,
@@ -126,7 +129,7 @@ class TestFig6c:
         # A strong burst (1% per cycle for 80 cycles replaces ~55% of
         # the population) makes the stuck-ness visible at small scale.
         result = run_fig6c(
-            cycles=260, burst_end=80, slice_count=20, churn_rate=0.01, **SMALL
+            cycles=260, churn_burst_end=80, slice_count=20, churn_rate=0.01, **SMALL
         )
         assert result.scalars["ranking_recovery_ratio"] < 0.9
         # Ranking recovers strictly more than JK does.
@@ -152,6 +155,26 @@ class TestFig6d:
             result.scalars["sliding_window_final_sdm"]
             < result.scalars["ordering_final_sdm"]
         )
+
+
+class TestOneRunner:
+    def test_explicit_scale_survives_full_scale(self):
+        # paper defaults < full-scale row < explicit overrides
+        params = run_fig4b(full_scale=True, n=120, cycles=5).params
+        assert (params["n"], params["cycles"]) == (120, 5)
+
+    @pytest.mark.parametrize("run", [run_fig6d, run_fig4c, run_fig6a])
+    def test_each_run_is_closed_before_the_next_is_built(self, run, monkeypatch):
+        resident = []  # worker processes alive on entry to each build
+
+        def probe(spec, telemetry=None):
+            resident.append(len(multiprocessing.active_children()))
+            return build_simulation(spec, telemetry)
+
+        build_simulation = figures.build_simulation
+        monkeypatch.setattr(figures, "build_simulation", probe)
+        run(n=300, cycles=3, backend="sharded", workers=2)
+        assert len(resident) >= 2 and not any(resident), resident
 
 
 class TestTheoryHarnesses:
