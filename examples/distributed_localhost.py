@@ -7,8 +7,9 @@ example drives a multi-process run over **localhost TCP sockets**: the
 driver plans every cycle centrally (churn, random draws, exchange
 waves — one ``repro.bulk.CyclePlan``), ships each phase to the shard
 workers as length-prefixed framed messages, and merges their replies —
-wave-boundary sync, metric rank-merges and SDM count matrices all
-travel over the wire.  Because the plan and the kernels are shared
+wave-boundary sync and row migration all travel over the wire (the
+metrics do not: the driver computes them from columns it holds
+itself).  Because the plan and the kernels are shared
 with the other bulk backends, the run is *bitwise identical* to a
 single-process ``backend="vectorized"`` run, which this example
 verifies at the end.

@@ -1,10 +1,12 @@
-"""The distributed (multi-host) bulk-simulation driver.
+"""The distributed (multi-host) backend: the bulk driver on a message
+transport.
 
-:class:`DistributedSimulation` runs the one bulk cycle
-(:mod:`repro.vectorized.cycle` — central :class:`~repro.bulk.CyclePlan`,
-shard kernels, wave scheduling) plus the sharded backend's row
-migration and tree-reduced metrics, but replaces every shared-memory
-surface (:class:`~repro.sharded.shm.SharedScratch` segments, state
+:class:`DistributedSimulation` is a constructor, not a second driver:
+it validates the transport options and hands the one bulk driver
+(:class:`~repro.vectorized.simulation.VectorSimulation` — central
+:class:`~repro.bulk.CyclePlan`, churn, rebalance bookkeeping, every
+metric) a :class:`_MessageExecutor` to run on.  The executor replaces
+every shared-memory surface of the pool (scratch segments, state
 blocks, pipes) with an explicit message transport: length-prefixed
 framed messages over TCP sockets (or the in-process loopback
 transport).  Nothing is shared between driver and workers; everything
@@ -12,7 +14,7 @@ a phase needs travels in the command message, and everything it
 produces travels back in the reply:
 
 * **plan down** — each command ships the scratch blocks it consumes
-  (random draws, proposal lists, wave pairings, merge buffers);
+  (random draws, proposal lists, wave pairings);
 * **results up** — each reply carries the scratch segments the worker
   wrote and the replicated-column deltas it produced;
 * **wave-boundary sync** — the barrier of the shared-memory backend
@@ -20,11 +22,15 @@ produces travels back in the reply:
   and re-broadcasts them with the next command, and cross-shard view
   exchanges ship the partner's rows both ways (``fetch_rows`` → swap
   → guest-row return, see :mod:`repro.distributed.protocol`);
-* **metric rank-merge** — shards publish their sorted ``(key, id)``
-  runs up, receive the merged buffers down, and the SDM/accuracy
-  reduction ships integer ``(truth, believed)`` count matrices over
-  the wire, so metrics stay bitwise worker-count independent;
-* **rebalancing** — the PR-4 migration protocol (per-column pack →
+* **replication** — the driver and every worker hold the light columns
+  (:data:`~repro.distributed.protocol.REPLICATED_COLUMNS`) in full;
+  rows the driver writes (churn, the compatibility API) ride the next
+  command as deltas.  That is also why no metric crosses the wire:
+  ``attribute`` / ``value`` / ``alive`` are always current on the
+  driver, and the one shard-owned column a metric reads
+  (``obs_total``) is pulled on demand through ``dump_state``;
+* **rebalancing** — the one row migration
+  (:func:`repro.sharded.driver.migrate_rows`: per-column pack →
   barrier → unpack with view-id relabeling) runs with the staging
   buffer relayed through the driver, which is exactly a shard-to-shard
   state transfer across hosts.
@@ -52,8 +58,10 @@ from repro.distributed.transport import (
     launch_local_tcp,
     launch_loopback,
 )
-from repro.sharded.driver import ShardedSimulation
+from repro.sharded.driver import capacity_with_spare, migrate_rows, worker_count
+from repro.vectorized.executor import Executor, grown_size
 from repro.vectorized.kernels import WAVE_BUFFERS
+from repro.vectorized.simulation import VectorSimulation
 from repro.vectorized.state import ArrayState, column_spec, take_rows
 
 __all__ = ["DistributedSimulation"]
@@ -74,9 +82,7 @@ class MessageScratch:
         array = self._arrays.get(name)
         if array is not None and len(array) >= size and array.dtype == dtype:
             return array
-        new_size = max(int(size), 1024)
-        if array is not None:
-            new_size = max(new_size, 2 * len(array))
+        new_size = grown_size(size, 0 if array is None else len(array))
         array = np.zeros(new_size, dtype=dtype)
         self._arrays[name] = array
         self._on_remap(name, dtype.str, new_size)
@@ -92,35 +98,58 @@ class MessageScratch:
         self._arrays.clear()
 
 
-class _MessageExecutor:
+class _MessageExecutor(Executor):
     """The transport-backed executor: same ``run(command, payloads)``
     surface the cycle's phases dispatch through, implemented as framed
-    message exchanges instead of shared-memory broadcasts."""
+    message exchanges instead of shared-memory broadcasts.
 
-    def __init__(self, sim: "DistributedSimulation") -> None:
-        workers = sim.workers
-        self._state = sim.state
-        self._telemetry = sim.telemetry
+    Workers are launched (or connected to) when the populated state is
+    attached — churn and rebalancing of the very first cycle already
+    need consistent replicas.  :meth:`close` pulls the shards' columns
+    down first, so the driver's private state stays an exact replica
+    for post-close reads, then refuses further commands: a fresh set of
+    workers would have to be rebuilt from it."""
+
+    replicated = protocol.REPLICATED_COLUMNS
+    addresses_subsets = True  # fetch_rows hits only the partner shards
+
+    def __init__(
+        self, workers, hosts, transport, spare_capacity, max_frame, connect_timeout
+    ) -> None:
+        self.workers = workers
+        self.hosts = hosts
+        self.transport = transport
+        self.max_frame = int(max_frame)
+        self.connect_timeout = float(connect_timeout)
+        self._spare_capacity = spare_capacity
         self._remaps: List[list] = [[] for _ in range(workers)]
         self._updates: List[list] = [[] for _ in range(workers)]
         self.scratch = MessageScratch(self._queue_remap)
-        self.bounds = rebalance_bounds(
-            sim.state.size, workers, sim.state.capacity
-        )
-        if sim.hosts is not None:
+        self._workers = []
+        self._closed = False
+
+    def allocate(self, view_size: int, size: int, window) -> ArrayState:
+        capacity = capacity_with_spare(size, self._spare_capacity)
+        self.state = ArrayState(view_size, capacity=capacity)
+        self.state.fixed_capacity = True  # the replicas cannot grow
+        if window is not None:
+            self.state.enable_window(window)
+        return self.state
+
+    def attach(self, geometry, telemetry) -> None:
+        self._telemetry = telemetry
+        state = self.state
+        self.bounds = rebalance_bounds(state.size, self.workers, state.capacity)
+        if self.hosts is not None:
             self._workers = connect_remote(
-                sim.hosts, sim.max_frame, sim.connect_timeout
+                self.hosts, self.max_frame, self.connect_timeout
             )
-        elif sim.transport == "loopback":
-            self._workers = launch_loopback(workers, sim.max_frame)
+        elif self.transport == "loopback":
+            self._workers = launch_loopback(self.workers, self.max_frame)
         else:
             self._workers = launch_local_tcp(
-                workers, sim.max_frame, sim.connect_timeout
+                self.workers, self.max_frame, self.connect_timeout
             )
-        self._handshake(sim)
-
-    def _handshake(self, sim: "DistributedSimulation") -> None:
-        state = sim.state
         for handle in self._workers:
             hello = handle.hello  # consumed by the launcher
             if not isinstance(hello, dict) or hello.get("type") != "hello":
@@ -130,7 +159,7 @@ class _MessageExecutor:
                 )
         snapshot = {
             name: np.array(getattr(state, name)[: state.size])
-            for name in column_spec(sim.view_size, state.window)
+            for name in column_spec(state.view_size, state.window)
         }
         for handle, (lo, hi) in zip(self._workers, self.bounds):
             handle.endpoint.send(
@@ -139,11 +168,11 @@ class _MessageExecutor:
                     "index": handle.index,
                     "lo": lo,
                     "hi": hi,
-                    "view_size": sim.view_size,
+                    "view_size": state.view_size,
                     "window": state.window,
                     "size": state.size,
                     "capacity": state.capacity,
-                    "partition": sim.partition,
+                    "partition": geometry.partition,
                     "columns": snapshot,
                 }
             )
@@ -166,14 +195,26 @@ class _MessageExecutor:
         for queue in self._remaps:
             queue.append((name, dtype, size))
 
+    def replicate(self, rows, columns=None) -> None:
+        """Queue the driver-written ``rows`` of the replicated
+        ``columns`` for every worker; they ride the next command."""
+        if len(rows) == 0:
+            return
+        rows = np.asarray(rows, dtype=np.int64)
+        for column in self.replicated if columns is None else columns:
+            values = np.array(getattr(self.state, column)[rows])
+            for queue in self._updates:
+                queue.append((column, rows, values))
+
     def push_updates(self, updates) -> None:
-        """Route state deltas: replicated columns to the driver's state
-        and every worker; heavy (view) rows to their owner only."""
+        """Route the state deltas of a reply: replicated columns to the
+        driver's state and every worker; heavy (view) rows to their
+        owner only."""
         for column, rows, values in updates:
-            if column in protocol.REPLICATED_COLUMNS:
-                getattr(self._state, column)[rows] = values
+            if column in self.replicated:
+                getattr(self.state, column)[rows] = values
                 if column == "alive":
-                    self._state._live_dirty = True
+                    self.state._live_dirty = True
                 for queue in self._updates:
                     queue.append((column, rows, values))
             else:
@@ -191,8 +232,8 @@ class _MessageExecutor:
             "remaps": remaps,
             "inputs": inputs,
             "updates": updates,
-            "size": self._state.size,
-            "maybe_dead": self._state.maybe_dead_entries,
+            "size": self.state.size,
+            "maybe_dead": self.state.maybe_dead_entries,
             "detail": detail,
         }
 
@@ -236,7 +277,7 @@ class _MessageExecutor:
                 }
             else:
                 inputs = {}
-                for name, span in slicer(payload, self._state).items():
+                for name, span in slicer(payload, self.state).items():
                     if name not in self.scratch:
                         continue
                     if span is None:
@@ -255,7 +296,6 @@ class _MessageExecutor:
             except (TransportError, OSError) as error:
                 raise handle.fail(command, error) from error
         results, failures, outputs, updates = [], [], [], []
-        kernels = []
         worker_spans = []
         for index, _payload in assignments:
             handle = self._workers[index]
@@ -267,20 +307,16 @@ class _MessageExecutor:
                 if detail:
                     # Detailed reply: pickled (result, outputs,
                     # updates) triple + the worker's sub-span dict
-                    # (deserialize/compute/serialize); busy time is
-                    # the sum of its sub-spans.
+                    # (deserialize/compute/serialize).
                     result, outs, upds = pickle.loads(reply[1])
-                    spans = reply[2]
                     results.append(result)
                     outputs.extend(outs)
                     updates.extend(upds)
-                    worker_spans.append((index, spans))
-                    kernels.append(sum(v[0] for v in spans.values()))
+                    worker_spans.append((index, reply[2]))
                 else:
                     results.append(reply[1])
                     outputs.extend(reply[2])
                     updates.extend(reply[3])
-                    kernels.append(reply[4])
             else:
                 failures.append(f"worker {index}:\n{reply[1]}")
         if failures:
@@ -302,18 +338,7 @@ class _MessageExecutor:
             # traffic per command (incl. the pickled scratch inputs).
             span_ns = perf_counter_ns() - start
             sent1, recv1, frames1 = self._wire_totals()
-            telemetry.add_span("cmd:" + command, span_ns, start_ns=start)
-            for index, spans in worker_spans:
-                telemetry.add_worker_spans(
-                    index, "cmd:" + command, spans,
-                    dispatch_ns=span_ns, start_ns=start,
-                )
-            telemetry.count("commands", 1)
-            telemetry.count("barriers", 1)
-            telemetry.count("worker_kernel_ns", sum(kernels))
-            telemetry.count(
-                "barrier_wait_ns", sum(span_ns - kernel for kernel in kernels)
-            )
+            telemetry.book_command(command, start, span_ns, worker_spans)
             telemetry.count("wire.sent_bytes", sent1 - sent0)
             telemetry.count("wire.recv_bytes", recv1 - recv0)
             telemetry.count("wire.frames", frames1 - frames0)
@@ -321,18 +346,22 @@ class _MessageExecutor:
             telemetry.count(f"wire.{command}.recv_bytes", recv1 - recv0)
         return results
 
-    def run(self, command: str, payloads) -> list:
-        if command == "refresh_swap":
-            return self._run_refresh_swap(payloads)
-        return self._exchange(command, list(enumerate(payloads)))
-
     def run_async(self, command: str, payloads) -> list:
         """The transport executor has no cross-command pipelining —
         every exchange is synchronous — so ``run_async``/``collect``
         just keep the cycle's pipelined call shape working
         (the driver-side draws still happen before dispatch, so plan
         order is identical)."""
-        return self.run(command, payloads)
+        if self._closed:
+            # Fresh workers would snapshot the driver's stale heavy
+            # columns and silently diverge — refuse.
+            raise RuntimeError(
+                "this distributed simulation is closed; build a new one "
+                "to run further cycles"
+            )
+        if command == "refresh_swap":
+            return self._run_refresh_swap(payloads)
+        return self._exchange(command, list(enumerate(payloads)))
 
     def collect(self, pending: list) -> list:
         return pending
@@ -377,18 +406,41 @@ class _MessageExecutor:
             assignments.append((index, payload))
         return self._exchange("refresh_swap", assignments)
 
+    def compact(self, decision) -> None:
+        migrate_rows(self, decision)
+
+    def sync(self, columns=None) -> None:
+        """Pull the shards' heavy ``columns`` (default: all of them)
+        into the driver's state.  After :meth:`close` there is nobody
+        to ask and nothing to pull: the final sync already ran."""
+        if not self._workers:
+            return
+        payload = {} if columns is None else {"columns": tuple(columns)}
+        for reply in self.run("dump_state", [payload] * self.workers):
+            lo, stop = reply["lo"], reply["stop"]
+            for name, values in reply["columns"].items():
+                getattr(self.state, name)[lo:stop] = values
+
     def close(self) -> None:
-        for handle in self._workers:
-            handle.stop()
-        self._workers = []
-        self.scratch.close()
+        if self._closed:
+            return
+        try:
+            self.sync()
+        except RuntimeError:
+            pass  # a worker is already gone; keep what the driver has
+        finally:
+            self._closed = True
+            for handle in self._workers:
+                handle.stop()
+            self._workers = []
+            self.scratch.close()
 
 
-class DistributedSimulation(ShardedSimulation):
-    """A :class:`~repro.sharded.ShardedSimulation` whose workers live
-    behind a message transport instead of shared memory — the same
-    plan, phases and kernels, so results are bitwise identical to the
-    vectorized and sharded backends at every worker count.
+class DistributedSimulation(VectorSimulation):
+    """A :class:`~repro.vectorized.simulation.VectorSimulation` whose
+    shards live behind a message transport instead of in this process —
+    the same plan, phases and kernels, so results are bitwise identical
+    to the vectorized and sharded backends at every worker count.
 
     Accepts every ``VectorSimulation`` parameter, plus:
 
@@ -417,6 +469,8 @@ class DistributedSimulation(ShardedSimulation):
 
     Workers are started eagerly (at construction) and released by
     :meth:`close`, the context-manager exit, or garbage collection.
+    ``close`` first pulls the shards' columns down, so state reads and
+    metrics keep working on a closed simulation; ``run`` raises.
     """
 
     def __init__(
@@ -449,161 +503,13 @@ class DistributedSimulation(ShardedSimulation):
             if transport != "tcp":
                 raise ValueError("hosts= requires the tcp transport")
             workers = len(hosts)
+        self.workers = worker_count(workers)
         self.hosts = hosts
         self.transport = transport
-        self.max_frame = int(max_frame)
-        self.connect_timeout = float(connect_timeout)
-        self._closed = False
-        super().__init__(
-            size, partition, workers=workers, spare_capacity=spare_capacity, **kwargs
+        executor = _MessageExecutor(
+            self.workers, hosts, transport, spare_capacity, max_frame, connect_timeout
         )
-        # Eager start: churn/rebalancing of the very first cycle already
-        # need consistent replicas on every worker.
-        self._executor()
-
-    # ------------------------------------------------------------------
-    # State allocation / executor plumbing
-    # ------------------------------------------------------------------
-
-    def _make_state(self, view_size: int, size: int) -> ArrayState:
-        capacity = size + self._spare_capacity
-        state = ArrayState(view_size, capacity=capacity)
-        state.fixed_capacity = True
-        return state
-
-    def _executor(self) -> _MessageExecutor:
-        executor = self._executor_holder.get("executor")
-        if executor is None:
-            if self._closed:
-                # A fresh executor here would snapshot the driver's
-                # stale heavy columns and silently diverge — refuse.
-                raise RuntimeError(
-                    "this DistributedSimulation is closed; build a new "
-                    "one to run further cycles"
-                )
-            executor = _MessageExecutor(self)
-            self._executor_holder["executor"] = executor
-        return executor
-
-    def close(self) -> None:
-        """Pull the shards' state down (so the driver's copy stays an
-        exact replica for any post-close reads), then stop the workers.
-        A closed simulation refuses to run further cycles."""
-        executor = self._executor_holder.get("executor")
-        if executor is not None and not self._closed:
-            try:
-                self.sync_state()
-            except Exception:
-                pass  # workers already gone; keep what the driver has
-        self._closed = True
-        super().close()
-
-    def _queue_updates(self, updates) -> None:
-        executor = self._executor_holder.get("executor")
-        if executor is not None and updates:
-            executor.push_updates(updates)
-
-    # ------------------------------------------------------------------
-    # Churn: driver plans and applies locally, deltas ride the wire
-    # ------------------------------------------------------------------
-
-    def _apply_churn(self, plan) -> None:
-        if self.churn is None:
-            return
-        if self._bulk_churn is None:
-            # Unrecognized model: the object API goes through the
-            # add_node/remove_node overrides, which queue the deltas.
-            self.churn.apply(self)
-            return
-        state = self.state
-        departed, joined = plan.churn(self._bulk_churn, state, self._cycle)
-        if len(joined):
-            state.value[joined] = self._draw_initial_values(len(joined))
-        updates = []
-        if len(departed):
-            departed = np.asarray(departed, dtype=np.int64)
-            updates.append(("alive", departed, np.array(state.alive[departed])))
-        if len(joined):
-            joined = np.asarray(joined, dtype=np.int64)
-            for column in protocol.REPLICATED_COLUMNS:
-                updates.append(
-                    (column, joined, np.array(getattr(state, column)[joined]))
-                )
-        self._queue_updates(updates)
-        if len(departed) or len(joined):
-            self.trace.record(
-                self._cycle, "churn", None, (len(departed), len(joined))
-            )
-
-    def add_node(self, attribute: float):
-        view = super().add_node(attribute)
-        row = np.array([view.node_id], dtype=np.int64)
-        self._queue_updates(
-            [
-                (column, row, np.array(getattr(self.state, column)[row]))
-                for column in protocol.REPLICATED_COLUMNS
-            ]
-        )
-        return view
-
-    def remove_node(self, node_id: int) -> None:
-        was_alive = self.state.is_alive(node_id)
-        super().remove_node(node_id)
-        if was_alive:
-            row = np.array([node_id], dtype=np.int64)
-            self._queue_updates([("alive", row, np.array([False]))])
-
-    # ------------------------------------------------------------------
-    # Rebalancing: the migration protocol over the wire
-    # ------------------------------------------------------------------
-
-    # The PR-4 pack/barrier/unpack row migration itself is inherited
-    # from ShardedSimulation._apply_rebalance; over the transport the
-    # staging buffer is relayed through the driver (a genuine
-    # shard-to-shard state transfer), and only these hooks differ.
-
-    def _after_pack(self, name: str, new_size: int) -> None:
-        """The driver keeps the replicated columns consistent too:
-        install each one straight from the assembled staging buffer."""
-        if name not in protocol.REPLICATED_COLUMNS:
-            return
-        column = getattr(self.state, name)
-        stage = self._executor().scratch["mig_bytes"]
-        usable = (len(stage) // column.dtype.itemsize) * column.dtype.itemsize
-        column[:new_size] = stage[:usable].view(column.dtype)[:new_size]
-
-    def _unpack_spans(self, name: str, new_bounds, new_size: int):
-        """Replicated columns unpack the full compacted range on every
-        worker (all replicas must hold them); heavy columns unpack
-        shard-owned ranges as in the sharded backend."""
-        if name in protocol.REPLICATED_COLUMNS:
-            return [(0, new_size)] * len(new_bounds)
-        return new_bounds
-
-    def _commit_payloads(self, new_bounds, old_size: int, new_size: int):
-        """The distributed commit carries the sizes: every replica
-        rewrites its liveness column (shared memory made that a single
-        driver write on the sharded backend)."""
-        return [
-            {"lo": lo, "hi": hi, "old_size": old_size, "new_size": new_size}
-            for lo, hi in new_bounds
-        ]
-
-    # ------------------------------------------------------------------
-    # Driver-side state sync (tests, compatibility API)
-    # ------------------------------------------------------------------
-
-    def sync_state(self) -> ArrayState:
-        """Pull every shard's heavy columns into the driver's local
-        state copy, making it a full exact replica (the replicated
-        columns are always current).  Used by the parity tests and any
-        tooling that wants to read views/counters directly."""
-        executor = self._executor()
-        for reply in self._broadcast(executor, "dump_state"):
-            lo, stop = reply["lo"], reply["stop"]
-            for name, values in reply["columns"].items():
-                getattr(self.state, name)[lo:stop] = values
-        return self.state
+        super().__init__(size, partition, executor=executor, **kwargs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = self.hosts if self.hosts is not None else self.transport

@@ -17,20 +17,22 @@ in :mod:`repro.sharded.shm` now crosses a message transport instead:
   rank counters, window buffers) are authoritative only on the
   owning shard; cross-shard view exchanges move the few partner rows
   they need explicitly (the ``fetch_rows`` / guest-row path).
-* **scratch inputs** (:data:`COMMAND_INPUTS`) — the plan blocks and
-  merge buffers a command consumes, shipped from the driver's scratch
-  with the command message;
+* **scratch inputs** (:data:`COMMAND_INPUTS`) — the plan blocks a
+  command consumes, shipped from the driver's scratch with the command
+  message;
 * **scratch outputs** (:data:`collect_outputs`) — the segments a
-  worker writes (proposals, targets, exchange outcomes, rank-merge
-  pairs, SDM count matrices, migration staging), extracted worker-side
-  and merged into the driver's scratch from the reply;
+  worker writes (proposals, targets, exchange outcomes, migration
+  staging), extracted worker-side and merged into the driver's scratch
+  from the reply;
 * **state updates** — ``(column, rows, values)`` deltas of replicated
   columns (and returned guest view rows), routed by the driver: light
   columns to everyone, view rows to their owner only.
 
 The driver stays the single planner and the workers pure appliers, so
 runs remain bitwise identical to the vectorized/sharded backends at
-every worker count.
+every worker count.  No metric has a row in these tables: the driver
+computes them all from the replicated columns (plus ``obs_total``,
+pulled through ``dump_state`` when ``confident_fraction`` asks).
 """
 
 from __future__ import annotations
@@ -87,7 +89,6 @@ COMMAND_INPUTS: Dict[str, Tuple[str, ...]] = {
     "conc_req": ("del_r", "del_s", "del_p", "del_t"),
     "conc_ack": ("del_r", "del_s", "del_t", "x_ackv"),
     "fault_deliver": ("del_r", "del_a", "del_p"),
-    "metric_ranks": ("mkeys", "mids"),
     "rebalance_pack": ("mig_live",),
     "rebalance_unpack": ("mig_bytes", "mig_map"),
 }
@@ -154,11 +155,6 @@ def _slice_conc_ack(payload, state):
     return {"del_r": span, "del_s": span, "del_t": span, "x_ackv": None}
 
 
-def _slice_metric_ranks(payload, state):
-    total = sum(count for _offset, count in payload["segments"])
-    return {"mkeys": (0, total), "mids": (0, total)}
-
-
 def _slice_rebalance_unpack(payload, state):
     column = getattr(state, payload["column"])
     width = column.shape[1] if column.ndim == 2 else 1
@@ -178,7 +174,6 @@ INPUT_SLICERS = {
     "conc_req": _slice_span("del_r", "del_s", "del_p", "del_t"),
     "conc_ack": _slice_conc_ack,
     "fault_deliver": _slice_span("del_r", "del_a", "del_p"),
-    "metric_ranks": _slice_metric_ranks,
     "rebalance_pack": _slice_span("mig_live"),
     "rebalance_unpack": _slice_rebalance_unpack,
 }
@@ -270,20 +265,6 @@ def _out_conc_ack(ctx, payload, result):
     return [("x_reqs", slots, np.array(ctx.scratch["x_reqs"][slots]))]
 
 
-def _out_metric_write(ctx, payload, result):
-    offset = int(payload["offset"])
-    count = len(ctx.cache["m_keys"])
-    return [
-        _segment(ctx.scratch, "mkeys", offset, count),
-        _segment(ctx.scratch, "mids", offset, count),
-    ]
-
-
-def _out_metric_sdm(ctx, payload, result):
-    cells = len(ctx.geometry) ** 2
-    return [_segment(ctx.scratch, "sdm_counts", payload["slot"] * cells, cells)]
-
-
 def _out_rebalance_pack(ctx, payload, result):
     count = int(payload["count"])
     if count == 0:
@@ -304,8 +285,6 @@ _OUTPUTS = {
     "conc_wave": _out_conc_wave,
     "conc_req": _out_conc_req,
     "conc_ack": _out_conc_ack,
-    "metric_write": _out_metric_write,
-    "metric_sdm": _out_metric_sdm,
     "rebalance_pack": _out_rebalance_pack,
 }
 

@@ -18,8 +18,10 @@ commands:
 * ``rebalance_commit`` — the migration commit, extended to rewrite the
   replicated liveness column (the sharded backend's driver writes it
   straight into shared memory; here every replica must apply it);
-* ``dump_state`` — return the shard's heavy columns (driver-side state
-  sync for tests and the compatibility API).
+* ``dump_state`` — return the shard's heavy columns, or the ones the
+  payload names (the driver's ``sync_state``, its final sync at
+  ``close``, and the ``obs_total`` pull of ``confident_fraction`` — the
+  only metric that reads a shard-owned column).
 
 Message envelope (driver -> worker)::
 
@@ -28,17 +30,16 @@ Message envelope (driver -> worker)::
 ``meta`` carries scratch (re)allocation notices, the run-partitioned
 scratch-input slices this worker consumes (``{name: (offset, run)}``,
 see :data:`repro.distributed.protocol.INPUT_SLICERS`), pending state
-updates, and the driver's ``size`` / ``maybe_dead_entries`` metadata.  The plain reply is ``("ok", result,
-outputs, updates, kernel_ns)`` — ``kernel_ns`` is how long the command
-itself ran, which the driver's telemetry subtracts from its exchange
-span to expose wire + barrier time.  When ``meta["detail"]`` is set
-(the driver is profiling) the worker runs its own
-:class:`~repro.obs.telemetry.Telemetry` and replies ``("ok",
+updates, and the driver's ``size`` / ``maybe_dead_entries`` metadata.
+The plain reply is ``("ok", result, outputs, updates)``.  When
+``meta["detail"]`` is set (the driver is profiling) the worker runs its
+own :class:`~repro.obs.telemetry.Telemetry` and replies ``("ok",
 reply_pickle_bytes, spans)``: the pickled ``(result, outputs,
 updates)`` triple plus a sub-span dict (``deserialize`` — meta/input
 application, ``compute`` — the command itself, ``serialize`` — reply
-pickling).  Errors reply ``("err", traceback)``; ``None`` shuts the
-worker down.
+pickling), from which the driver derives wire + barrier wait as the
+rest of its exchange span.  Errors reply ``("err", traceback)``;
+``None`` shuts the worker down.
 
 Start a standalone (multi-host) worker with::
 
@@ -52,7 +53,6 @@ import os
 import pickle
 import socket
 import traceback
-from time import perf_counter_ns
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -198,15 +198,14 @@ def _handle_fetch_rows(ctx: ShardContext, payload: dict):
 
 
 def _handle_rebalance_commit(ctx: ShardContext, payload: dict):
-    """Adopt the post-migration liveness and boundaries.  The size
-    itself already arrived through the envelope metadata."""
+    """Adopt the post-migration liveness and boundaries.  The compacted
+    size already arrived through the envelope metadata: rows below it
+    are live, and no row at or past a state's size ever is."""
     state = ctx.state
-    new_size, old_size = payload["new_size"], payload["old_size"]
-    state.alive[:new_size] = True
-    state.alive[new_size:old_size] = False
+    state.alive[: state.size] = True
+    state.alive[state.size :] = False
     state._live_dirty = True
-    result = DISPATCH["rebalance_commit"](ctx, lo=payload["lo"], hi=payload["hi"])
-    return result, [], []
+    return DISPATCH["rebalance_commit"](ctx, **payload), [], []
 
 
 def _handle_dump_state(ctx: ShardContext, payload: dict):
@@ -218,7 +217,7 @@ def _handle_dump_state(ctx: ShardContext, payload: dict):
         "stop": stop,
         "columns": {
             name: np.array(getattr(state, name)[lo:stop])
-            for name in protocol.heavy_columns(state)
+            for name in payload.get("columns") or protocol.heavy_columns(state)
         },
     }
     return result, [], []
@@ -259,7 +258,7 @@ def serve_endpoint(endpoint: Endpoint) -> None:
         state = _allocate_state(init)
         geometry = PartitionArrays(init["partition"])
         ctx = ShardContext(state, init["lo"], init["hi"], geometry, scratch)
-        endpoint.send(("ok", {"index": init["index"]}, [], [], 0))
+        endpoint.send(("ok", {"index": init["index"]}, [], []))
         while True:
             try:
                 message = endpoint.recv()
@@ -279,10 +278,7 @@ def serve_endpoint(endpoint: Endpoint) -> None:
                     endpoint.send(("ok", blob, telemetry.take_spans()))
                 else:
                     _apply_meta(state, scratch, meta)
-                    kernel_start = perf_counter_ns()
-                    reply = _execute(ctx, command, payload)
-                    kernel_ns = perf_counter_ns() - kernel_start
-                    endpoint.send(("ok",) + reply + (kernel_ns,))
+                    endpoint.send(("ok",) + _execute(ctx, command, payload))
             except BaseException:
                 telemetry.take_spans()  # drop partial sub-spans
                 endpoint.send(("err", traceback.format_exc()))

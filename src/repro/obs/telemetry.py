@@ -259,6 +259,30 @@ class Telemetry:
         bucket = self._counter_bucket()
         bucket[name] = bucket.get(name, 0) + value
 
+    def book_command(
+        self, command: str, start_ns: int, span_ns: int, worker_spans
+    ) -> None:
+        """Book one dispatched command, the same way on every
+        executor: the ``cmd:<command>`` dispatch span, the sub-span
+        dict of each addressed worker (``worker_spans`` is a list of
+        ``(worker_index, spans)``), and the dispatch counters.  A
+        worker's busy time is the sum of its sub-spans and its wait
+        the remainder of the dispatch span, so ``worker_kernel_ns +
+        barrier_wait_ns == addressed workers * span`` by construction
+        — the identity the watchdog and the telemetry tests pin."""
+        name = "cmd:" + command
+        self.add_span(name, span_ns, start_ns=start_ns)
+        busy = 0
+        for worker, spans in worker_spans:
+            self.add_worker_spans(
+                worker, name, spans, dispatch_ns=span_ns, start_ns=start_ns
+            )
+            busy += sum(value[0] for value in spans.values())
+        self.count("commands", 1)
+        self.count("barriers", 1)
+        self.count("worker_kernel_ns", busy)
+        self.count("barrier_wait_ns", len(worker_spans) * span_ns - busy)
+
     def emit_metrics(self, cycle: int, **values) -> None:
         """Emit one ``{"kind": "metrics"}`` convergence record (the
         engines call this every :attr:`metrics_every` cycles with

@@ -8,10 +8,11 @@ The checks mirror identities pinned by the test suite:
   ``worker_kernel_ns + barrier_wait_ns == workers * sum(cmd:* span
   ns)`` exactly (wait is defined as each worker's idle remainder of
   the dispatch span; the in-process executor of a vectorized run is
-  the ``workers = 1`` case, all kernel and no wait).  Distributed
-  exchanges may address a subset of
-  the workers (``fetch_rows`` hits only partner shards), so there the
-  sum is bounded by the 1- and all-worker cases instead.
+  the ``workers = 1`` case, all kernel and no wait).  The simulation's
+  executor says how many shards it has and whether a command may
+  address only some of them (the transport's ``fetch_rows`` hits only
+  partner shards); there the sum is bounded by the 1- and all-worker
+  cases instead.
 * ``wire_sums`` — per-command ``wire.<cmd>.sent_bytes`` /
   ``.recv_bytes`` counters must sum exactly to the cycle's
   ``wire.sent_bytes`` / ``wire.recv_bytes`` totals.
@@ -98,9 +99,8 @@ class Watchdog:
         accounted = counters["worker_kernel_ns"] + counters.get(
             "barrier_wait_ns", 0
         )
-        workers = getattr(sim, "workers", 1)
-        if hasattr(sim, "transport"):
-            # Distributed: exchanges may address worker subsets.
+        workers = len(sim.executor.bounds)
+        if sim.executor.addresses_subsets:
             if not dispatch_ns <= accounted <= workers * dispatch_ns:
                 raise WatchdogViolation(
                     "barrier_identity", cycle, record,

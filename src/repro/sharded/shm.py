@@ -24,7 +24,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-__all__ = ["SharedBlock", "SharedScratch", "WorkerScratch"]
+from repro.vectorized.executor import grown_size
+
+__all__ = ["SharedBlock", "SharedScratch", "WorkerScratch", "ReleasedState"]
 
 
 class SharedBlock:
@@ -58,6 +60,26 @@ class SharedBlock:
                 pass
 
 
+class ReleasedState:
+    """What a pool simulation's ``state`` becomes at ``close()``: the
+    columns lived in segments that are now unmapped, so every read
+    raises instead of touching freed pages."""
+
+    def __getattr__(self, name: str):
+        raise RuntimeError(
+            "this sharded simulation is closed and its shared-memory state "
+            f"released (reading {name!r}); read what you need before close()"
+        )
+
+    @classmethod
+    def take_over(cls, state) -> None:
+        """Turn ``state`` itself into a released one, so every holder of
+        the object — the simulation, a caller's local alias — gets the
+        error, not only reads that go through one attribute path."""
+        state.__dict__.clear()
+        state.__class__ = cls
+
+
 class SharedScratch:
     """Driver-side named scratch buffers (grow-on-demand)."""
 
@@ -70,9 +92,8 @@ class SharedScratch:
         block = self._blocks.get(name)
         if block is not None and block.shape[0] >= size and block.dtype == dtype:
             return block.array
-        new_size = max(int(size), 1024)
+        new_size = grown_size(size, 0 if block is None else block.shape[0])
         if block is not None:
-            new_size = max(new_size, 2 * block.shape[0])
             block.close()
         block = SharedBlock((new_size,), dtype)
         self._blocks[name] = block

@@ -16,14 +16,14 @@ Message format (driver -> worker)::
 ``maybe_dead_entries`` replicate the driver's state metadata, which
 only the driver mutates (churn and rebalancing are planned centrally).
 With ``detail`` false (the unprofiled path) the worker replies
-``("ok", result_dict, kernel_ns)`` — the last element is the
-nanoseconds the kernel itself ran, which the driver's telemetry
-subtracts from its dispatch span to expose barrier-wait time.  With
-``detail`` true the worker runs its own :class:`~repro.obs.telemetry.
-Telemetry` and replies ``("ok", result_pickle_bytes, spans)`` where
-``spans`` is the per-command sub-span dict (``attach`` — remap/size
-sync, ``kernel`` — the dispatch itself, ``reply`` — result pickling);
-the driver merges it into the cycle record's ``workers`` bucket.
+``("ok", result_dict)``.  With ``detail`` true the worker runs its own
+:class:`~repro.obs.telemetry.Telemetry` and replies ``("ok",
+result_pickle_bytes, spans)`` where ``spans`` is the per-command
+sub-span dict (``attach`` — remap/size sync, ``kernel`` — the dispatch
+itself, ``reply`` — result pickling); the driver books it
+(:meth:`~repro.obs.telemetry.Telemetry.book_command`): the worker's
+busy time is the sum of the sub-spans, its barrier wait the rest of
+the dispatch span.
 Either way an error replies ``("err", traceback_text)``; a ``None``
 message shuts the worker down.
 
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import pickle
 import traceback
-from time import perf_counter_ns
 
 from repro.obs.telemetry import Telemetry
 from repro.sharded.kernels import DISPATCH
@@ -95,9 +94,7 @@ def worker_main(conn, init: dict) -> None:
                         state.size = size
                         state._live_dirty = True
                     state.maybe_dead_entries = maybe_dead
-                    kernel_start = perf_counter_ns()
-                    result = DISPATCH[command](ctx, **payload)
-                    conn.send(("ok", result, perf_counter_ns() - kernel_start))
+                    conn.send(("ok", DISPATCH[command](ctx, **payload)))
             except BaseException:
                 telemetry.take_spans()  # drop partial sub-spans
                 conn.send(("err", traceback.format_exc()))

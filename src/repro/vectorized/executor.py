@@ -1,17 +1,22 @@
-"""The in-process executor: the bulk cycle's commands, run right here.
+"""Executors: what a bulk simulation runs on, and all that differs
+between ``backend="vectorized"``, ``"sharded"`` and ``"distributed"``.
 
-An *executor* is what a bulk simulation dispatches its cycle through
-(:mod:`repro.vectorized.cycle`): ``run(command, payloads)`` (or
-``run_async`` + ``collect``) executes one kernel of
-:data:`repro.vectorized.kernels.DISPATCH` on every shard and returns
-the per-shard replies, ``bounds`` lists the shards' ``(lo, hi)`` row
-ranges, and ``scratch`` holds the named buffers that carry planned
-blocks to the kernels and proposals back.  This one is what
-``backend="vectorized"`` runs on: a single shard spanning the whole
-state, kernels called directly, plain arrays for scratch — no pool, no
-shared memory.  The pool (:mod:`repro.sharded.driver`) and message
+There is one bulk driver (:class:`~repro.vectorized.simulation.
+VectorSimulation`): it plans every cycle, applies churn, books
+rebalances and computes every metric from columns it holds itself.
+What it hands to an *executor* is whatever depends on where the node
+columns physically live — :class:`Executor` is that surface: allocate
+the state, start workers, run commands, replicate driver-written rows,
+compact a planned rebalance, sync, close (``docs/ARCHITECTURE.md``,
+"What an executor owns", tabulates the three side by side).
+
+This module holds the surface and the in-process executor — a single
+shard spanning the whole state, kernels called directly, plain arrays
+for scratch, no pool, no shared memory; its ``close`` releases nothing,
+so reads and runs keep working after it.  The pool
+(:mod:`repro.sharded.driver`) and message
 (:mod:`repro.distributed.driver`) executors serve the same surface
-across processes.
+across processes; nothing here imports them.
 """
 
 from __future__ import annotations
@@ -21,9 +26,71 @@ from typing import Dict
 
 import numpy as np
 
+from repro.bulk.rebalance import compact_state
 from repro.vectorized.kernels import DISPATCH, ShardContext
+from repro.vectorized.state import ArrayState
 
-__all__ = ["InlineScratch", "InlineExecutor"]
+__all__ = ["Executor", "InlineScratch", "InlineExecutor", "grown_size"]
+
+
+def grown_size(size: int, current: int = 0) -> int:
+    """Allocation size of a named scratch buffer asked to hold ``size``
+    elements while holding ``current``: never below 1024, and at least
+    doubling, so a buffer that creeps up is remapped O(log n) times."""
+    return max(int(size), 1024, 2 * current)
+
+
+class Executor:
+    """What the bulk driver dispatches through and delegates to.
+
+    Every executor serves ``run_async(command, payloads)`` +
+    ``collect(pending)`` (one kernel of the worker dispatch table on
+    every shard, per-shard replies back), ``bounds`` (the shards'
+    ``(lo, hi)`` row ranges), ``scratch`` (the named buffers carrying
+    planned blocks to the kernels and proposals back) and ``state``
+    (the :class:`~repro.vectorized.state.ArrayState` it allocated),
+    plus the lifecycle below.  An executor never references the
+    simulation: the driver's GC finalizer is the executor's ``close``.
+    """
+
+    #: Columns the workers hold private copies of; the driver reports
+    #: the rows it writes in them through :meth:`replicate`.
+    replicated = ()
+    #: Whether a command may address only some of the workers (the
+    #: watchdog's barrier identity is then a band, not an equality).
+    addresses_subsets = False
+
+    def allocate(self, view_size: int, size: int, window) -> ArrayState:
+        """Lay out the (empty) state for ``size`` initial nodes."""
+        raise NotImplementedError
+
+    def attach(self, geometry, telemetry) -> None:
+        """The state is populated: adopt the partition geometry and the
+        telemetry, and start the workers if this executor starts
+        eagerly."""
+        raise NotImplementedError
+
+    def run(self, command: str, payloads) -> list:
+        return self.collect(self.run_async(command, payloads))
+
+    def replicate(self, rows, columns=None) -> None:
+        """The driver wrote ``rows`` of ``columns`` (default: every
+        replicated column).  Nothing to do where the workers read the
+        driver's own arrays."""
+
+    def compact(self, decision) -> None:
+        """Apply one planned :class:`~repro.bulk.rebalance.
+        RebalancePlan` to the state (and the shard boundaries)."""
+        raise NotImplementedError
+
+    def sync(self, columns=None) -> None:
+        """Make the driver's copy of ``columns`` (default: all) current.
+        Nothing to do where the driver's arrays are the state."""
+
+    def close(self) -> None:
+        """Release workers and memory.  Each executor documents what
+        stays readable afterwards; commands are refused if anything
+        was released."""
 
 
 class InlineScratch:
@@ -37,10 +104,8 @@ class InlineScratch:
         array = self._arrays.get(name)
         if array is not None and len(array) >= size and array.dtype == dtype:
             return array
-        new_size = max(int(size), 1024)
-        if array is not None:
-            new_size = max(new_size, 2 * len(array))
-        array = np.empty(new_size, dtype=dtype)
+        current = 0 if array is None else len(array)
+        array = np.empty(grown_size(size, current), dtype=dtype)
         self._arrays[name] = array
         return array
 
@@ -48,22 +113,27 @@ class InlineScratch:
         return self._arrays[name]
 
 
-class InlineExecutor:
+class InlineExecutor(Executor):
     """Single-shard executor running the kernels in the calling
     process.  The shard always spans the state's *current* capacity:
     nothing here pins the arrays, so the state stays free to grow."""
 
-    def __init__(self, state, geometry, telemetry) -> None:
+    def allocate(self, view_size: int, size: int, window) -> ArrayState:
+        self.state = ArrayState(view_size, capacity=size)
+        if window is not None:
+            self.state.enable_window(window)
+        return self.state
+
+    def attach(self, geometry, telemetry) -> None:
         self.scratch = InlineScratch()
         self._telemetry = telemetry
-        self._ctx = ShardContext(state, 0, state.capacity, geometry, self.scratch)
+        self._ctx = ShardContext(
+            self.state, 0, self.state.capacity, geometry, self.scratch
+        )
 
     @property
     def bounds(self) -> list:
-        return [(0, self._ctx.state.capacity)]
-
-    def run(self, command: str, payloads) -> list:
-        return self.collect(self.run_async(command, payloads))
+        return [(0, self.state.capacity)]
 
     def run_async(self, command: str, payloads):
         """Inline execution is synchronous: the "in-flight" handle is
@@ -71,26 +141,20 @@ class InlineExecutor:
         the plan/apply pipelining call pattern works unchanged."""
         ctx = self._ctx
         ctx.hi = ctx.state.capacity  # churn may have grown the state
-        telemetry = self._telemetry
-        if not telemetry.enabled:
+        if not self._telemetry.enabled:
             return (command, [DISPATCH[command](ctx, **payloads[0])], None)
         start = perf_counter_ns()
         result = [DISPATCH[command](ctx, **payloads[0])]
-        span_ns = perf_counter_ns() - start
-        return (command, result, (start, span_ns))
+        return (command, result, (start, perf_counter_ns() - start))
 
     def collect(self, pending) -> list:
         command, result, timing = pending
         if timing is not None:
-            telemetry = self._telemetry
             start, span_ns = timing
-            telemetry.add_span("cmd:" + command, span_ns, start_ns=start)
-            telemetry.add_worker_spans(
-                0, "cmd:" + command, {"kernel": [span_ns, 1]},
-                dispatch_ns=span_ns, start_ns=start,
+            self._telemetry.book_command(
+                command, start, span_ns, [(0, {"kernel": [span_ns, 1]})]
             )
-            telemetry.count("commands", 1)
-            telemetry.count("barriers", 1)
-            telemetry.count("worker_kernel_ns", span_ns)
-            telemetry.count("barrier_wait_ns", 0)
         return result
+
+    def compact(self, decision) -> None:
+        compact_state(self.state, decision)

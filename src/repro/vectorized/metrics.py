@@ -139,9 +139,9 @@ def slice_disorder_arrays(
     geometry: PartitionArrays,
 ) -> float:
     """SDM over the given live-node arrays (Section 4.4).  Computed in
-    histogram form, making the value independent of row order and
-    sharding (bitwise — the sharded backend's tree reduction produces
-    this exact float at every worker count)."""
+    histogram form, making the value independent of row order (the
+    driver's ``slice_disorder()``, which takes the alpha ranks from the
+    incremental index instead of a sort, produces this exact float)."""
     if len(attributes) == 0:
         return 0.0
     truth = true_slice_index_arrays(attributes, ids, geometry)

@@ -22,11 +22,16 @@ Two API surfaces are exposed:
 cycle: every cycle's random schedule — churn, draws, exchange waves,
 message overlap — comes from one :class:`~repro.bulk.CyclePlan`, and
 the refresh and protocol phases (:mod:`repro.vectorized.cycle`) are
-dispatched as commands through an executor.  Here that executor runs
-the kernels in this process (:mod:`repro.vectorized.executor`); the
-sharded and distributed backends subclass this driver and swap in a
-worker pool or a message transport, which is what makes the three
-bitwise interchangeable.  The paper's artificial message-overlap model
+dispatched as commands through an executor
+(:mod:`repro.vectorized.executor`).  This class is the only bulk
+driver: by default the executor runs the kernels in this process, and
+``ShardedSimulation`` / ``DistributedSimulation`` are constructors that
+hand it a worker pool or a message transport instead — plan, churn,
+rebalance bookkeeping and every metric are this code on all three,
+which is what makes them bitwise interchangeable.  The metrics read
+``attribute``, ``value`` and ``alive``, which the driver holds current
+on every executor; ``obs_total`` (``confident_fraction``) is pulled on
+demand.  The paper's artificial message-overlap model
 (``concurrency="half"``/``"full"``, Section 4.5.2) runs in batched
 form (:mod:`repro.bulk.concurrency`).  Limitations compared to the
 reference engine: only the Cyclon-variant / uniform-oracle samplers
@@ -37,13 +42,14 @@ bit-packed window (:mod:`repro.vectorized.ranking`).
 from __future__ import annotations
 
 import random
+import weakref
 from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.bulk.faults import FaultModel, FaultQueue
 from repro.bulk.plan import CyclePlan
-from repro.bulk.rebalance import compact_state, validate_rebalance_knobs
+from repro.bulk.rebalance import live_load_ratio, validate_rebalance_knobs
 from repro.core.ordering import (
     SELECTION_MAX_GAIN,
     SELECTION_RANDOM,
@@ -262,6 +268,11 @@ class VectorSimulation:
         :data:`~repro.obs.telemetry.NULL_TELEMETRY`.  Instrumentation
         never touches the plan's RNG streams, so profiled runs stay
         bitwise identical to unprofiled ones.
+    executor:
+        The :class:`~repro.vectorized.executor.Executor` the cycle is
+        dispatched through and the state is allocated by; defaults to
+        the in-process one.  Not a run option: the sharded and
+        distributed constructors pass theirs, tests may pass a fake.
     """
 
     def __init__(
@@ -282,6 +293,7 @@ class VectorSimulation:
         seed: int = 0,
         trace: TraceLog = NULL_TRACE,
         telemetry=None,
+        executor=None,
     ) -> None:
         if size <= 1:
             raise ValueError("a slicing system needs at least two nodes")
@@ -321,42 +333,33 @@ class VectorSimulation:
         self._cycle = 0
         self._alpha_index = AlphaRankIndex()
         self._truth_cache = None
-        self._inline_executor = None
         self._live_counts = None
 
         self._random_source = RandomSource(seed)
         self._np_rngs = {}
         self._seed = seed
 
-        self.state = self._make_state(view_size, size)
-        if self.window is not None and self.state.window is None:
-            self.state.enable_window(self.window)
+        self.executor = executor if executor is not None else InlineExecutor()
+        # The executor never references the simulation, so dropping the
+        # last user reference releases workers and shared memory.
+        self._finalizer = weakref.finalize(self, self.executor.close)
+        self.state = self.executor.allocate(view_size, size, self.window)
         attribute_values = self._draw_attributes(size, attributes)
         values = self._draw_initial_values(size)
         self.state.add_nodes(attribute_values, values, joined_at=0)
         self.state.bootstrap_views(self.np_rng("bootstrap"))
+        self.executor.attach(self.geometry, self.telemetry)
 
         self.churn = churn
         self._bulk_churn = bulk_churn.from_model(churn) if churn is not None else None
 
-    def _make_state(self, view_size: int, size: int) -> ArrayState:
-        """State allocation hook: the sharded backend overrides this to
-        lay the same columns out in shared memory."""
-        return ArrayState(view_size, capacity=size)
-
-    def _executor(self):
-        """Executor hook: what the cycle's commands are dispatched
-        through.  In-process here; the sharded and distributed drivers
-        return their worker pool / message transport instead."""
-        if self._inline_executor is None:
-            self._inline_executor = InlineExecutor(
-                self.state, self.geometry, self.telemetry
-            )
-        return self._inline_executor
-
     def close(self) -> None:
-        """Release what the executor holds.  Nothing in-process; the
-        sharded and distributed drivers stop their workers here."""
+        """Stop the executor's workers and release its memory;
+        idempotent, and also run on garbage collection.  ``state``
+        stays readable except on a pool, whose columns lived in the
+        shared memory this releases: there every read raises a
+        ``RuntimeError`` afterwards."""
+        self._finalizer()
 
     def __enter__(self):
         return self
@@ -427,11 +430,14 @@ class VectorSimulation:
         ids = self.state.add_nodes(
             np.array([attribute], dtype=np.float64), values, joined_at=self._cycle
         )
+        self.executor.replicate(ids)
         return VectorNodeView(self, int(ids[0]))
 
     def remove_node(self, node_id: int) -> None:
         if self.state.is_alive(node_id):
-            self.state.remove_nodes(np.array([node_id], dtype=np.int64))
+            ids = np.array([node_id], dtype=np.int64)
+            self.state.remove_nodes(ids)
+            self.executor.replicate(ids, ("alive",))
 
     # ------------------------------------------------------------------
     # Execution
@@ -463,7 +469,7 @@ class VectorSimulation:
             self._maybe_rebalance(plan)
         state = self.state
         if state.live_count >= 2:
-            executor = self._executor()
+            executor = self.executor
             with telemetry.span("refresh"):
                 self._live_counts = refresh_phases(
                     executor, state, plan, self.sampler == "uniform", telemetry
@@ -505,8 +511,7 @@ class VectorSimulation:
         them together costs two rank sorts instead of four.  Each value
         is the same canonical-order computation the individual metric
         methods run, so the stream is bitwise identical to calling
-        them separately (the sharded driver overrides this with its
-        cached tree reductions)."""
+        them separately."""
         with self.telemetry.span("metrics_stream"):
             live, attrs, values = self._live_arrays()
             n = len(live)
@@ -545,22 +550,26 @@ class VectorSimulation:
             departed, joined = plan.churn(self._bulk_churn, self.state, self._cycle)
             if len(joined):
                 self.state.value[joined] = self._draw_initial_values(len(joined))
+            self.executor.replicate(departed, ("alive",))
+            self.executor.replicate(joined)
             if len(departed) or len(joined):
                 self.trace.record(
                     self._cycle, "churn", None, (len(departed), len(joined))
                 )
         else:
-            # Unrecognized model: drive it through the object API.
+            # Unrecognized model: drive it through the object API
+            # (add_node / remove_node, which replicate their rows).
             self.churn.apply(self)
 
     def _maybe_rebalance(self, plan: CyclePlan) -> None:
         """Apply the plan's compaction decision, if any.  The decision
         lives in the plan (no scheduling outside it); only the *apply*
-        differs per backend (:meth:`_apply_rebalance`)."""
+        differs per executor (an in-place relabeling here, a row
+        migration between shards on a pool or a transport)."""
         decision = plan.rebalance(self.state, self._cycle)
         if decision is None:
             return
-        self._apply_rebalance(decision)
+        self.executor.compact(decision)
         # Compaction relabels ids through a monotone map — the alpha
         # rank index applies it as a gather instead of re-sorting.
         id_map = decision.id_map()
@@ -583,11 +592,6 @@ class VectorSimulation:
             (decision.old_size, decision.new_size),
         )
 
-    def _apply_rebalance(self, decision) -> None:
-        """Backend hook: execute one planned compaction.  The sharded
-        driver overrides this with the distributed row migration."""
-        compact_state(self.state, decision)
-
     @property
     def rebalance_count(self) -> int:
         """How many dead-row compactions this run has applied."""
@@ -598,6 +602,29 @@ class VectorSimulation:
         """``(cycle, old_size, new_size, trigger_ratio)`` of the most
         recent compaction, or ``None``."""
         return self._last_rebalance
+
+    def shard_live_loads(self) -> list:
+        """Per-shard live-row counts from the last view refresh
+        (shard order).  Empty before the first refresh."""
+        if self._live_counts is None:
+            return []
+        return [int(count) for count in self._live_counts]
+
+    def shard_load_ratio(self) -> float:
+        """Max/min live-load ratio across the shards at the last
+        refresh (``inf`` if some shard held no live rows; 1.0 before
+        the first refresh or with a single shard)."""
+        return live_load_ratio(np.asarray(self.shard_live_loads(), dtype=np.int64))
+
+    def sync_state(self) -> ArrayState:
+        """Make the driver's state a full exact replica and return it:
+        pulls the shard-owned columns (views, rank counters, window
+        buffers) from the workers of a transport executor; a no-op
+        where the driver's arrays *are* the state.  ``attribute``,
+        ``value``, ``alive`` and ``joined_at`` are current on every
+        executor without it."""
+        self.executor.sync()
+        return self.state
 
     # ------------------------------------------------------------------
     # Bulk metrics
@@ -678,6 +705,8 @@ class VectorSimulation:
                 return 1.0
             if not self._is_ranking():
                 return 0.0
+            # The one metric reading a shard-owned column.
+            self.executor.sync(("obs_total",))
             mask = vmetrics.confident_mask(
                 self.state.value[live],
                 self.state.obs_total[live],

@@ -214,9 +214,9 @@ class TestLoopbackParity:
 
     @pytest.mark.parametrize("workers", [2, 5])
     def test_tree_reduced_metrics_exactly_equal_vectorized(self, workers):
-        # SDM/accuracy ship integer (truth, believed) count matrices
-        # over the wire and reduce them exactly; GDM/confident/sizes
-        # reduce worker partials — all bitwise worker-count independent.
+        # The driver computes the metrics from its replicated columns
+        # (obs_total pulled for confident_fraction) — the same code as
+        # vectorized, so bitwise executor- and worker-count independent.
         vectorized, distributed = paired_runs(
             "ranking",
             workers,

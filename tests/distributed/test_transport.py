@@ -1,6 +1,7 @@
 """Transport-layer tests: framing failure paths, worker-death
 detection, the standalone (hosts=) worker, and lifecycle."""
 
+import multiprocessing
 import os
 import socket
 import struct
@@ -22,6 +23,8 @@ from repro.distributed.framing import (
     send_message,
 )
 from repro.distributed.transport import parse_host_port
+from repro.sharded import ShardedSimulation
+from repro.vectorized import metrics as vmetrics
 from repro.vectorized.simulation import VectorSimulation
 
 
@@ -116,8 +119,7 @@ class TestWorkerDeath:
         sim = make_sim(workers=2, transport="tcp")
         try:
             sim.run(2)
-            executor = sim._executor()
-            victim = executor._workers[1]
+            victim = sim.executor._workers[1]
             victim.process.kill()
             victim.process.join(timeout=5)
             with pytest.raises(RuntimeError, match="worker 1 .* died"):
@@ -125,13 +127,42 @@ class TestWorkerDeath:
         finally:
             sim.close()
 
+    def test_killed_pool_worker_raises_and_metrics_survive(self, monkeypatch):
+        # Same contract on the shared-memory pool: a named error (not a
+        # bare BrokenPipeError), metrics still answered from the
+        # driver's columns, and close() leaves nothing behind.
+        monkeypatch.setenv("REPRO_SHARDED_START_METHOD", "fork")
+        segments = set(os.listdir("/dev/shm"))
+        sim = ShardedSimulation(
+            size=300, partition=SlicePartition.equal(8), view_size=6, seed=9, workers=2
+        )
+        try:
+            sim.run(2)
+            victim = sim.executor._processes[1]
+            victim.kill()
+            victim.join(timeout=5)
+            started = time.time()
+            with pytest.raises(RuntimeError, match="worker 1 .* died during command"):
+                sim.run(1)
+            assert time.time() - started < 1
+            state = sim.state
+            live = state.live_ids()
+            assert sim.slice_disorder() == vmetrics.slice_disorder_arrays(
+                state.attribute[live], state.value[live], live, sim.geometry
+            )
+        finally:
+            started = time.time()
+            sim.close()
+        assert time.time() - started < 5
+        assert not multiprocessing.active_children()
+        assert set(os.listdir("/dev/shm")) <= segments
+
     def test_worker_error_propagates_with_traceback(self):
         sim = make_sim(workers=2, transport="loopback")
         try:
             sim.run(1)
-            executor = sim._executor()
             with pytest.raises(RuntimeError, match="no-such-command"):
-                executor.run("no-such-command", [{}, {}])
+                sim.executor.run("no-such-command", [{}, {}])
             # The pool survives a command error and keeps serving.
             sim.run(1)
         finally:
@@ -268,9 +299,7 @@ class TestLifecycle:
     def test_context_manager_releases_workers(self):
         with make_sim(workers=2, transport="tcp") as sim:
             sim.run(1)
-            processes = [
-                handle.process for handle in sim._executor()._workers
-            ]
+            processes = [handle.process for handle in sim.executor._workers]
         deadline = time.time() + 5
         while time.time() < deadline and any(p.is_alive() for p in processes):
             time.sleep(0.05)
@@ -282,7 +311,7 @@ class TestLifecycle:
 
         sim = make_sim(workers=2, transport="tcp")
         sim.run(1)
-        processes = [handle.process for handle in sim._executor()._workers]
+        processes = [handle.process for handle in sim.executor._workers]
         ref = weakref.ref(sim)
         del sim
         gc.collect()

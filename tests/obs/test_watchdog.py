@@ -11,10 +11,14 @@ from repro.obs.watchdog import WATCHDOG_CHECKS
 
 
 class FakeSharded:
-    """Duck-typed stand-in for a sharded driver (no ``transport``)."""
+    """Stand-in for a driver on a pool: the watchdog asks its executor
+    for the shard count and whether commands may address subsets."""
+
+    addresses_subsets = False
 
     def __init__(self, workers=2, loads=None, live=None):
-        self.workers = workers
+        self.executor = self
+        self.bounds = [(0, 0)] * workers
         self._loads = loads
         if live is not None:
             self.state = type("S", (), {"live_count": live})()
@@ -24,7 +28,7 @@ class FakeSharded:
 
 
 class FakeDistributed(FakeSharded):
-    transport = "loopback"
+    addresses_subsets = True
 
 
 def cycle_record(cycle=0, spans=None, counters=None):

@@ -1,8 +1,12 @@
-"""ShardedSimulation driver behaviour: service seam, distributed
-metrics, dead-shard resilience, worker start methods, capacity limits,
+"""ShardedSimulation driver behaviour: service seam, metrics on a
+pool, dead-shard resilience, worker start methods, capacity limits,
 and resource lifecycle."""
 
 import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -10,6 +14,9 @@ import pytest
 from repro.churn.models import RegularChurn
 from repro.core.service import SlicingService
 from repro.core.slices import SlicePartition
+from repro.distributed import DistributedSimulation
+from repro.metrics.statistics import z_value
+from repro.obs import Telemetry
 from repro.sharded import ShardedSimulation
 from repro.sharded.shm import SharedScratch
 from repro.vectorized import metrics as vmetrics
@@ -29,7 +36,7 @@ def make_sim(workers, size=240, protocol="ranking", **kwargs):
 
 
 class TestDistributedMetrics:
-    """The tree-reduction metrics must equal the central computations
+    """The metrics of a pooled run must equal the central computations
     on the same arrays."""
 
     @pytest.fixture(scope="class")
@@ -73,7 +80,7 @@ class TestDistributedMetrics:
         assert 0.0 <= fraction <= 1.0
 
     def test_rank_merge_breaks_ties_by_id(self):
-        # Duplicate attributes force the cross-shard id tie-break path.
+        # Duplicate attributes force the (attribute, id) tie-break.
         attributes = [0.25, 0.75, 0.25, 0.75] * 30
         sim = make_sim(workers=3, size=120, attributes=attributes)
         sim.run(3)
@@ -90,14 +97,74 @@ class TestDistributedMetrics:
             sim.close()
 
 
+class TestMetricReadsDispatchNothing:
+    """Metrics are the driver's own computation over columns it holds
+    current on every executor: reading one sends no command to any
+    worker (``confident_fraction`` pulls ``obs_total`` — one
+    ``dump_state`` round on a transport, nothing on a pool)."""
+
+    @pytest.mark.parametrize("backend", ["pool", "loopback"])
+    def test_metric_reads_dispatch_nothing(self, backend):
+        telemetry = Telemetry(engine=backend, metrics_every=1)
+        kwargs = dict(
+            churn=RegularChurn(rate=0.05, period=1),
+            rebalance_every=3,
+            telemetry=telemetry,
+        )
+        if backend == "pool":
+            sim = make_sim(workers=2, **kwargs)
+        else:
+            sim = DistributedSimulation(
+                size=240,
+                partition=SlicePartition.equal(8),
+                view_size=8,
+                seed=9,
+                workers=2,
+                transport="loopback",
+                **kwargs,
+            )
+
+        def commands():
+            telemetry.flush()
+            return telemetry.counter_totals().get("commands", 0)
+
+        with sim:
+            # Before the first cycle a pool has forked nothing, and a
+            # metric read must not be what starts it.
+            sim.slice_disorder(), sim.global_disorder(), sim.confident_fraction()
+            assert not multiprocessing.active_children()
+            sim.run(6)
+            assert sim.rebalance_count > 0
+            state = sim.sync_state()
+            live = state.live_ids()
+            columns = (state.attribute[live], state.value[live], live)
+            before = commands()
+            assert sim.slice_disorder() == vmetrics.slice_disorder_arrays(
+                *columns, sim.geometry
+            )
+            assert sim.accuracy() == vmetrics.accuracy_arrays(*columns, sim.geometry)
+            assert sim.global_disorder() == vmetrics.global_disorder_arrays(*columns)
+            believed = sim.geometry.index_of(state.value[live])
+            assert sim.slice_sizes() == np.bincount(believed, minlength=8).tolist()
+            assert commands() == before
+            confident = vmetrics.confident_mask(
+                state.value[live], state.obs_total[live], sim.geometry, z_value(0.95)
+            )
+            assert sim.confident_fraction() == float(np.mean(confident))
+            assert commands() - before == (backend == "loopback")
+        assert len(telemetry.metrics_records()) == 6
+        spans = set().union(*(r.get("spans", ()) for r in telemetry.records))
+        assert spans and not any("cmd:metric" in path for path in spans)
+
+
 class TestDeadShard:
     """A shard whose rows all die must neither stall the pool nor skew
-    the tree-reduced metrics (its zero-count segments have to drop out
-    of every merge and reduction)."""
+    the metrics (they read the driver's columns, whichever shard the
+    live rows sit in)."""
 
     @staticmethod
     def kill_first_shard(sim):
-        lo, hi = sim._executor().bounds[0]
+        lo, hi = sim.executor.bounds[0]
         for node_id in range(lo, min(hi, sim.state.size)):
             sim.remove_node(node_id)
         assert len(sim.state.live_ids()[sim.state.live_ids() < hi]) == 0
@@ -176,7 +243,7 @@ class TestStartMethods:
         vectorized.run(4)
         with ShardedSimulation(workers=2, **kwargs) as sharded:
             sharded.run(4)
-            assert sharded._pool is not None
+            assert sharded.executor._processes  # a real pool ran it
             # The new protocol messages actually ran.
             assert sharded.rebalance_count == vectorized.rebalance_count > 0
             n = vectorized.state.size
@@ -192,6 +259,39 @@ class TestStartMethods:
 
 
 class TestLifecycle:
+    def test_closed_pool_simulation_raises_instead_of_crashing(self):
+        # close() unmaps the shared blocks the state's arrays sat on;
+        # reading them used to take the interpreter down with SIGSEGV.
+        # Run in a subprocess so a crash fails this test, not pytest.
+        script = textwrap.dedent(
+            """
+            from repro.core.slices import SlicePartition
+            from repro.sharded import ShardedSimulation
+
+            sim = ShardedSimulation(
+                size=500, partition=SlicePartition.equal(8), workers=2, seed=1
+            )
+            sim.run(3)
+            sim.close()
+            reads = (sim.slice_disorder, lambda: sim.state.value, lambda: sim.run(1))
+            for read in reads:
+                try:
+                    read()
+                except RuntimeError as error:
+                    assert "closed" in str(error), error
+                else:
+                    raise SystemExit("read of a closed simulation returned")
+            """
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+
     def test_garbage_collection_releases_pool(self):
         # The finalizer must not be kept alive through its own
         # arguments: dropping the last user reference has to stop the
@@ -202,7 +302,7 @@ class TestLifecycle:
 
         sim = make_sim(workers=2, size=120)
         sim.run(1)
-        processes = list(sim._executor_holder["executor"]._processes)
+        processes = list(sim.executor._processes)
         ref = weakref.ref(sim)
         del sim
         gc.collect()

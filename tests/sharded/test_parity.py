@@ -311,10 +311,10 @@ class TestRebalancingParity:
 
     @pytest.mark.parametrize("workers", [2, 4, 5])
     def test_tree_reduced_metrics_exactly_equal_vectorized(self, workers):
-        # The SDM reduces integer assignment histograms (rounding-free)
-        # and applies the distance weights once in canonical order, so
-        # even the *metrics* — not just the arrays — are bitwise
-        # worker-count independent, rebalancing included.
+        # The driver computes every metric itself, from columns it
+        # holds current on every executor, so even the *metrics* — not
+        # just the arrays — are bitwise executor- and worker-count
+        # independent, rebalancing included.
         vectorized, sharded = paired_runs(
             "ranking",
             workers=workers,
