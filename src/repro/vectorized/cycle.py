@@ -25,8 +25,9 @@ worker count.
 
 Each phase opens the same telemetry spans on every executor
 (``refresh/age_purge``, ``refresh/partner_select``, ``refresh/waves``;
-``ranking/fold``, ``ranking/targets``, ``ranking/upd_deliver``); the
-executors' ``cmd:*`` dispatch spans nest one level below.
+``ranking/fold``, ``ranking/targets``, ``ranking/upd_deliver``;
+``ordering/select``, ``ordering/exchange``); the executors' ``cmd:*``
+dispatch spans nest one level below.
 """
 
 from __future__ import annotations
@@ -321,7 +322,8 @@ def ranking_phases(
 
 
 def ordering_phases(
-    executor, state, plan, selection: str, live_counts, stats, queue, cycle: int
+    executor, state, plan, selection: str, live_counts, stats, queue, cycle: int,
+    telemetry,
 ) -> None:
     """One batched active round of the configured ordering variant
     (Figure 2), including the planned message-overlap and fault models
@@ -330,30 +332,34 @@ def ordering_phases(
     per-shard live-row counts :func:`refresh_phases` returned."""
     scratch = executor.scratch
     live_offsets, live_total = prefix_offsets(live_counts)
-    if selection in (SELECTION_RANDOM, SELECTION_RANDOM_MISPLACED):
-        u1 = scratch.ensure("u1", np.float64, live_total)
-        u1[:live_total] = plan.ordering_uniforms(live_total)
-    capacity = state.capacity
-    scratch.ensure("prop_a", np.int64, capacity)
-    scratch.ensure("prop_b", np.int64, capacity)
-    scratch.ensure("prop_x", np.uint8, capacity)
-    replies = executor.run(
-        "ord_select",
-        [
-            {"selection": selection, "offset": offset, "count": count}
-            for offset, count in zip(live_offsets, live_counts)
-        ],
-    )
-    initiators, targets, intended = _gather_proposals(
-        executor, [reply["props"] for reply in replies], ("prop_a", "prop_b", "prop_x")
-    )
-    intended = intended.astype(bool)
+    with telemetry.span("select"):
+        if selection in (SELECTION_RANDOM, SELECTION_RANDOM_MISPLACED):
+            u1 = scratch.ensure("u1", np.float64, live_total)
+            u1[:live_total] = plan.ordering_uniforms(live_total)
+        capacity = state.capacity
+        scratch.ensure("prop_a", np.int64, capacity)
+        scratch.ensure("prop_b", np.int64, capacity)
+        scratch.ensure("prop_x", np.uint8, capacity)
+        replies = executor.run(
+            "ord_select",
+            [
+                {"selection": selection, "offset": offset, "count": count}
+                for offset, count in zip(live_offsets, live_counts)
+            ],
+        )
+        initiators, targets, intended = _gather_proposals(
+            executor,
+            [reply["props"] for reply in replies],
+            ("prop_a", "prop_b", "prop_x"),
+        )
+        intended = intended.astype(bool)
     stats.note_round(messages=2 * len(initiators), intended=int(intended.sum()))
-    applier = ExchangeApplier(executor, capacity, len(initiators))
-    run_exchanges(
-        state, plan, initiators, targets, intended, applier, stats,
-        queue=queue, cycle=cycle,
-    )
+    with telemetry.span("exchange"):
+        applier = ExchangeApplier(executor, capacity, len(initiators))
+        run_exchanges(
+            state, plan, initiators, targets, intended, applier, stats,
+            queue=queue, cycle=cycle,
+        )
 
 
 class ExchangeApplier:

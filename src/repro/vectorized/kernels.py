@@ -250,7 +250,7 @@ def cmd_ord_select(
     state = ctx.state
     live = ctx.cache["live"]
     if len(live) == 0:
-        return {"props": 0, "intended": 0}
+        return {"props": 0}
     initiators, targets, intended = select_exchanges(
         state,
         ctx.cache["live_rows"],
@@ -261,7 +261,7 @@ def cmd_ord_select(
     ctx.scratch["prop_a"][ctx.lo : ctx.lo + len(initiators)] = initiators
     ctx.scratch["prop_b"][ctx.lo : ctx.lo + len(targets)] = targets
     ctx.scratch["prop_x"][ctx.lo : ctx.lo + len(intended)] = intended
-    return {"props": len(initiators), "intended": int(intended.sum())}
+    return {"props": len(initiators)}
 
 
 def cmd_conc_wave(ctx: ShardContext, offset: int, count: int) -> dict:

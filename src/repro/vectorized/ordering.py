@@ -9,8 +9,9 @@ does per node:
   "view is up-to-date when a message is sent");
 * select a gossip partner per the configured policy — uniformly random
   (JK), uniformly random misplaced, or the Equation-2 max-gain
-  misplaced neighbor (mod-JK), whose local-sequence ranks are computed
-  with per-row ``argsort`` over the view-plus-self items.
+  misplaced neighbor (mod-JK), whose local-sequence ranks are counted
+  pair by pair over the view-plus-self items, laid out column-major so
+  that no step sorts or reduces along the short view axis.
 
 The ``REQ``/``ACK`` exchange itself — re-check the predicate at
 processing time and swap random values when it holds — is
@@ -78,20 +79,6 @@ def _random_valid_column_from(
     return np.argmax(cumulative > picks[:, None], axis=1)
 
 
-def _local_ranks(keys: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Per-row 0-based ranks of ``keys`` with ties broken by id —
-    the batched twin of ``ordering.local_sequences``."""
-    by_id = np.argsort(ids, axis=1, kind="stable")
-    keys_by_id = np.take_along_axis(keys, by_id, axis=1)
-    by_key = np.argsort(keys_by_id, axis=1, kind="stable")
-    order = np.take_along_axis(by_id, by_key, axis=1)
-    ranks = np.empty_like(order)
-    np.put_along_axis(
-        ranks, order, np.broadcast_to(np.arange(keys.shape[1]), keys.shape), axis=1
-    )
-    return ranks
-
-
 def select_exchanges(
     state: ArrayState, rows, live: np.ndarray, selection: str, draw_uniforms
 ):
@@ -101,33 +88,49 @@ def select_exchanges(
     ``selection``.  ``draw_uniforms()`` supplies the per-node uniforms
     of the two random policies (never called by max-gain, which draws
     none).  Returns ``(initiators, targets, intended)``, ascending by
-    initiator."""
+    initiator.
+
+    The view-plus-self items are laid out column-major — one ``(c + 1,
+    n)`` block per field, the node itself in row 0, view slot ``k`` in
+    row ``k + 1`` — so every pass over the view axis is a contiguous
+    ``n``-long one."""
     view = take_rows(state.view_ids, rows)
-    valid = _valid_slots(state, view)
-    safe = np.where(valid, view, 0)
-    a_self = take_rows(state.attribute, rows)[:, None]
-    r_self = take_rows(state.value, rows)[:, None]
-    a_peer = np.where(valid, np.take(state.attribute, safe), np.inf)
-    r_peer = np.where(valid, np.take(state.value, safe), np.inf)
-    misplaced = valid & ((a_peer - a_self) * (r_peer - r_self) < 0.0)
+    count, width = view.shape
+    ids = np.empty((width + 1, count), dtype=np.int64)
+    ids[0] = live
+    ids[1:] = view.T
+    peers = ids[1:]
+    valid = _valid_slots(state, peers)
+    invalid = ~valid
+    attr = np.empty((width + 1, count))
+    value = np.empty((width + 1, count))
+    for block, column in ((attr, state.attribute), (value, state.value)):
+        block[0] = take_rows(column, rows)
+        # "clip" gathers straight into the block (the default mode
+        # bounces through a copy) and reads row 0 for an EMPTY slot,
+        # which the next line overwrites.
+        np.take(column, peers, out=block[1:], mode="clip")
+        np.copyto(block[1:], np.inf, where=invalid)
+    product = attr[1:] - attr[0]
+    product *= value[1:] - value[0]
+    misplaced = product < 0.0
+    misplaced &= valid
 
     if selection == SELECTION_RANDOM:
-        chosen = valid.any(axis=1)
-        cols = _random_valid_column_from(valid, draw_uniforms())
-        intended = pick_columns(misplaced, cols)
+        chosen = valid.any(axis=0)
+        cols = _random_valid_column_from(valid.T, draw_uniforms())
+        intended = pick_columns(misplaced.T, cols)
     elif selection == SELECTION_RANDOM_MISPLACED:
-        chosen = misplaced.any(axis=1)
-        cols = _random_valid_column_from(misplaced, draw_uniforms())
+        chosen = misplaced.any(axis=0)
+        cols = _random_valid_column_from(misplaced.T, draw_uniforms())
         intended = chosen
     else:
-        chosen = misplaced.any(axis=1)
-        ids = np.concatenate([live[:, None], np.where(valid, view, EMPTY)], axis=1)
-        cols = _max_gain_columns(
-            ids,
-            np.concatenate([a_self, a_peer], axis=1),
-            np.concatenate([r_self, r_peer], axis=1),
-            misplaced,
-        )
+        chosen = misplaced.any(axis=0)
+        # Invalid slots go to the tail of both local sequences (+inf
+        # key, largest id), so valid items get the ranks the reference
+        # computes over the valid items alone.
+        np.copyto(peers, np.iinfo(np.int64).max, where=invalid)
+        cols = _max_gain_columns(ids, attr, value, misplaced)
         intended = chosen
     return live[chosen], pick_columns(view, cols)[chosen], intended[chosen]
 
@@ -135,18 +138,64 @@ def select_exchanges(
 def _max_gain_columns(
     ids: np.ndarray, attr: np.ndarray, value: np.ndarray, misplaced: np.ndarray
 ) -> np.ndarray:
-    """mod-JK partner selection: per row, the misplaced neighbor
-    maximizing Equation 2's score over the view-plus-self items
-    (column 0 is the node itself; invalid slots carry ``EMPTY`` ids and
-    ``+inf`` keys)."""
-    # Invalid slots sort to the tail of both local sequences (same
-    # +inf key in each), so valid items get the same local ranks the
-    # reference computes over the valid items alone.
-    ids_for_ties = np.where(ids == EMPTY, np.iinfo(np.int64).max, ids)
-    l_alpha = _local_ranks(attr, ids_for_ties)
-    l_rho = _local_ranks(value, ids_for_ties)
-    la_self, lr_self = l_alpha[:, :1], l_rho[:, :1]
-    la_peer, lr_peer = l_alpha[:, 1:], l_rho[:, 1:]
-    gain = la_self * lr_peer + la_peer * lr_self - la_peer * lr_peer
-    gain = np.where(misplaced, gain, -np.inf)
-    return np.argmax(gain, axis=1)
+    """mod-JK partner selection: per node, the first misplaced view
+    slot maximizing Equation 2's score over the view-plus-self items
+    (``(c + 1, n)`` blocks, the node itself in row 0; ``misplaced`` is
+    ``(c, n)``).  Nodes without a misplaced neighbor return 0."""
+    items, count = ids.shape
+    # One signed type for ranks (<= c), scores (|score| <= 2 c^2) and
+    # the chosen slot, so no step below can overflow.
+    dtype = np.min_scalar_type(-2 * items * items)
+    l_alpha, l_rho = _pair_counted_ranks(ids, attr, value, dtype)
+    best = np.full(count, np.iinfo(dtype).min, dtype=dtype)
+    cols = np.zeros(count, dtype=dtype)
+    gain = np.empty(count, dtype=dtype)
+    term = np.empty(count, dtype=dtype)
+    better = np.empty(count, dtype=bool)
+    for slot in range(items - 1):
+        la_peer, lr_peer = l_alpha[slot + 1], l_rho[slot + 1]
+        # la_self * lr_peer + la_peer * lr_self - la_peer * lr_peer
+        np.multiply(l_alpha[0], lr_peer, out=gain)
+        np.subtract(l_rho[0], lr_peer, out=term)
+        term *= la_peer
+        gain += term
+        # Strictly greater: the first slot keeps an equal score.
+        np.greater(gain, best, out=better)
+        better &= misplaced[slot]
+        np.copyto(best, gain, where=better)
+        np.copyto(cols, slot, where=better)
+    return cols
+
+
+def _pair_counted_ranks(
+    ids: np.ndarray, attr: np.ndarray, value: np.ndarray, dtype
+) -> tuple:
+    """``(l_alpha, l_rho)``: every item's 0-based rank in its node's
+    local attribute and random-value sequences, ties broken by id —
+    the batched twin of ``ordering.local_sequences`` on ``(c + 1, n)``
+    blocks.
+
+    Ranks are counted, not sorted: for each pair of items ``p < q`` of
+    a node, ``p`` precedes ``q`` iff ``key_p < key_q``, or the keys tie
+    and ``id_p <= id_q`` (equal ids — a duplicated pointer, two invalid
+    slots — keep their slot order, as a stable sort would).  Whoever
+    comes second has one more item ahead of it."""
+    items, count = ids.shape
+    l_alpha = np.zeros((items, count), dtype=dtype)
+    l_rho = np.zeros((items, count), dtype=dtype)
+    id_first = np.empty(count, dtype=bool)
+    tied = np.empty(count, dtype=bool)
+    first = np.empty(count, dtype=bool)
+    bit = first.view(np.uint8)
+    for q in range(1, items):
+        for p in range(q):
+            np.less_equal(ids[p], ids[q], out=id_first)
+            for keys, ranks in ((attr, l_alpha), (value, l_rho)):
+                np.less(keys[p], keys[q], out=first)
+                np.equal(keys[p], keys[q], out=tied)
+                tied &= id_first
+                first |= tied
+                np.add(ranks[q], bit, out=ranks[q])
+                np.logical_not(first, out=first)
+                np.add(ranks[p], bit, out=ranks[p])
+    return l_alpha, l_rho

@@ -485,7 +485,7 @@ class VectorSimulation:
                     ordering_phases(
                         executor, state, plan, _ORDERING_SELECTION[self.protocol],
                         self._live_counts,
-                        self._stats, self._fault_queue, self._cycle,
+                        self._stats, self._fault_queue, self._cycle, telemetry,
                     )
         self._cycle += 1
         telemetry.end_cycle()

@@ -267,33 +267,44 @@ class TestVectorizedSpans:
     sub-phase spans, the executor's dispatch spans nest one level
     below — in-process and pooled alike."""
 
-    SUB_PHASES = {
+    REFRESH = {
         "refresh/age_purge": "refresh_age",
         "refresh/partner_select": "refresh_fill_partners",
         "refresh/waves": "refresh_swap",
-        "ranking/fold": "rank_fold",
-        "ranking/targets": "rank_targets",
-        "ranking/upd_deliver": "rank_apply",
+    }
+    SUB_PHASES = {
+        "ranking": {
+            "ranking/fold": "rank_fold",
+            "ranking/targets": "rank_targets",
+            "ranking/upd_deliver": "rank_apply",
+        },
+        "ordering": {
+            "ordering/select": "ord_select",
+            "ordering/exchange": "conc_wave",
+        },
     }
 
-    def check_tree(self, **overrides):
+    def check_tree(self, protocol="ranking", **overrides):
+        phase = "ranking" if protocol == "ranking" else "ordering"
         telemetry = Telemetry(engine="bulk", watchdog=Watchdog())
-        spec = RunSpec(n=2000, slice_count=10, protocol="ranking", **overrides)
+        spec = RunSpec(n=2000, slice_count=10, protocol=protocol, **overrides)
         with build_simulation(spec, telemetry=telemetry) as sim:
             sim.run(8)
         report = CycleReport(telemetry.records)
         assert report.cycles == 8
         assert_tree_well_formed(report)
         top = {s.path for s in report.spans.values() if s.depth == 0}
-        assert {"plan", "churn", "refresh", "ranking"} <= top
+        assert {"plan", "churn", "refresh", phase} <= top
         driver_spans = {p for p, s in report.spans.items() if not s.is_worker}
+        sub_phases = {**self.REFRESH, **self.SUB_PHASES[phase]}
         assert {
-            f"{phase}/cmd:{command}" for phase, command in self.SUB_PHASES.items()
+            f"{sub_phase}/cmd:{command}" for sub_phase, command in sub_phases.items()
         } == {p for p in driver_spans if "/cmd:" in p}
         # rank_apply delivers and recomputes: no separate estimates span.
         assert "ranking/estimates" not in report.spans
         assert report.counters["sampler.exchanges"] > 0
-        assert report.counters["ranking.upd_messages"] > 0
+        if phase == "ranking":
+            assert report.counters["ranking.upd_messages"] > 0
         # The in-process executor dispatches, so its runs carry the
         # dispatch accounting too (barrier identity with workers = 1).
         assert report.counters["commands"] == report.counters["barriers"] > 0
@@ -305,6 +316,16 @@ class TestVectorizedSpans:
 
     def test_pool_grows_the_same_tree(self):
         self.check_tree(backend="sharded", workers=2)
+
+    def test_ordering_round_splits_into_select_and_exchange(self):
+        report = self.check_tree(protocol="mod-jk", backend="vectorized")
+        assert report.coverage > 0.9
+        ordering = report.spans["ordering"].total_ns
+        children = sum(
+            report.spans[path].total_ns
+            for path in ("ordering/select", "ordering/exchange")
+        )
+        assert 0.5 * ordering < children <= ordering
 
 
 class TestShardedBarrierAccounting:

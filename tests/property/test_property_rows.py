@@ -1,7 +1,7 @@
 """Property-based tests for the row-access primitive and the bulk
 kernels built on it.
 
-Three invariants:
+Four invariants:
 
 * ``take_rows`` / ``put_rows`` / ``pick_columns`` equal plain fancy
   indexing for any capacity, live set and column dtype; the row index of
@@ -9,21 +9,38 @@ Three invariants:
   memory, any other live set gathers a copy;
 * ``_swap_views`` equals a per-pair Python transcription of Figure 3,
   lines 3-10, on random node-disjoint waves;
-* the age pass, the oldest-neighbor proposal, the ranking fold and the
-  ``j1`` / ``j2`` choice produce **bitwise** the same arrays whether they
-  are handed the zero-copy ``slice(0, n)`` or the gathered
-  ``np.arange(n)`` — with EMPTY slots and dead pointers present, on
-  equal- and unequal-width partitions (where ``j1`` must also equal the
-  per-slot ``boundary_distance`` evaluation it replaced).
+* the age pass, the oldest-neighbor proposal, the ranking fold, the
+  ``j1`` / ``j2`` choice and the ordering selection (all three policies)
+  produce **bitwise** the same arrays whether they are handed the
+  zero-copy ``slice(0, n)`` or the gathered ``np.arange(n)`` — with EMPTY
+  slots and dead pointers present, on equal- and unequal-width
+  partitions (where ``j1`` must also equal the per-slot
+  ``boundary_distance`` evaluation it replaced);
+* the max-gain partner ``select_exchanges`` picks equals a per-node
+  Python transcription of Section 4.3 through ``local_sequences`` and
+  ``pairwise_gain`` — with tied attributes and duplicated random values,
+  at view sizes on both sides of a rank-dtype change.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.ordering import (
+    SELECTION_MAX_GAIN,
+    SELECTION_RANDOM,
+    SELECTION_RANDOM_MISPLACED,
+    is_misplaced,
+    local_sequences,
+    pairwise_gain,
+)
 from repro.core.slices import SlicePartition
 from repro.vectorized.metrics import PartitionArrays
-from repro.vectorized.ordering import _random_valid_column_from, _row_counts
+from repro.vectorized.ordering import (
+    _random_valid_column_from,
+    _row_counts,
+    select_exchanges,
+)
 from repro.vectorized.ranking import boundary_columns, fold_views, sender_rows
 from repro.vectorized.sampler import (
     _age_and_purge,
@@ -224,6 +241,9 @@ PARTITIONS = (
 )
 
 
+SELECTIONS = (SELECTION_RANDOM, SELECTION_RANDOM_MISPLACED, SELECTION_MAX_GAIN)
+
+
 def _view_columns(state):
     return state.view_ids.copy(), state.view_ages.copy()
 
@@ -256,7 +276,10 @@ def test_kernels_agree_on_slice_and_gathered_rows(
         ids = np.arange(live)
         out = {}
 
-        # Fold and j1/j2 first, while the dead pointers are still there.
+        # Selection, fold and j1/j2 first, while the dead pointers are
+        # still there.
+        for selection in SELECTIONS:
+            out[selection] = select_exchanges(state, rows, ids, selection, lambda: u2)
         view, valid, counts, a_self = fold_views(state, rows, ids)
         expected_valid = state.view_ids[:live] != EMPTY
         expected_valid &= state.alive[np.where(expected_valid, view, 0)]
@@ -314,3 +337,79 @@ def test_kernels_agree_on_slice_and_gathered_rows(
                 continue
             assert left.dtype == right.dtype
             assert np.array_equal(left, right), key
+
+
+# ----------------------------------------------------------------------
+# max-gain selection vs Section 4.3, per node
+# ----------------------------------------------------------------------
+
+
+def _max_gain_partner(state, node):
+    """mod-JK's choice for one node, as the reference protocol makes
+    it: local sequences over the node plus its valid neighbors, then
+    the first misplaced neighbor (in view-slot order) with the largest
+    Equation-2 score.  ``None`` when no neighbor is misplaced."""
+    a, r = state.attribute, state.value
+    peers = [
+        int(peer)
+        for peer in state.view_ids[node]
+        if peer != EMPTY and state.alive[peer]
+    ]
+    items = [(node, a[node], r[node])] + [(peer, a[peer], r[peer]) for peer in peers]
+    l_alpha, l_rho = local_sequences(items)
+    best_gain, best_peer = None, None
+    for peer in peers:
+        if not is_misplaced(a[node], r[node], a[peer], r[peer]):
+            continue
+        gain = pairwise_gain(l_alpha, l_rho, node, peer)
+        if best_gain is None or gain > best_gain:
+            best_gain, best_peer = gain, peer
+    return best_peer
+
+
+@given(
+    live=st.integers(2, 30),
+    dead=st.integers(0, 5),
+    view_size=st.integers(1, 12),
+    empty_share=st.sampled_from([0.0, 0.2, 0.9]),
+    dead_share=st.sampled_from([0.0, 0.3]),
+    attribute_levels=st.sampled_from([None, 2, 5]),
+    value_levels=st.sampled_from([None, 3, 8]),
+    unbounded=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# From view size 128 on, ranks and scores are held in a wider integer type.
+@example(
+    live=140, dead=3, view_size=130, empty_share=0.2, dead_share=0.3,
+    attribute_levels=5, value_levels=None, unbounded=False, seed=11,
+)
+@settings(max_examples=200, deadline=None)
+def test_max_gain_selection_matches_per_node_reference(
+    live, dead, view_size, empty_share, dead_share,
+    attribute_levels, value_levels, unbounded, seed,
+):
+    rng = np.random.default_rng(seed)
+    state = _random_state(rng, live, dead, view_size, empty_share, dead_share)
+    # Few distinct keys: ties in either local sequence fall to the id,
+    # and a random value held by two nodes is what a one-sided swap
+    # under message overlap leaves behind.
+    for column, levels in (
+        (state.attribute, attribute_levels),
+        (state.value, value_levels),
+    ):
+        if levels is not None:
+            column[: state.size] = rng.integers(0, levels, state.size) / levels
+    if unbounded:
+        # A legal attribute that ties with the padding of invalid slots.
+        state.attribute[: state.size][rng.random(state.size) < 0.2] = np.inf
+
+    ids = np.arange(live)
+    with np.errstate(invalid="ignore"):  # inf - inf in the predicate
+        initiators, targets, intended = select_exchanges(
+            state, slice(0, live), ids, SELECTION_MAX_GAIN, None
+        )
+        expected = {node: _max_gain_partner(state, node) for node in range(live)}
+    expected = {node: peer for node, peer in expected.items() if peer is not None}
+    assert dict(zip(initiators.tolist(), targets.tolist())) == expected
+    assert np.array_equal(initiators, sorted(expected))
+    assert intended.all()
