@@ -55,7 +55,9 @@ def iter_disjoint_waves(
         best[targets] = np.inf
         np.minimum.at(best, initiators, priority)
         np.minimum.at(best, targets, priority)
-        take = (priority == best[initiators]) & (priority == best[targets])
-        yield initiators[take], targets[take], extra[take]
-        keep = ~take
-        initiators, targets, extra = initiators[keep], targets[keep], extra[keep]
+        take = (priority == best.take(initiators)) & (priority == best.take(targets))
+        wave, rest = np.flatnonzero(take), np.flatnonzero(~take)
+        yield initiators.take(wave), targets.take(wave), extra.take(wave)
+        initiators, targets, extra = (
+            column.take(rest) for column in (initiators, targets, extra)
+        )

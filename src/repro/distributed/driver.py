@@ -462,7 +462,8 @@ class DistributedSimulation(VectorSimulation):
         the default.
     spare_capacity:
         Extra rows pre-allocated for joiners (replicas cannot grow);
-        default ``max(1024, size // 8)``.
+        default ``max(1024, size // 4)``
+        (:func:`~repro.sharded.driver.capacity_with_spare`).
     max_frame, connect_timeout:
         Transport limits: per-message byte cap and worker-connect
         timeout.

@@ -54,9 +54,18 @@ __all__ = ["ShardedSimulation", "migrate_rows", "capacity_with_spare", "worker_c
 
 def capacity_with_spare(size: int, spare_capacity: Optional[int]) -> int:
     """Rows a non-growing executor allocates for ``size`` initial nodes:
-    ``spare_capacity`` extra for joiners, ``max(1024, size // 8)`` by
-    default."""
-    spare = max(1024, size // 8) if spare_capacity is None else int(spare_capacity)
+    ``spare_capacity`` extra for joiners, ``max(1024, size // 4)`` by
+    default.
+
+    A quarter, because compaction has to get its chance first: with
+    ``D`` dead rows among ``N`` live ones (removal uniform over ids,
+    joiners appended on top) the trigger's 8-range probe reads a load
+    ratio of ``1 + 8x² / (1 - x²)``, ``x = D / N`` — 1.13 when an
+    eighth is used up, 1.53 at a quarter — so every
+    ``rebalance_threshold`` up to 1.5 fires before the spare runs out.
+    A spare row costs its ``view_ids`` fill; the other columns stay
+    untouched zero pages until a joiner lands on them."""
+    spare = max(1024, size // 4) if spare_capacity is None else int(spare_capacity)
     return size + spare
 
 
@@ -338,7 +347,8 @@ class ShardedSimulation(VectorSimulation):
     spare_capacity:
         Extra rows pre-allocated for joiners.  Shared-memory segments
         cannot grow, so a run whose churn adds more rows than this
-        raises (default: ``max(1024, size // 8)``); rejected with
+        raises (default: ``max(1024, size // 4)``, see
+        :func:`capacity_with_spare`); rejected with
         ``workers=1``, which has no fixed capacity.
 
     Call :meth:`close` (or use the instance as a context manager) to

@@ -21,12 +21,14 @@ strings them together:
 The sliding-window variant (Section 5.3.4) keeps, per node, only the
 last ``window`` comparison outcomes, *exactly*: each node owns a
 bit-packed circular buffer of ``window`` bits (``ceil(window / 8)``
-bytes/node plus two ``int64`` cursors, see :func:`window_push`),
-matching the reference
+bytes/node plus two ``int64`` cursors), matching the reference
 :class:`~repro.core.estimators.SlidingWindowRankEstimator`'s FIFO
-semantics.  A state carries the window columns iff
-``state.window is not None``, which is how every function here tells
-the two variants apart.
+semantics.  It is written in *rounds* — one outcome for each of a set
+of distinct nodes (:func:`_push_round`), so a round is plain gathers
+and scatters on cursor arrays: the fold runs one round per view column,
+``UPD`` delivery (:func:`window_push`) one per occurrence of a target.
+A state carries the window columns iff ``state.window is not None``,
+which is how every function here tells the two variants apart.
 """
 
 from __future__ import annotations
@@ -40,6 +42,44 @@ from repro.vectorized.state import ArrayState, take_rows
 __all__ = ["window_push"]
 
 
+def _push_round(state: ArrayState, base, pos, length, le, bit, on) -> None:
+    """The one write rule of the sliding window: append outcome ``bit``
+    (``uint8`` 0/1) to the ring of each of a set of *distinct* nodes.
+
+    ``base`` is each node's first byte in the flattened ring column;
+    ``pos`` / ``length`` / ``le`` are the nodes' write cursor, fill level
+    and in-window count, advanced in place.  ``on`` is ``True`` or a
+    mask: a node whose ``on`` is False has no outcome this round
+    (``bit`` 0 there) — its bit-mask is zero, so ring and cursors stay
+    as they were.  Because the nodes are distinct, every step is a
+    plain gather or scatter."""
+    flat, window = state.win_bits.reshape(-1), state.window
+    shift = (pos & 7).astype(np.uint8)
+    byte = base + (pos >> 3)
+    old = flat.take(byte)
+    evicts = (length == window) & on  # a full ring loses the bit under the cursor
+    le -= (old >> shift) & evicts
+    le += bit
+    flat[byte] = (old & ~np.left_shift(on, shift, dtype=np.uint8)) | (bit << shift)
+    length += evicts ^ on
+    pos += on
+    pos[pos == window] = 0
+
+
+def _push_rounds(state: ArrayState, rows, nodes: np.ndarray, rounds) -> None:
+    """Run ``rounds`` — ``(bit, on)`` pairs, each one outcome for the
+    first ``len(bit)`` of the distinct ``nodes`` (row index ``rows``) —
+    on cursors gathered once and written back once (in place where
+    ``rows`` is a slice), then publish the exact in-window counts."""
+    base = nodes * state.win_bits.shape[1]
+    pos, length, le = state.win_pos[rows], state.win_len[rows], state.obs_le[rows]
+    for bit, on in rounds:
+        m = len(bit)
+        _push_round(state, base[:m], pos[:m], length[:m], le[:m], bit, on)
+    state.win_pos[rows], state.win_len[rows], state.obs_le[rows] = pos, length, le
+    state.obs_total[rows] = length
+
+
 def window_push(state: ArrayState, ids: np.ndarray, bits: np.ndarray) -> None:
     """Append one comparison outcome per event to each node's exact
     sliding window, evicting the oldest outcome once the window is
@@ -48,51 +88,31 @@ def window_push(state: ArrayState, ids: np.ndarray, bits: np.ndarray) -> None:
 
     ``ids`` may repeat (a node receiving several ``UPD`` messages in
     one cycle); repeated events apply in array order, exactly as the
-    reference estimator observes them one at a time.  Per-node results
-    depend only on that node's own events, so shards may push disjoint
-    row subsets of a global event list concurrently and bitwise agree
-    with a single global push.
+    reference estimator observes them one at a time: events are grouped
+    by node with one value sort of ``(id, position)`` keys, and round
+    ``j`` pushes every node's ``j``-th event (:func:`_push_round`).
+    Per-node results depend only on that node's own events, so shards
+    may push disjoint row subsets of a global event list concurrently
+    and bitwise agree with a single global push.
     """
-    window = state.window
-    if window is None:
+    if state.window is None:
         raise RuntimeError("window_push needs enable_window() first")
     if len(ids) == 0:
         return
-    order = np.argsort(ids, kind="stable")
-    sid = np.asarray(ids, dtype=np.int64)[order]
-    sbit = np.asarray(bits)[order].astype(np.uint8)
+    width = len(ids).bit_length()
+    key = np.sort((np.asarray(ids, dtype=np.int64) << width) | np.arange(len(ids)))
+    sid = key >> width
+    sbit = np.asarray(bits).take(key & ((1 << width) - 1)).astype(np.uint8)
     starts = np.flatnonzero(np.concatenate(([True], sid[1:] != sid[:-1])))
     counts = np.diff(np.append(starts, len(sid)))
+    # Busiest nodes first, so the nodes still active in round j are a
+    # prefix of the list.
+    order = np.argsort(-counts)
+    starts, counts = starts[order], counts[order]
     nodes = sid[starts]
-    # Sequential index j of each event within its node's stream.
-    j = np.arange(len(sid)) - np.repeat(starts, counts)
-    # A node given more than `window` events keeps only the last
-    # `window` of them — earlier ones would be fully evicted by the end
-    # of the call anyway, and dropping them keeps the written slots
-    # distinct (one read-modify-write per slot).
-    drop = np.repeat(np.maximum(counts - window, 0), counts)
-    keep = j >= drop
-    if not keep.all():
-        sid, sbit, j = sid[keep], sbit[keep], j[keep]
-    pos0 = state.win_pos[sid]
-    len0 = state.win_len[sid]
-    slot = (pos0 + j) % window
-    # Slot (pos + j) % window held a live outcome before this call iff
-    # j % window falls in the occupied suffix [window - len, window).
-    evicts = (j % window) >= (window - len0)
-    byte = sid * state.win_bits.shape[1] + (slot >> 3)
-    bitpos = (slot & 7).astype(np.uint8)
-    flat = state.win_bits.reshape(-1)
-    old = (flat[byte] >> bitpos) & 1
-    delta = sbit.astype(np.float64) - np.where(evicts, old, 0)
-    np.add.at(state.obs_le, sid, delta)
-    np.bitwise_and.at(flat, byte, ~(np.uint8(1) << bitpos))
-    setter = sbit == 1
-    np.bitwise_or.at(flat, byte[setter], np.uint8(1) << bitpos[setter])
-    # Advance each node's ring by its *original* event count.
-    state.win_len[nodes] = np.minimum(state.win_len[nodes] + counts, window)
-    state.win_pos[nodes] = (state.win_pos[nodes] + counts) % window
-    state.obs_total[nodes] = state.win_len[nodes]
+    active = np.searchsorted(-counts, -np.arange(counts[0]))
+    rounds = ((sbit[starts[:m] + j], True) for j, m in enumerate(active))
+    _push_rounds(state, nodes, nodes, rounds)
 
 
 def fold_views(state: ArrayState, rows, live: np.ndarray):
@@ -114,8 +134,8 @@ def fold_views(state: ArrayState, rows, live: np.ndarray):
     else:
         le_bits &= valid
         counts = _row_counts(valid)
-    if state.window is not None:  # the window observes slots in row-major order
-        window_push(state, np.repeat(live, counts), le_bits[valid])
+    if state.window is not None:  # one round per view column: row-major per node
+        _push_rounds(state, rows, live, zip(le_bits.view(np.uint8).T, valid.T))
     else:
         state.obs_le[rows] += _row_counts(le_bits)
         state.obs_total[rows] += counts

@@ -336,6 +336,18 @@ class TestLifecycle:
         sim.run(50)
         assert sim.state.size > 110
 
+    def test_default_spare_outlasts_the_first_compaction(self):
+        """The skew trigger (threshold 1.2: ~15.6% dead rows) must fire
+        before the *default* spare runs out — an eighth (2000 rows
+        here, above the 1024 floor) was gone at cycle 13."""
+        churn = RegularChurn(rate=0.01, period=1)
+        with make_sim(
+            workers=2, size=16000, churn=churn, rebalance_threshold=1.2
+        ) as sim:
+            sim.run(20)
+            assert sim.rebalance_count >= 1
+            assert sim.live_count == 16000
+
     def test_worker_validation(self):
         with pytest.raises(ValueError, match="workers"):
             make_sim(workers=0)
