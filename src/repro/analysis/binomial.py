@@ -20,8 +20,6 @@ import math
 import random
 from typing import List, Optional, Tuple
 
-from scipy import stats as scipy_stats
-
 from repro.core.slices import SlicePartition
 
 __all__ = [
@@ -41,7 +39,9 @@ def slice_population_distribution(n: int, p: float):
         raise ValueError("n must be positive")
     if not 0.0 < p <= 1.0:
         raise ValueError("p must be in (0, 1]")
-    return scipy_stats.binom(n, p)
+    from scipy.stats import binom  # not at import time: 78 MB per process
+
+    return binom(n, p)
 
 
 def slice_population_interval(n: int, p: float, coverage: float = 0.95) -> Tuple[int, int]:
@@ -59,7 +59,7 @@ def perfect_split_probability(n: int) -> float:
         raise ValueError("n must be positive")
     if n % 2 == 1:
         return 0.0
-    return float(scipy_stats.binom(n, 0.5).pmf(n // 2))
+    return float(slice_population_distribution(n, 0.5).pmf(n // 2))
 
 
 def perfect_split_upper_bound(n: int) -> float:

@@ -62,7 +62,7 @@ from repro.sharded.driver import capacity_with_spare, migrate_rows, worker_count
 from repro.vectorized.executor import Executor, grown_size
 from repro.vectorized.kernels import WAVE_BUFFERS
 from repro.vectorized.simulation import VectorSimulation
-from repro.vectorized.state import ArrayState, column_spec, take_rows
+from repro.vectorized.state import ArrayState, column_spec, row_blocks, take_rows
 
 __all__ = ["DistributedSimulation"]
 
@@ -103,7 +103,8 @@ class _MessageExecutor(Executor):
     surface the cycle's phases dispatch through, implemented as framed
     message exchanges instead of shared-memory broadcasts.
 
-    Workers are launched (or connected to) when the populated state is
+    Workers are launched (or connected to) before the state is
+    allocated and receive their replicas when the populated state is
     attached — churn and rebalancing of the very first cycle already
     need consistent replicas.  :meth:`close` pulls the shards' columns
     down first, so the driver's private state stays an exact replica
@@ -126,20 +127,13 @@ class _MessageExecutor(Executor):
         self._updates: List[list] = [[] for _ in range(workers)]
         self.scratch = MessageScratch(self._queue_remap)
         self._workers = []
+        self._telemetry = None  # set by attach: the workers hold replicas
         self._closed = False
 
     def allocate(self, view_size: int, size: int, window) -> ArrayState:
-        capacity = capacity_with_spare(size, self._spare_capacity)
-        self.state = ArrayState(view_size, capacity=capacity)
-        self.state.fixed_capacity = True  # the replicas cannot grow
-        if window is not None:
-            self.state.enable_window(window)
-        return self.state
-
-    def attach(self, geometry, telemetry) -> None:
-        self._telemetry = telemetry
-        state = self.state
-        self.bounds = rebalance_bounds(state.size, self.workers, state.capacity)
+        # Workers first: a forked worker keeps every page its parent
+        # held at the fork, so it must not be forked from a driver that
+        # already holds the populated state.
         if self.hosts is not None:
             self._workers = connect_remote(
                 self.hosts, self.max_frame, self.connect_timeout
@@ -157,11 +151,30 @@ class _MessageExecutor(Executor):
                     f"distributed worker {handle.index} sent an unexpected "
                     f"handshake: {hello!r}"
                 )
-        snapshot = {
-            name: np.array(getattr(state, name)[: state.size])
-            for name in column_spec(state.view_size, state.window)
-        }
+        capacity = capacity_with_spare(size, self._spare_capacity)
+        self.state = ArrayState(view_size, capacity=capacity)
+        self.state.fixed_capacity = True  # the replicas cannot grow
+        if window is not None:
+            self.state.enable_window(window)
+        return self.state
+
+    def attach(self, geometry, telemetry) -> None:
+        self._telemetry = telemetry
+        state = self.state
+        self.bounds = rebalance_bounds(state.size, self.workers, state.capacity)
+        heavy = protocol.heavy_columns(state)
         for handle, (lo, hi) in zip(self._workers, self.bounds):
+            # The replicated columns whole, the heavy ones as the
+            # owner's rows only — (start, view) blocks of the driver's
+            # own arrays, which the framing sends without a copy.
+            columns = {}
+            for name in column_spec(state.view_size, state.window):
+                column = getattr(state, name)
+                span = (lo, min(hi, state.size)) if name in heavy else (0, state.size)
+                columns[name] = [
+                    (start, column[start:stop])
+                    for start, stop in row_blocks(column, *span)
+                ]
             handle.endpoint.send(
                 {
                     "type": "init",
@@ -173,7 +186,7 @@ class _MessageExecutor(Executor):
                     "size": state.size,
                     "capacity": state.capacity,
                     "partition": geometry.partition,
-                    "columns": snapshot,
+                    "columns": columns,
                 }
             )
         for handle in self._workers:
@@ -313,6 +326,7 @@ class _MessageExecutor(Executor):
                     outputs.extend(outs)
                     updates.extend(upds)
                     worker_spans.append((index, reply[2]))
+                    telemetry.count(f"mem.w{index}.peak_mb", reply[3])
                 else:
                     results.append(reply[1])
                     outputs.extend(reply[2])
@@ -353,8 +367,8 @@ class _MessageExecutor(Executor):
         (the driver-side draws still happen before dispatch, so plan
         order is identical)."""
         if self._closed:
-            # Fresh workers would snapshot the driver's stale heavy
-            # columns and silently diverge — refuse.
+            # Fresh workers would be built from the driver's stale
+            # heavy columns and silently diverge — refuse.
             raise RuntimeError(
                 "this distributed simulation is closed; build a new one "
                 "to run further cycles"
@@ -411,21 +425,34 @@ class _MessageExecutor(Executor):
 
     def sync(self, columns=None) -> None:
         """Pull the shards' heavy ``columns`` (default: all of them)
-        into the driver's state.  After :meth:`close` there is nobody
-        to ask and nothing to pull: the final sync already ran."""
+        into the driver's state, one row block of one column per
+        command — each owner answers its part of the block, so no more
+        than a block is ever in flight.  After :meth:`close` there is
+        nobody to ask and nothing to pull: the final sync already ran."""
         if not self._workers:
             return
-        payload = {} if columns is None else {"columns": tuple(columns)}
-        for reply in self.run("dump_state", [payload] * self.workers):
-            lo, stop = reply["lo"], reply["stop"]
-            for name, values in reply["columns"].items():
-                getattr(self.state, name)[lo:stop] = values
+        if any(handle.failed for handle in self._workers):
+            raise RuntimeError("a distributed worker died; its shard is lost")
+        state = self.state
+        for name in protocol.heavy_columns(state) if columns is None else columns:
+            column = getattr(state, name)
+            for start, stop in row_blocks(column, 0, state.size):
+                parts = [
+                    (index, {"column": name, "lo": max(lo, start), "hi": min(hi, stop)})
+                    for index, (lo, hi) in enumerate(self.bounds)
+                    if lo < stop and start < hi
+                ]
+                replies = self._exchange("dump_state", parts)
+                for (_index, part), rows in zip(parts, replies):
+                    column[part["lo"] : part["hi"]] = rows
 
     def close(self) -> None:
         if self._closed:
             return
         try:
-            self.sync()
+            if self._workers and self._telemetry is not None:
+                with self._telemetry.span("close/sync", hwm=True):
+                    self.sync()
         except RuntimeError:
             pass  # a worker is already gone; keep what the driver has
         finally:

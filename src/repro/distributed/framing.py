@@ -18,6 +18,12 @@ Failure modes are explicit, never silent:
 * a connection that ends cleanly *between* frames raises
   :class:`ConnectionClosed` — the normal "peer is gone" signal the
   driver turns into a worker-death error.
+
+Frames are received **in place**: each out-of-band buffer is read with
+``recv_into`` into the one ``bytearray`` the unpickled array then wraps
+(so received arrays are writable), and sent straight from the source
+array's memory — a column block crossing the wire exists once on each
+side.
 """
 
 from __future__ import annotations
@@ -36,9 +42,10 @@ __all__ = [
     "recv_message",
 ]
 
-#: Default per-frame size cap (1 GiB).  A cycle's largest messages are
-#: the initial state snapshot and the migration staging buffer; both
-#: scale with the state columns, far below this at supported scales.
+#: Default per-frame size cap (1 GiB).  The largest message is a
+#: worker's init (its shard of the heavy columns plus the replicated
+#: ones); sync and migration move :data:`~repro.vectorized.state.
+#: BLOCK_BYTES` blocks.
 DEFAULT_MAX_FRAME = 1 << 30
 
 _HEADER = struct.Struct(">Q")
@@ -56,24 +63,25 @@ class ConnectionClosed(TransportError):
     """The peer closed the connection cleanly (between frames)."""
 
 
-def _recv_exactly(sock, count: int, context: str) -> bytes:
-    """Read exactly ``count`` bytes, or raise.  A clean EOF before the
-    first byte raises :class:`ConnectionClosed`; an EOF after some
-    bytes raises :class:`FrameError` (the peer died mid-frame)."""
-    chunks = []
+def _recv_exactly(sock, count: int, context: str) -> bytearray:
+    """Read exactly ``count`` bytes into the one buffer returned, or
+    raise.  A clean EOF before the first byte raises
+    :class:`ConnectionClosed`; an EOF after some bytes raises
+    :class:`FrameError` (the peer died mid-frame)."""
+    buffer = bytearray(count)
+    view = memoryview(buffer)
     received = 0
     while received < count:
-        chunk = sock.recv(count - received)
-        if not chunk:
+        got = sock.recv_into(view[received:])
+        if not got:
             if received == 0 and context == "header":
                 raise ConnectionClosed("connection closed by peer")
             raise FrameError(
                 f"truncated frame: connection closed after {received} of "
                 f"{count} {context} bytes"
             )
-        chunks.append(chunk)
-        received += len(chunk)
-    return b"".join(chunks)
+        received += got
+    return buffer
 
 
 def send_frame(sock, payload: bytes, max_frame: int = DEFAULT_MAX_FRAME) -> None:
@@ -86,7 +94,7 @@ def send_frame(sock, payload: bytes, max_frame: int = DEFAULT_MAX_FRAME) -> None
     sock.sendall(payload)
 
 
-def recv_frame(sock, max_frame: int = DEFAULT_MAX_FRAME) -> bytes:
+def recv_frame(sock, max_frame: int = DEFAULT_MAX_FRAME) -> bytearray:
     """Read one length-prefixed frame; see the module docstring for the
     failure contract."""
     header = _recv_exactly(sock, _HEADER.size, "header")
@@ -158,12 +166,17 @@ def recv_message(sock, max_frame: int = DEFAULT_MAX_FRAME, with_size: bool = Fal
         )
     sub = _recv_exactly(sock, _OOB_HEADER.size, "payload")
     nbuf, pickle_len = _OOB_HEADER.unpack(sub)
+    # Parts are allocated from lengths the peer sent: hold them to the
+    # (already capped) frame total first.
+    known = _OOB_HEADER.size + _OOB_LEN.size * nbuf + pickle_len
     lengths = []
-    if nbuf:
+    if nbuf and known <= total:
         raw = _recv_exactly(sock, _OOB_LEN.size * nbuf, "payload")
         lengths = [
             _OOB_LEN.unpack_from(raw, i * _OOB_LEN.size)[0] for i in range(nbuf)
         ]
+    if known + sum(lengths) != total:
+        raise FrameError(f"inconsistent frame: parts do not add up to {total} bytes")
     data = _recv_exactly(sock, pickle_len, "payload")
     buffers = [_recv_exactly(sock, length, "payload") for length in lengths]
     obj = pickle.loads(data, buffers=buffers)

@@ -156,12 +156,13 @@ def _slice_conc_ack(payload, state):
 
 
 def _slice_rebalance_unpack(payload, state):
-    column = getattr(state, payload["column"])
-    width = column.shape[1] if column.ndim == 2 else 1
-    row_bytes = column.dtype.itemsize * width
-    lo = payload["lo"]
-    rows = max(0, min(payload["hi"], payload["new_size"]) - lo)
-    return {"mig_bytes": (lo * row_bytes, rows * row_bytes), "mig_map": None}
+    row_bytes = getattr(state, payload["column"]).strides[0]
+    start = payload["lo"] - payload["base"]
+    rows = max(0, payload["hi"] - payload["lo"])
+    spans = {"mig_bytes": (start * row_bytes, rows * row_bytes)}
+    if payload["column"] == "view_ids":  # the only column that relabels
+        spans["mig_map"] = None
+    return spans
 
 
 INPUT_SLICERS = {
@@ -174,7 +175,9 @@ INPUT_SLICERS = {
     "conc_req": _slice_span("del_r", "del_s", "del_p", "del_t"),
     "conc_ack": _slice_conc_ack,
     "fault_deliver": _slice_span("del_r", "del_a", "del_p"),
-    "rebalance_pack": _slice_span("mig_live"),
+    "rebalance_pack": lambda payload, state: {
+        "mig_live": (payload["base"] + payload["offset"], payload["count"])
+    },
     "rebalance_unpack": _slice_rebalance_unpack,
 }
 
@@ -269,12 +272,9 @@ def _out_rebalance_pack(ctx, payload, result):
     count = int(payload["count"])
     if count == 0:
         return []
-    column = getattr(ctx.state, payload["column"])
-    width = column.shape[1] if column.ndim == 2 else 1
-    row_bytes = column.dtype.itemsize * width
+    row_bytes = getattr(ctx.state, payload["column"]).strides[0]
     start = int(payload["offset"]) * row_bytes
-    stage = ctx.scratch["mig_bytes"]
-    return [("mig_bytes", start, np.array(stage[start : start + count * row_bytes]))]
+    return [_segment(ctx.scratch, "mig_bytes", start, count * row_bytes)]
 
 
 _OUTPUTS = {

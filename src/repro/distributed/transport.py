@@ -114,10 +114,14 @@ class WorkerHandle:
         #: consumed by the launcher so local processes can be matched
         #: to their connections by pid.
         self.hello = hello
+        #: Set once the channel died mid-protocol: the other channels
+        #: may still hold replies of the broken command, so no sync.
+        self.failed = False
 
     def fail(self, command: str, error: Exception) -> "RuntimeError":
         """The error the driver raises when this worker's channel dies
         mid-protocol — named, immediate, never a hang."""
+        self.failed = True
         return RuntimeError(
             f"distributed worker {self.index} ({self.address}) died during "
             f"command {command!r}: {error}"

@@ -4,8 +4,11 @@ A worker owns one shard of the node-id space but holds a full-capacity
 *local replica* of the array state (no shared memory): the replicated
 light columns are kept consistent by the driver's delta messages, the
 heavy columns are authoritative only inside the worker's own row range
-(see :mod:`repro.distributed.protocol`).  It serves the same shard
-kernels as the sharded backend's pool workers
+(see :mod:`repro.distributed.protocol`) — and only that range of them
+is shipped at init, so the rest of the window ring is never touched and
+costs no memory.  The init message is *consumed*: its column blocks are
+released as they land in the replica; nothing of it outlives the build.
+It serves the same shard kernels as the sharded backend's pool workers
 (:data:`repro.sharded.kernels.DISPATCH`), plus a few transport-only
 commands:
 
@@ -18,10 +21,10 @@ commands:
 * ``rebalance_commit`` — the migration commit, extended to rewrite the
   replicated liveness column (the sharded backend's driver writes it
   straight into shared memory; here every replica must apply it);
-* ``dump_state`` — return the shard's heavy columns, or the ones the
-  payload names (the driver's ``sync_state``, its final sync at
-  ``close``, and the ``obs_total`` pull of ``confident_fraction`` — the
-  only metric that reads a shard-owned column).
+* ``dump_state`` — return one row block of one column, as a view (the
+  driver's ``sync_state``, its final sync at ``close``, and the
+  ``obs_total`` pull of ``confident_fraction`` — the only metric that
+  reads a shard-owned column — walk ``(column, row block)``).
 
 Message envelope (driver -> worker)::
 
@@ -34,12 +37,12 @@ updates, and the driver's ``size`` / ``maybe_dead_entries`` metadata.
 The plain reply is ``("ok", result, outputs, updates)``.  When
 ``meta["detail"]`` is set (the driver is profiling) the worker runs its
 own :class:`~repro.obs.telemetry.Telemetry` and replies ``("ok",
-reply_pickle_bytes, spans)``: the pickled ``(result, outputs,
-updates)`` triple plus a sub-span dict (``deserialize`` — meta/input
+reply_pickle_bytes, spans, peak_mb)``: the pickled ``(result, outputs,
+updates)`` triple, a sub-span dict (``deserialize`` — meta/input
 application, ``compute`` — the command itself, ``serialize`` — reply
 pickling), from which the driver derives wire + barrier wait as the
-rest of its exchange span.  Errors reply ``("err", traceback)``;
-``None`` shuts the worker down.
+rest of its exchange span, and the worker's own peak RSS so far.
+Errors reply ``("err", traceback)``; ``None`` shuts the worker down.
 
 Start a standalone (multi-host) worker with::
 
@@ -60,7 +63,7 @@ import numpy as np
 from repro.distributed import protocol
 from repro.distributed.framing import DEFAULT_MAX_FRAME, ConnectionClosed
 from repro.distributed.transport import Endpoint, parse_host_port
-from repro.obs.telemetry import Telemetry
+from repro.obs.telemetry import Telemetry, resident_mb
 from repro.sharded.kernels import DISPATCH
 from repro.vectorized.kernels import ShardContext
 from repro.vectorized.metrics import PartitionArrays
@@ -100,9 +103,12 @@ class MessageScratchMirror:
 
 
 def _allocate_state(init: dict) -> ArrayState:
-    """Build the full-capacity local replica from the init snapshot."""
+    """Build the full-capacity local replica, consuming the init
+    message's column blocks as they land: each ``(start, rows)`` block
+    is released once copied, and ``init`` keeps no ``"columns"``."""
     capacity = int(init["capacity"])
     window = init["window"]
+    columns = init.pop("columns")
     arrays = {}
     for name, (dtype, width) in column_spec(init["view_size"], window).items():
         shape = (capacity,) if width == 1 else (capacity, width)
@@ -110,8 +116,10 @@ def _allocate_state(init: dict) -> ArrayState:
             array = np.full(shape, EMPTY, dtype=dtype)
         else:
             array = np.zeros(shape, dtype=dtype)
-        snapshot = init["columns"][name]
-        array[: len(snapshot)] = snapshot
+        blocks = columns.pop(name)
+        while blocks:
+            start, rows = blocks.pop()
+            array[start : start + len(rows)] = rows
         arrays[name] = array
     return ArrayState.from_arrays(
         init["view_size"],
@@ -209,18 +217,10 @@ def _handle_rebalance_commit(ctx: ShardContext, payload: dict):
 
 
 def _handle_dump_state(ctx: ShardContext, payload: dict):
-    state = ctx.state
-    stop = min(ctx.hi, state.size)
-    lo = min(ctx.lo, stop)
-    result = {
-        "lo": lo,
-        "stop": stop,
-        "columns": {
-            name: np.array(getattr(state, name)[lo:stop])
-            for name in payload.get("columns") or protocol.heavy_columns(state)
-        },
-    }
-    return result, [], []
+    """Rows ``[lo, hi)`` of one column — a view, not a copy: the reply
+    is on the wire before the next command can touch the rows."""
+    rows = getattr(ctx.state, payload["column"])[payload["lo"] : payload["hi"]]
+    return rows, [], []
 
 
 _HANDLERS = {
@@ -255,6 +255,8 @@ def serve_endpoint(endpoint: Endpoint) -> None:
     try:
         endpoint.send({"type": "hello", "pid": os.getpid()})
         init = endpoint.recv()
+        if init is None:  # the driver gave up before it had a state
+            return
         state = _allocate_state(init)
         geometry = PartitionArrays(init["partition"])
         ctx = ShardContext(state, init["lo"], init["hi"], geometry, scratch)
@@ -275,7 +277,9 @@ def serve_endpoint(endpoint: Endpoint) -> None:
                         reply = _execute(ctx, command, payload)
                     with telemetry.span("serialize"):
                         blob = pickle.dumps(reply, protocol=5)
-                    endpoint.send(("ok", blob, telemetry.take_spans()))
+                    endpoint.send(
+                        ("ok", blob, telemetry.take_spans(), resident_mb(peak=True))
+                    )
                 else:
                     _apply_meta(state, scratch, meta)
                     endpoint.send(("ok",) + _execute(ctx, command, payload))

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs.health import health_summary, render_health
 from repro.obs.sink import read_ndjson
+from repro.obs.telemetry import merge_counter
 
 __all__ = ["CycleReport", "SpanStat"]
 
@@ -131,7 +132,7 @@ class CycleReport:
         self.counters: Dict[str, float] = {}
         for record in records:
             for name, value in record.get("counters", {}).items():
-                self.counters[name] = self.counters.get(name, 0) + value
+                merge_counter(self.counters, name, value)
 
     def _add_span_sample(self, path: str, elapsed: int, count: int) -> None:
         stat = self.spans.get(path)
@@ -286,13 +287,20 @@ class CycleReport:
                     f"{row['wait_ns'] / 1e9:>9.3f} "
                     f"{row['utilization'] * 100.0:>7.1f} {row['commands']:>7}"
                 )
-        if self.counters:
+        levels = sorted(name for name in self.counters if name.startswith("mem."))
+        if levels:
+            # Driver RSS per cycle, its peak after each whole-column
+            # phase, and every worker's own peak: where the peak was.
+            lines.append("  memory (largest value, MB):")
+            for name in levels:
+                lines.append(f"    {name:<40} {self.counters[name]:>10.1f}")
+        if len(self.counters) > len(levels):
             name_width = max(
                 [40] + [len(name) for name in self.counters]
             )
             lines.append("  counters (total / per-cycle):")
             rates = self.counter_rates()
-            for name in sorted(self.counters):
+            for name in sorted(set(self.counters).difference(levels)):
                 total = self.counters[name]
                 lines.append(
                     f"    {name:<{name_width}} {total:>16,.0f} "

@@ -52,6 +52,7 @@ per phase — nanoseconds against millisecond-scale array passes.
 
 from __future__ import annotations
 
+import mmap
 from time import perf_counter_ns
 from typing import Dict, List, Optional
 
@@ -61,15 +62,41 @@ from repro.obs.watchdog import Watchdog
 __all__ = ["Telemetry", "NullTelemetry", "NULL_TELEMETRY", "telemetry_from_options"]
 
 
+def resident_mb(peak: bool = False) -> float:
+    """This process's resident set in MB (10^6 B): the current one (one
+    ``/proc/self/statm`` read) or, with ``peak``, its high-water mark
+    (``ru_maxrss``, KB on Linux); 0.0 on a platform with neither."""
+    try:
+        if peak:
+            import resource
+
+            return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+        with open("/proc/self/statm") as handle:
+            return int(handle.read().split()[1]) * mmap.PAGESIZE / 1e6
+    except (ImportError, OSError):
+        return 0.0
+
+
+def merge_counter(bucket: dict, name: str, value) -> None:
+    """Fold ``value`` into ``bucket[name]``: counters add up; *levels*
+    — the ``mem.*`` names, resident MB of some process at some point —
+    keep the largest value seen, within a record and across records."""
+    if name.startswith("mem."):
+        bucket[name] = max(bucket.get(name, value), value)
+    else:
+        bucket[name] = bucket.get(name, 0) + value
+
+
 class _Span:
     """Context manager timing one phase; pushes its name on the owner's
     span stack so nested spans extend the path."""
 
-    __slots__ = ("_telemetry", "_name", "_start")
+    __slots__ = ("_telemetry", "_name", "_start", "_hwm")
 
-    def __init__(self, telemetry: "Telemetry", name: str) -> None:
+    def __init__(self, telemetry: "Telemetry", name: str, hwm: bool) -> None:
         self._telemetry = telemetry
         self._name = name
+        self._hwm = hwm
 
     def __enter__(self) -> "_Span":
         self._telemetry._stack.append(self._name)
@@ -92,6 +119,8 @@ class _Span:
             telemetry._record["events"].append(
                 ["driver", path, self._start - telemetry._wall_start, elapsed]
             )
+        if self._hwm:
+            telemetry.count("mem.hwm_mb:" + path, resident_mb(peak=True))
         return False
 
 
@@ -166,9 +195,11 @@ class Telemetry:
 
     # -- recording ----------------------------------------------------
 
-    def span(self, name: str) -> _Span:
-        """Time a phase; nests under any currently open span."""
-        return _Span(self, name)
+    def span(self, name: str, hwm: bool = False) -> _Span:
+        """Time a phase; nests under any currently open span.  With
+        ``hwm`` the process's peak RSS at the end of the phase is kept
+        as the level ``mem.hwm_mb:<path>``."""
+        return _Span(self, name, hwm)
 
     def add_span(
         self,
@@ -255,9 +286,9 @@ class Telemetry:
                 entry[1] += 1
 
     def count(self, name: str, value=1) -> None:
-        """Add ``value`` to a monotonic per-cycle counter."""
-        bucket = self._counter_bucket()
-        bucket[name] = bucket.get(name, 0) + value
+        """Add ``value`` to a monotonic per-cycle counter (or raise a
+        ``mem.*`` level to it, see :func:`merge_counter`)."""
+        merge_counter(self._counter_bucket(), name, value)
 
     def book_command(
         self, command: str, start_ns: int, span_ns: int, worker_spans
@@ -410,7 +441,7 @@ class Telemetry:
         totals: Dict[str, float] = {}
         for record in self.records:
             for name, value in record.get("counters", {}).items():
-                totals[name] = totals.get(name, 0) + value
+                merge_counter(totals, name, value)
         return totals
 
 
@@ -426,7 +457,7 @@ class NullTelemetry:
 
     __slots__ = ()
 
-    def span(self, name: str) -> _NullSpan:
+    def span(self, name: str, hwm: bool = False) -> _NullSpan:
         return _NULL_SPAN
 
     def add_span(

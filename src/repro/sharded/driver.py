@@ -47,7 +47,7 @@ from repro.sharded.shm import ReleasedState, SharedBlock, SharedScratch
 from repro.vectorized.cycle import shard_run_payloads
 from repro.vectorized.executor import Executor
 from repro.vectorized.simulation import VectorSimulation
-from repro.vectorized.state import ArrayState, column_spec
+from repro.vectorized.state import ArrayState, block_rows, column_spec, row_blocks
 
 __all__ = ["ShardedSimulation", "migrate_rows", "capacity_with_spare", "worker_count"]
 
@@ -73,15 +73,19 @@ def migrate_rows(executor, decision) -> None:
     """Execute one planned compaction as a row migration between the
     shards of ``executor`` (a pool or a message transport).
 
-    Each column moves in two barrier-separated phases — **pack**
-    (every worker gathers the live rows of its *old* range into the
-    staging buffer at the rows' new positions) and **unpack** (every
-    worker writes its *new* range back from staging, relabeling view
-    ids through the migration map) — so no worker ever reads a row
-    another worker is rewriting.  A column the workers hold replicas of
-    (``executor.replicated``) is unpacked over the full compacted range
-    on every worker, and installed in the driver's copy straight from
-    the assembled staging.  A final **commit** installs the recomputed
+    Each column moves one :func:`~repro.vectorized.state.row_blocks`
+    block of *new* rows at a time, in two barrier-separated phases —
+    **pack** (every worker gathers the live rows of its *old* range
+    that land in the block into the staging buffer) and **unpack**
+    (every worker writes its part of the block back from staging,
+    relabeling view ids through the migration map) — so no worker ever
+    reads a row another worker is rewriting, and staging is a block,
+    not a column.  Ascending blocks are safe in place: new row ``k``
+    reads old row ``live[k] >= k``, so a finished block never overwrote
+    a row a later block still packs.  A column the workers hold
+    replicas of (``executor.replicated``) is unpacked in full on every
+    worker, and installed in the driver's copy straight from the
+    assembled staging.  A final **commit** installs the recomputed
     shard boundaries; the permutation itself comes from the plan, so
     the arrays end up byte-identical to the in-process
     :func:`~repro.bulk.rebalance.compact_state`.
@@ -95,35 +99,33 @@ def migrate_rows(executor, decision) -> None:
     live[:new_size] = decision.live
     id_map = scratch.ensure("mig_map", np.int64, old_size)
     id_map[:old_size] = decision.id_map()
-    # One byte buffer stages the widest column; kernels view it
+    # One byte buffer stages one block of any column; kernels view it
     # with each column's own dtype (rounded to 8 so any itemsize
     # divides the allocation).
     columns = {name: getattr(state, name) for name in migration_columns(state)}
-    row_bytes = max(
-        column.dtype.itemsize * (column.shape[1] if column.ndim == 2 else 1)
-        for column in columns.values()
-    )
-    stage = scratch.ensure(
-        "mig_bytes", np.uint8, -(-(state.capacity * row_bytes) // 8) * 8
-    )
-    pack_runs = shard_run_payloads(executor.bounds, state.capacity, decision.live)
+    nbytes = max(block_rows(col) * col.strides[0] for col in columns.values())
+    stage = scratch.ensure("mig_bytes", np.uint8, -(-nbytes // 8) * 8)
     new_bounds = rebalance_bounds(new_size, shards, state.capacity)
     for name, column in columns.items():
-        executor.run(
-            "rebalance_pack", [{"column": name, **run} for run in pack_runs]
-        )
-        spans = new_bounds
-        if name in executor.replicated:
-            spans = [(0, new_size)] * shards
-            nbytes = new_size * column.dtype.itemsize
-            column[:new_size] = stage[:nbytes].view(column.dtype)
-        executor.run(
-            "rebalance_unpack",
-            [
-                {"column": name, "lo": lo, "hi": hi, "new_size": new_size}
-                for lo, hi in spans
-            ],
-        )
+        replicated = name in executor.replicated
+        for base, stop in row_blocks(column, 0, new_size):
+            runs = shard_run_payloads(
+                executor.bounds, state.capacity, decision.live[base:stop]
+            )
+            packs = [{"column": name, "base": base, **run} for run in runs]
+            executor.run("rebalance_pack", packs)
+            spans = new_bounds
+            if replicated:
+                spans = [(base, stop)] * shards
+                nbytes = (stop - base) * column.dtype.itemsize
+                column[base:stop] = stage[:nbytes].view(column.dtype)
+            executor.run(
+                "rebalance_unpack",
+                [
+                    dict(column=name, base=base, lo=max(lo, base), hi=min(hi, stop))
+                    for lo, hi in spans
+                ],
+            )
     # The driver is the single writer of the liveness/size metadata
     # (exactly as for churn); workers pick the new size up from the
     # commit broadcast below and replicas rewrite liveness from it.
@@ -279,6 +281,7 @@ class _PoolExecutor(Executor):
                 # sub-span dict (attach/kernel/reply).
                 results.append(pickle.loads(reply[1]))
                 worker_spans.append((index, reply[2]))
+                self._telemetry.count(f"mem.w{index}.peak_mb", reply[3])
             else:
                 results.append(reply[1])
         if failures:

@@ -14,6 +14,8 @@ kernel: the driver computes every metric from columns it holds itself.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.vectorized.kernels import DISPATCH as CYCLE_DISPATCH
 from repro.vectorized.kernels import ShardContext
 from repro.vectorized.state import EMPTY
@@ -39,41 +41,46 @@ def _stage_window(ctx: ShardContext, column: str, row: int, count: int):
     return col, window.reshape(count, width) if col.ndim == 2 else window
 
 
-def cmd_rebalance_pack(ctx: ShardContext, column: str, offset: int, count: int) -> dict:
+def cmd_rebalance_pack(
+    ctx: ShardContext, column: str, offset: int, count: int, base: int
+) -> dict:
     """Migration pack phase: gather the live rows this shard owns
-    (one contiguous run of the planned permutation, cut by the driver)
-    into the staging buffer at the rows' *new* positions."""
+    (one contiguous run of the planned permutation, cut by the driver
+    within the block of new rows that starts at ``base``) into the
+    staging buffer at the rows' *new* positions within the block."""
     if count:
         col, stage = _stage_window(ctx, column, offset, count)
-        rows = ctx.scratch["mig_live"][offset : offset + count]
-        stage[...] = col[rows]
+        rows = ctx.scratch["mig_live"][base + offset : base + offset + count]
+        # Clip mode gathers straight into the staging rows (the default
+        # mode bounces through a block-sized copy); the ids are valid.
+        np.take(col, rows, axis=0, out=stage, mode="clip")
     return {}
 
 
 def cmd_rebalance_unpack(
-    ctx: ShardContext, column: str, lo: int, hi: int, new_size: int
+    ctx: ShardContext, column: str, lo: int, hi: int, base: int
 ) -> dict:
-    """Migration unpack phase: write this shard's *new* row range back
-    from staging.  View ids relabel through the migration map (entries
+    """Migration unpack phase: write the new rows ``[lo, hi)`` — this
+    shard's part of the block that starts at ``base`` — back from
+    staging.  View ids relabel through the migration map (entries
     pointing at dead rows purge to ``EMPTY``); view ages zero where the
     already-unpacked ids came up empty — together the exact effect of
     :func:`repro.bulk.rebalance.remap_views` on the compacted block."""
-    stop = min(hi, new_size)
-    count = stop - lo
+    count = hi - lo
     if count <= 0:
         return {}
-    col, stage = _stage_window(ctx, column, lo, count)
+    col, stage = _stage_window(ctx, column, lo - base, count)
     if column == "view_ids":
         view = stage.copy()
         occupied = view != EMPTY
         view[occupied] = ctx.scratch["mig_map"][view[occupied]]
-        col[lo:stop] = view
+        col[lo:hi] = view
     elif column == "view_ages":
         ages = stage.copy()
-        ages[ctx.state.view_ids[lo:stop] == EMPTY] = 0
-        col[lo:stop] = ages
+        ages[ctx.state.view_ids[lo:hi] == EMPTY] = 0
+        col[lo:hi] = ages
     else:
-        col[lo:stop] = stage
+        col[lo:hi] = stage
     return {}
 
 

@@ -18,9 +18,10 @@ only the driver mutates (churn and rebalancing are planned centrally).
 With ``detail`` false (the unprofiled path) the worker replies
 ``("ok", result_dict)``.  With ``detail`` true the worker runs its own
 :class:`~repro.obs.telemetry.Telemetry` and replies ``("ok",
-result_pickle_bytes, spans)`` where ``spans`` is the per-command
-sub-span dict (``attach`` — remap/size sync, ``kernel`` — the dispatch
-itself, ``reply`` — result pickling); the driver books it
+result_pickle_bytes, spans, peak_mb)`` where ``spans`` is the
+per-command sub-span dict (``attach`` — remap/size sync, ``kernel`` —
+the dispatch itself, ``reply`` — result pickling) and ``peak_mb`` the
+worker's own peak RSS so far; the driver books it
 (:meth:`~repro.obs.telemetry.Telemetry.book_command`): the worker's
 busy time is the sum of the sub-spans, its barrier wait the rest of
 the dispatch span.
@@ -39,7 +40,7 @@ from __future__ import annotations
 import pickle
 import traceback
 
-from repro.obs.telemetry import Telemetry
+from repro.obs.telemetry import Telemetry, resident_mb
 from repro.sharded.kernels import DISPATCH
 from repro.sharded.shm import SharedBlock, WorkerScratch
 from repro.vectorized.kernels import ShardContext
@@ -87,7 +88,9 @@ def worker_main(conn, init: dict) -> None:
                         result = DISPATCH[command](ctx, **payload)
                     with telemetry.span("reply"):
                         blob = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
-                    conn.send(("ok", blob, telemetry.take_spans()))
+                    conn.send(
+                        ("ok", blob, telemetry.take_spans(), resident_mb(peak=True))
+                    )
                 else:
                     scratch.apply_remaps(remaps)
                     if state.size != size:

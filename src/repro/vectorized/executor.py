@@ -61,13 +61,14 @@ class Executor:
     addresses_subsets = False
 
     def allocate(self, view_size: int, size: int, window) -> ArrayState:
-        """Lay out the (empty) state for ``size`` initial nodes."""
+        """Lay out the (empty) state for ``size`` initial nodes.  An
+        executor that starts its workers eagerly launches them here,
+        first: a forked worker keeps every page its parent holds."""
         raise NotImplementedError
 
     def attach(self, geometry, telemetry) -> None:
         """The state is populated: adopt the partition geometry and the
-        telemetry, and start the workers if this executor starts
-        eagerly."""
+        telemetry, and hand eagerly started workers their replicas."""
         raise NotImplementedError
 
     def run(self, command: str, payloads) -> list:

@@ -61,7 +61,7 @@ from repro.engine.network import ConcurrencyModel
 from repro.engine.random_source import RandomSource, derive_seed
 from repro.engine.trace import NULL_TRACE, TraceLog
 from repro.metrics.statistics import z_value
-from repro.obs.telemetry import NULL_TELEMETRY
+from repro.obs.telemetry import NULL_TELEMETRY, resident_mb
 from repro.vectorized import churn as bulk_churn
 from repro.vectorized import metrics as vmetrics
 from repro.vectorized.cycle import ordering_phases, ranking_phases, refresh_phases
@@ -347,8 +347,10 @@ class VectorSimulation:
         attribute_values = self._draw_attributes(size, attributes)
         values = self._draw_initial_values(size)
         self.state.add_nodes(attribute_values, values, joined_at=0)
-        self.state.bootstrap_views(self.np_rng("bootstrap"))
-        self.executor.attach(self.geometry, self.telemetry)
+        with self.telemetry.span("setup/bootstrap", hwm=True):
+            self.state.bootstrap_views(self.np_rng("bootstrap"))
+        with self.telemetry.span("setup/replicate", hwm=True):
+            self.executor.attach(self.geometry, self.telemetry)
 
         self.churn = churn
         self._bulk_churn = bulk_churn.from_model(churn) if churn is not None else None
@@ -488,8 +490,9 @@ class VectorSimulation:
                         self._stats, self._fault_queue, self._cycle, telemetry,
                     )
         self._cycle += 1
-        telemetry.end_cycle()
         if telemetry.enabled:
+            telemetry.count("mem.rss_mb", resident_mb())
+            telemetry.end_cycle()
             self._post_cycle_observability(telemetry)
 
     def _post_cycle_observability(self, telemetry) -> None:
@@ -569,7 +572,8 @@ class VectorSimulation:
         decision = plan.rebalance(self.state, self._cycle)
         if decision is None:
             return
-        self.executor.compact(decision)
+        with self.telemetry.span("migrate", hwm=True):
+            self.executor.compact(decision)
         # Compaction relabels ids through a monotone map — the alpha
         # rank index applies it as a gather instead of re-sorting.
         id_map = decision.id_map()

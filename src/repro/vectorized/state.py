@@ -29,13 +29,16 @@ of the view columns are addressed through :func:`row_index` /
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "ArrayState",
     "EMPTY",
+    "BLOCK_BYTES",
+    "block_rows",
+    "row_blocks",
     "COLUMNS",
     "WINDOW_COLUMNS",
     "column_spec",
@@ -47,6 +50,13 @@ __all__ = [
 
 #: Sentinel id marking an empty view slot.
 EMPTY = -1
+
+#: Bytes per block wherever state is derived or moved outside the cycle
+#: — bootstrap fill, the transport's replication and sync, the row
+#: migration: one column, as many whole rows as fit (:func:`row_blocks`),
+#: so no step holds a second copy of the state (``docs/ARCHITECTURE.md``,
+#: "Memory budget").
+BLOCK_BYTES = 4 << 20
 
 #: Membership events retained for incremental consumers (the alpha
 #: rank index).  Consumers whose cursor falls off the back rebuild
@@ -92,6 +102,19 @@ def column_spec(
                 width = (window + 7) // 8
             spec[name] = (np.dtype(dtype), width)
     return spec
+
+
+def block_rows(column: np.ndarray) -> int:
+    """Whole rows of ``column`` per block: what fits :data:`BLOCK_BYTES`,
+    at least one."""
+    return max(1, BLOCK_BYTES // column.strides[0])
+
+
+def row_blocks(column: np.ndarray, lo: int, hi: int) -> List[Tuple[int, int]]:
+    """The ascending ``(start, stop)`` spans that tile rows ``[lo, hi)``
+    of ``column`` in blocks of :func:`block_rows` rows."""
+    step = block_rows(column)
+    return [(start, min(start + step, hi)) for start in range(lo, hi, step)]
 
 
 def row_index(live: np.ndarray, lo: int, hi: int):
@@ -411,15 +434,27 @@ class ArrayState:
 
         Slots that happen to draw the owner or a duplicate are blanked
         again rather than re-drawn; they get another chance next cycle.
+        One ``rng.integers`` call covers all empty slots (bounded draws
+        buffer 32-bit halves per call: a draw per block would change the
+        stream); everything derived from it runs over :func:`row_blocks`.
         """
         live = self.live_ids()
         if len(live) < 2:
             return
-        empty_rows, empty_cols = self.empty_live_slots()
-        if len(empty_rows) == 0:
+        spans = row_blocks(self.view_ids, 0, self.size)
+        alive = self.alive[:, None]
+        counts = [
+            np.count_nonzero((self.view_ids[lo:hi] == EMPTY) & alive[lo:hi])
+            for lo, hi in spans
+        ]
+        if not any(counts):
             return
-        picks = rng.integers(0, len(live), size=len(empty_rows))
-        self.apply_fill(empty_rows, empty_cols, live[picks])
+        picks = rng.integers(0, len(live), size=sum(counts))
+        offset = 0
+        for (lo, hi), count in zip(spans, counts):
+            rows, cols = self.empty_live_slots(lo, hi)
+            self.apply_fill(rows, cols, live[picks[offset : offset + count]])
+            offset += count
 
     def empty_live_slots(
         self, lo: int = 0, hi: Optional[int] = None

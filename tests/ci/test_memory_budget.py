@@ -1,0 +1,127 @@
+"""Where a run's memory peak may be set: inside the cycle, never in
+import, setup, teardown or a compaction ("Memory budget" in
+``docs/ARCHITECTURE.md``).  Each probe runs in a fresh interpreter — a
+peak is per process and only ever rises — and prints one JSON line of
+readings in MB (10^6 B).  The probe reads its own peak as ``VmHWM``:
+``ru_maxrss`` survives ``exec``, so in a subprocess it starts at the
+size of the pytest process that forked it."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+pytestmark = pytest.mark.skipif(
+    not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
+)
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+PRELUDE = """
+import json, resource, sys
+
+def hwm(pid="self"):
+    with open(f"/proc/{pid}/status") as handle:
+        for line in handle:
+            if line.startswith("VmHWM"):
+                return int(line.split()[1]) * 1024 / 1e6
+
+def workers_peak():  # forked, never exec'd: their own pages only
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024 / 1e6
+
+from repro.experiments.config import RunSpec, build_simulation
+
+WINDOW = dict(n=20_000, protocol="ranking-window", workers=2, slice_count=10,
+              view_size=10, seed=3)
+CHURN = dict(churn="regular", churn_rate=0.01, churn_period=1,
+             rebalance_threshold=1.2)
+"""
+
+
+def probe(body: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=SRC, REPRO_DISTRIBUTED_TRANSPORT="tcp")
+    result = subprocess.run(
+        [sys.executable, "-c", PRELUDE + textwrap.dedent(body)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy_stats_and_stays_small():
+    seen = probe(
+        """
+        import repro, repro.distributed.worker, repro.sharded.worker
+        print(json.dumps({"stats": "scipy.stats" in sys.modules, "mb": hwm()}))
+        """
+    )
+    assert not seen["stats"], "scipy.stats is back on the import path (+78 MB)"
+    assert seen["mb"] <= 70, seen
+
+
+def test_setup_never_sets_the_peak():
+    seen = probe(
+        """
+        sim = build_simulation(RunSpec(n=200_000, protocol="ranking",
+            backend="vectorized", slice_count=10, view_size=10, seed=3))
+        built = hwm()
+        sim.run(3)
+        print(json.dumps({"built": built, "cycled": hwm()}))
+        """
+    )
+    # A high-water mark never falls, so "the cycles set the peak" reads
+    # as: they raised it past where the build left it.
+    assert seen["built"] < seen["cycled"], seen
+
+
+def test_teardown_never_sets_the_peak():
+    seen = probe(
+        """
+        from repro.vectorized.state import column_spec
+        imported = hwm()
+        sim = build_simulation(RunSpec(backend="distributed", **WINDOW))
+        sim.run(3)
+        state = sim.state
+        replica = sum(
+            state.capacity * dtype.itemsize * width
+            for dtype, width in column_spec(state.view_size, state.window).values()
+        ) / 1e6
+        before = hwm()
+        sim.close()
+        print(json.dumps({"imported": imported, "replica": replica,
+            "before": before, "after": hwm(), "workers": workers_peak()}))
+        """
+    )
+    assert seen["after"] <= 1.15 * seen["before"], seen
+    # A worker: its import image, its replica, and less than one more
+    # replica of everything else (the parent: 2.2 replicas on top).
+    assert seen["workers"] <= seen["imported"] + 2.0 * seen["replica"], seen
+
+
+@pytest.mark.parametrize("backend", ["distributed", "sharded"])
+def test_compaction_never_sets_the_peak(backend):
+    seen = probe(
+        f"""
+        import multiprocessing
+
+        def peaks():
+            pids = [child.pid for child in multiprocessing.active_children()]
+            return [hwm()] + [hwm(pid) for pid in pids]
+
+        sim = build_simulation(RunSpec(backend={backend!r}, **WINDOW, **CHURN))
+        while sim.rebalance_count == 0:
+            before = peaks()
+            sim.run_cycle()
+        print(json.dumps({{"before": before, "after": peaks(), "cycle": sim.now}}))
+        sim.close()
+        """
+    )
+    # Driver first, then the workers: none grows by more than 15 %
+    # across the cycle that migrates every row.
+    assert len(seen["before"]) == len(seen["after"]) == 3, seen
+    for before, after in zip(seen["before"], seen["after"]):
+        assert after <= 1.15 * before, seen

@@ -15,7 +15,9 @@ import pytest
 from repro.churn.models import RegularChurn
 from repro.core.slices import SlicePartition
 from repro.distributed import DistributedSimulation
+from repro.sharded import ShardedSimulation
 from repro.vectorized.simulation import VectorSimulation
+from repro.vectorized.state import block_rows, column_spec
 
 STATE_COLUMNS = ("attribute", "value", "alive", "obs_le", "obs_total")
 
@@ -183,6 +185,37 @@ class TestLoopbackParity:
                 ), column
         finally:
             distributed.close()
+
+    def test_block_size_changes_nothing(self, monkeypatch):
+        # State moves in BLOCK_BYTES blocks outside the cycle (bootstrap
+        # fill, replication, migration, sync); at test sizes a column is
+        # one block, so shrink the block until every column is many.
+        spec = dict(
+            cycles=10, window=15, churn=skewed_churn(), rebalance_every=2, size=300
+        )
+        whole, _unused = paired_runs("ranking-window", 1, "loopback", **spec)
+        _unused.close()
+        monkeypatch.setattr("repro.vectorized.state.BLOCK_BYTES", 256)
+        vectorized, distributed = paired_runs("ranking-window", 3, "loopback", **spec)
+        kwargs = dict(spec, partition=SlicePartition.equal(10), view_size=8, seed=13)
+        cycles = kwargs.pop("cycles")
+        pooled = ShardedSimulation(protocol="ranking-window", workers=2, **kwargs)
+        try:
+            pooled.run(cycles)
+            assert whole.rebalance_count > 0
+            assert block_rows(whole.state.win_bits) < whole.state.size // 2
+            assert_states_identical(vectorized, distributed)
+            n = whole.state.size
+            for other in (vectorized, distributed, pooled):
+                assert other.state.size == n
+                for column in column_spec(8, 15):
+                    assert np.array_equal(
+                        getattr(whole.state, column)[:n],
+                        getattr(other.state, column)[:n],
+                    ), column
+        finally:
+            distributed.close()
+            pooled.close()
 
     def test_uniform_oracle_identical(self):
         vectorized, distributed = paired_runs(

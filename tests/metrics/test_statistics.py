@@ -38,6 +38,17 @@ class TestZValue:
     def test_99(self):
         assert z_value(0.99) == pytest.approx(2.575829, abs=1e-5)
 
+    @pytest.mark.parametrize(
+        "confidence",
+        [1e-9, 0.001, 0.1, 0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999, 1 - 1e-12],
+    )
+    def test_is_the_scipy_stats_normal_quantile(self, confidence):
+        # ``src/`` may not import scipy.stats at import time (78 MB in
+        # every worker process); the test may, to pin bit-equality.
+        from scipy.stats import norm
+
+        assert z_value(confidence) == float(norm.ppf(1 - (1 - confidence) / 2))
+
     def test_bounds(self):
         with pytest.raises(ValueError):
             z_value(0.0)

@@ -425,6 +425,57 @@ class TestDistributedWireAccounting:
             assert dispatch_ns <= accounted <= 2 * dispatch_ns
 
 
+class TestMemoryLevels:
+    """Where the peak was, on the stream: driver RSS per cycle, its
+    peak after each phase that moves whole columns, every worker's own
+    peak — levels (largest value wins), never sums."""
+
+    @pytest.mark.parametrize("backend", ["vectorized", "sharded", "distributed"])
+    def test_levels_ride_the_records_and_the_report(self, backend):
+        telemetry = Telemetry(engine=backend)
+        workers = {} if backend == "vectorized" else {"workers": 2}
+        spec = RunSpec(
+            n=400, slice_count=10, view_size=8, protocol="ranking-window", seed=13,
+            backend=backend, churn="regular", churn_rate=0.05, churn_period=1,
+            rebalance_every=3, **workers,
+        )
+        sim = build_simulation(spec, telemetry=telemetry)
+        try:
+            sim.run(5)
+            assert sim.rebalance_count > 0
+        finally:
+            sim.close()
+        telemetry.flush()
+        cycles = telemetry.cycle_records()
+        assert all(record["counters"]["mem.rss_mb"] > 0 for record in cycles)
+        report = CycleReport(telemetry.records)
+        levels = {name for name in report.counters if name.startswith("mem.")}
+        expected = {
+            "mem.rss_mb",
+            "mem.hwm_mb:setup/bootstrap",
+            "mem.hwm_mb:setup/replicate",
+            "mem.hwm_mb:rebalance/migrate",
+        }
+        if backend != "vectorized":
+            expected |= {"mem.w0.peak_mb", "mem.w1.peak_mb"}
+        if backend == "distributed":
+            expected.add("mem.hwm_mb:close/sync")
+        assert levels == expected
+        # Largest value, within a record and across records.
+        assert report.counters["mem.rss_mb"] == max(
+            record["counters"]["mem.rss_mb"] for record in cycles
+        )
+        assert telemetry.counter_totals()["mem.rss_mb"] == report.counters["mem.rss_mb"]
+        assert (
+            report.counters["mem.hwm_mb:setup/bootstrap"]
+            <= report.counters["mem.hwm_mb:rebalance/migrate"]
+        )
+        rendered = report.render()
+        assert "memory (largest value, MB):" in rendered
+        table = rendered.split("counters (total / per-cycle):")[1]
+        assert "mem." not in table
+
+
 class TestReferenceTraceBridge:
     def test_trace_counts_bridge_into_cycle_records(self):
         from repro.core.ordering import OrderingProtocol
