@@ -1,7 +1,7 @@
 """Sharded-backend scaling: cycles/sec vs worker count, plus the
 skewed-churn load-rebalancing ladder.
 
-Measures the multi-process driver against the single-process
+Measures the multi-threaded executor against the single-threaded
 vectorized baseline at bulk scales and archives the numbers as JSON
 (``benchmarks/results/sharded-scaling.json``) so CI can upload them as
 an artifact — including per-shard live-load stats from the
@@ -203,10 +203,6 @@ class TestScalingLadder:
         # the 1.5x acceptance bound, and the threshold trigger covers
         # any skew the cadence misses.
         rebalance_knobs = {"rebalance_every": 5, "rebalance_threshold": threshold}
-        # The baseline needs headroom for every appended joiner (ids
-        # are append-only without compaction): rate * cycles * n rows,
-        # plus slack for the fractional-rate carry.
-        spare = int(rate * cycles * n) + 4096
         entry = {
             "benchmark": "sharded-skewed-churn",
             "n": n,
@@ -229,7 +225,6 @@ class TestScalingLadder:
                     seed=0,
                     workers=workers,
                     churn=RegularChurn(rate=rate, period=1),
-                    spare_capacity=spare,
                     **knobs,
                 )
                 try:

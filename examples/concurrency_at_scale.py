@@ -56,7 +56,7 @@ def main():
         "--workers",
         type=int,
         default=None,
-        help="worker processes for --backend sharded",
+        help="worker threads for --backend sharded",
     )
     args = parser.parse_args()
 

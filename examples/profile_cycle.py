@@ -7,11 +7,10 @@ Each engine runs the *same* plan (bitwise-identical results — the
 telemetry only times, it never touches an RNG stream), so the columns
 differ purely in execution strategy:
 
-* ``vectorized``  — single-process numpy;
-* ``sharded``     — 2 worker processes over shared memory, with the
+* ``vectorized``  — single-threaded numpy;
+* ``sharded``     — 2 worker threads over the same arrays, with the
   driver/worker split visible as ``cmd:*`` dispatch spans plus
-  per-worker attach/kernel/reply sub-spans and kernel vs barrier-wait
-  accounting;
+  per-worker kernel sub-spans and kernel vs barrier-wait accounting;
 * ``distributed`` — 2 workers over the in-process loopback message
   transport, adding per-command wire-byte accounting.
 
@@ -112,7 +111,7 @@ def main():
     for backend, report in reports.items():
         print(f"  {backend:>12}: {report.serial_spine()}")
 
-    # The multi-process engines itemize their coordination costs.
+    # The parallel engines itemize their coordination costs.
     print("\ncoordination accounting:")
     for backend, report in reports.items():
         counters = report.counters

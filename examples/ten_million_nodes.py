@@ -3,11 +3,12 @@
 
 The paper evaluates at n = 10^4; the vectorized backend (PR 1) reached
 10^6 on one core.  This example runs the ranking algorithm over 10^7
-nodes with the *sharded* backend: the node state lives in shared
-memory, a worker pool executes every protocol phase over per-worker id
-ranges, and the driver plans churn, random draws and exchange waves
-centrally — so the run produces bitwise the same result as the
-single-process backend, just on all cores.
+nodes with the *sharded* backend: one copy of the node state, worker
+threads executing every protocol phase over per-worker id ranges of it
+(numpy releases the GIL inside the array passes), and the driver
+planning churn, random draws and exchange waves centrally — so the run
+produces bitwise the same result as the single-threaded backend, just
+on all cores, and the state grows with the joiners.
 
 The paper's correlated churn (lowest-attribute nodes leave, newcomers
 join above the maximum — its hardest regime) stays live the whole run,
@@ -35,7 +36,7 @@ def main():
         "--workers",
         type=int,
         default=None,
-        help="worker processes (default: all CPU cores)",
+        help="worker threads (default: all CPU cores)",
     )
     parser.add_argument(
         "--slices", type=int, default=10, help="equal slices to maintain"

@@ -9,8 +9,8 @@ The package provides:
 * the simulation substrate they run on — a PeerSim-style cycle engine
   with the paper's artificial-concurrency model, plus an event-driven
   engine (:mod:`repro.engine`), a numpy bulk engine for million-node
-  runs (:mod:`repro.vectorized`), and a multi-process shared-memory
-  engine for 10^7-node runs (:mod:`repro.sharded`);
+  runs (:mod:`repro.vectorized`), and the same engine on worker
+  threads for 10^7-node runs (:mod:`repro.sharded`);
 * pluggable peer-sampling protocols, including the paper's Cyclon
   variant (:mod:`repro.sampling`);
 * churn models, including attribute-correlated burst and regular churn

@@ -3,7 +3,8 @@
 The bulk engines — :mod:`repro.vectorized`, :mod:`repro.sharded` and
 :mod:`repro.distributed` — run one definition of the per-cycle
 schedule (churn, view refresh, protocol round;
-:mod:`repro.vectorized.cycle`) on three executors.  Their headline
+:mod:`repro.vectorized.cycle`) — in process, on one thread or on
+many, or over a message transport.  Their headline
 invariant is that a run is *bitwise identical* across the three (and
 across every worker count), which requires every random draw to
 happen in exactly the same stream order and every exchange to be

@@ -8,8 +8,8 @@ message-overlap masks, flush delivery order — is produced here, by one
 phase functions (:mod:`repro.vectorized.cycle`) copy the planned
 blocks into the executor's scratch and hand each shard its slice.
 Because the plan is the *only* code that draws, a run is bitwise
-identical on every executor — in-process, worker pool or message
-transport — at every worker count.
+identical on every executor — in-process, on one thread or many, or
+message transport — at every worker count.
 
 Canonical per-cycle draw order (streams in parentheses):
 

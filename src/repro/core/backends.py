@@ -12,7 +12,7 @@ Every registered backend supports every algorithm and every
 concurrency regime (the bulk backends model the paper's message
 overlap in batched form, :mod:`repro.bulk.concurrency`); the specs
 differ in how they execute — single-process object-per-node,
-single-process numpy, or a multi-process worker pool — and therefore
+single-process numpy, or numpy on worker threads / processes — and therefore
 in which ``workers`` values they accept.  :func:`create_simulation` is
 the one path from flat run options to a validated, running engine.
 """
@@ -159,7 +159,7 @@ class BackendSpec:
             if workers != 1 and not self.multiprocess:
                 raise ValueError(
                     f"backend={self.name!r} is single-process, but "
-                    f"workers={workers} was requested — multi-process "
+                    f"workers={workers} was requested — parallel "
                     "execution needs backend='sharded' or 'distributed'"
                     + _supported_suffix()
                 )
@@ -381,7 +381,7 @@ register_backend(
 register_backend(
     BackendSpec(
         name="sharded",
-        summary="multi-process shared-memory engine, ~10^7 nodes",
+        summary="numpy bulk engine on worker threads, ~10^7 nodes",
         factory=_sharded_factory,
         multiprocess=True,
         rebalances=True,

@@ -67,14 +67,14 @@ class SlicingService:
         ``"vectorized"`` runs the numpy bulk engine
         (:class:`~repro.vectorized.simulation.VectorSimulation`),
         which serves the same API at million-node scale;
-        ``"sharded"`` runs the multi-process shared-memory engine
+        ``"sharded"`` runs the same engine on worker threads
         (:class:`~repro.sharded.ShardedSimulation`) for 10^7-node runs;
         ``"distributed"`` runs the same cycle over a message transport
         (:class:`~repro.distributed.DistributedSimulation`) — spawned
         localhost-TCP workers by default, or pre-started remote workers
         via ``hosts``.
     workers:
-        Worker count for the multi-process backends (``None`` = all
+        Worker count for the parallel backends (``None`` = all
         CPU cores there; the single-process backends accept only
         ``None``/``1``).
     hosts:
@@ -372,8 +372,9 @@ class SlicingService:
         self._sim.remove_node(node_id)
 
     def close(self) -> None:
-        """Release backend resources (the sharded backend's worker pool
-        and shared memory); a no-op for the in-process backends."""
+        """Release backend resources (the sharded backend's worker
+        threads, the distributed backend's worker processes); a no-op
+        for the single-threaded backends."""
         if hasattr(self._sim, "close"):
             self._sim.close()
 

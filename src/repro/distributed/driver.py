@@ -5,11 +5,11 @@ transport.
 it validates the transport options and hands the one bulk driver
 (:class:`~repro.vectorized.simulation.VectorSimulation` — central
 :class:`~repro.bulk.CyclePlan`, churn, rebalance bookkeeping, every
-metric) a :class:`_MessageExecutor` to run on.  The executor replaces
-every shared-memory surface of the pool (scratch segments, state
-blocks, pipes) with an explicit message transport: length-prefixed
-framed messages over TCP sockets (or the in-process loopback
-transport).  Nothing is shared between driver and workers; everything
+metric) a :class:`_MessageExecutor` to run on.  Where the in-process
+executor's threads share the driver's arrays and scratch, this one
+puts an explicit message transport: length-prefixed framed messages
+over TCP sockets (or the in-process loopback transport).  Nothing is
+shared between driver and workers; everything
 a phase needs travels in the command message, and everything it
 produces travels back in the reply:
 
@@ -17,7 +17,7 @@ produces travels back in the reply:
   (random draws, proposal lists, wave pairings);
 * **results up** — each reply carries the scratch segments the worker
   wrote and the replicated-column deltas it produced;
-* **wave-boundary sync** — the barrier of the shared-memory backend
+* **wave-boundary sync** — the barrier of the in-process executor
   becomes an explicit exchange: the driver merges each wave's deltas
   and re-broadcasts them with the next command, and cross-shard view
   exchanges ship the partner's rows both ways (``fetch_rows`` → swap
@@ -30,7 +30,7 @@ produces travels back in the reply:
   driver, and the one shard-owned column a metric reads
   (``obs_total``) is pulled on demand through ``dump_state``;
 * **rebalancing** — the one row migration
-  (:func:`repro.sharded.driver.migrate_rows`: per-column pack →
+  (:func:`repro.distributed.migration.migrate_rows`: per-column pack →
   barrier → unpack with view-id relabeling) runs with the staging
   buffer relayed through the driver, which is exactly a shard-to-shard
   state transfer across hosts.
@@ -58,20 +58,37 @@ from repro.distributed.transport import (
     launch_local_tcp,
     launch_loopback,
 )
-from repro.sharded.driver import capacity_with_spare, migrate_rows, worker_count
-from repro.vectorized.executor import Executor, grown_size
+from repro.distributed.migration import migrate_rows
+from repro.vectorized.executor import Executor, grown_size, worker_count
 from repro.vectorized.kernels import WAVE_BUFFERS
 from repro.vectorized.simulation import VectorSimulation
 from repro.vectorized.state import ArrayState, column_spec, row_blocks, take_rows
 
-__all__ = ["DistributedSimulation"]
+__all__ = ["DistributedSimulation", "capacity_with_spare"]
+
+
+def capacity_with_spare(size: int, spare_capacity: Optional[int]) -> int:
+    """Rows a non-growing executor allocates for ``size`` initial nodes:
+    ``spare_capacity`` extra for joiners, ``max(1024, size // 4)`` by
+    default.
+
+    A quarter, because compaction has to get its chance first: with
+    ``D`` dead rows among ``N`` live ones (removal uniform over ids,
+    joiners appended on top) the trigger's 8-range probe reads a load
+    ratio of ``1 + 8x² / (1 - x²)``, ``x = D / N`` — 1.13 when an
+    eighth is used up, 1.53 at a quarter — so every
+    ``rebalance_threshold`` up to 1.5 fires before the spare runs out.
+    A spare row costs its ``view_ids`` fill; the other columns stay
+    untouched zero pages until a joiner lands on them."""
+    spare = max(1024, size // 4) if spare_capacity is None else int(spare_capacity)
+    return size + spare
 
 
 class MessageScratch:
     """Driver-side named scratch (grow-on-demand), with (re)allocation
     notices pushed to every worker so their local mirrors stay
     layout-compatible — the message twin of
-    :class:`~repro.sharded.shm.SharedScratch`."""
+    :class:`~repro.vectorized.executor.InlineScratch`."""
 
     def __init__(self, on_remap) -> None:
         self._arrays: Dict[str, np.ndarray] = {}
@@ -101,7 +118,7 @@ class MessageScratch:
 class _MessageExecutor(Executor):
     """The transport-backed executor: same ``run(command, payloads)``
     surface the cycle's phases dispatch through, implemented as framed
-    message exchanges instead of shared-memory broadcasts.
+    message exchanges instead of calls over shared arrays.
 
     Workers are launched (or connected to) before the state is
     allocated and receive their replicas when the populated state is
@@ -346,8 +363,8 @@ class _MessageExecutor(Executor):
                 array[where] = values
         self.push_updates(updates)
         if detail:
-            # Same accounting as the sharded pool: the exchange span
-            # minus the workers' self-reported busy time is wire +
+            # Same accounting as the in-process executor: the exchange
+            # span minus the workers' self-reported busy time is wire +
             # barrier waiting; the endpoint byte counters attribute
             # traffic per command (incl. the pickled scratch inputs).
             span_ns = perf_counter_ns() - start
@@ -489,8 +506,7 @@ class DistributedSimulation(VectorSimulation):
         the default.
     spare_capacity:
         Extra rows pre-allocated for joiners (replicas cannot grow);
-        default ``max(1024, size // 4)``
-        (:func:`~repro.sharded.driver.capacity_with_spare`).
+        default ``max(1024, size // 4)`` (:func:`capacity_with_spare`).
     max_frame, connect_timeout:
         Transport limits: per-message byte cap and worker-connect
         timeout.

@@ -2,10 +2,10 @@
 carries down to a worker and what comes back up.
 
 The driver issues the bulk cycle's command stream verbatim (same
-:data:`repro.sharded.kernels.DISPATCH` kernels, same phase ordering,
-same :class:`~repro.bulk.CyclePlan`), but nothing is shared between
-the processes — every buffer that crossed the shared-memory boundary
-in :mod:`repro.sharded.shm` now crosses a message transport instead:
+:data:`repro.distributed.migration.DISPATCH` kernels, same phase
+ordering, same :class:`~repro.bulk.CyclePlan`), but nothing is shared
+between the processes — every buffer the in-process executor's threads
+simply share with the driver crosses a message transport instead:
 
 * **column replication.**  Workers hold a full-capacity local replica
   of the :class:`~repro.vectorized.state.ArrayState`.  The *light*
@@ -130,10 +130,6 @@ def _slice_rank_targets(payload, state):
     return {"u1": span, "u2": span}
 
 
-def _slice_rank_apply(payload, state):
-    # Every worker scans the full UPD event list for its own rows.
-    span = (0, payload["events"])
-    return {"targets": span, "senders": span}
 
 
 def _slice_ord_select(payload, state):
@@ -169,7 +165,7 @@ INPUT_SLICERS = {
     "refresh_fill_partners": _slice_refresh_fill_partners,
     "refresh_swap": _slice_refresh_swap,
     "rank_targets": _slice_rank_targets,
-    "rank_apply": _slice_rank_apply,
+    "rank_apply": _slice_span("targets", "senders"),
     "ord_select": _slice_ord_select,
     "conc_wave": _slice_span("wave_a", "wave_b", "wave_d", "wave_s"),
     "conc_req": _slice_span("del_r", "del_s", "del_p", "del_t"),

@@ -8,9 +8,10 @@ heavy columns are authoritative only inside the worker's own row range
 is shipped at init, so the rest of the window ring is never touched and
 costs no memory.  The init message is *consumed*: its column blocks are
 released as they land in the replica; nothing of it outlives the build.
-It serves the same shard kernels as the sharded backend's pool workers
-(:data:`repro.sharded.kernels.DISPATCH`), plus a few transport-only
-commands:
+It serves the same shard kernels as the in-process executor's threads,
+plus the row-migration commands
+(:data:`repro.distributed.migration.DISPATCH`) and a few transport-only
+ones:
 
 * ``fetch_rows`` — pack this shard's view rows another shard needs for
   a cross-shard exchange wave (the request half of the guest-row
@@ -19,8 +20,8 @@ commands:
   and return the rewritten guest rows to be routed back to their
   owners;
 * ``rebalance_commit`` — the migration commit, extended to rewrite the
-  replicated liveness column (the sharded backend's driver writes it
-  straight into shared memory; here every replica must apply it);
+  replicated liveness column (every replica must apply what the
+  driver wrote into its own);
 * ``dump_state`` — return one row block of one column, as a view (the
   driver's ``sync_state``, its final sync at ``close``, and the
   ``obs_total`` pull of ``confident_fraction`` — the only metric that
@@ -62,9 +63,9 @@ import numpy as np
 
 from repro.distributed import protocol
 from repro.distributed.framing import DEFAULT_MAX_FRAME, ConnectionClosed
+from repro.distributed.migration import DISPATCH
 from repro.distributed.transport import Endpoint, parse_host_port
 from repro.obs.telemetry import Telemetry, resident_mb
-from repro.sharded.kernels import DISPATCH
 from repro.vectorized.kernels import ShardContext
 from repro.vectorized.metrics import PartitionArrays
 from repro.vectorized.state import EMPTY, ArrayState, column_spec, put_rows, take_rows
@@ -74,8 +75,7 @@ __all__ = ["serve_endpoint", "tcp_worker_main", "main"]
 
 class MessageScratchMirror:
     """Worker-side scratch: plain local arrays allocated from the
-    driver's (re)allocation notices and refreshed from shipped inputs —
-    the message twin of :class:`repro.sharded.shm.WorkerScratch`."""
+    driver's (re)allocation notices and refreshed from shipped inputs."""
 
     def __init__(self) -> None:
         self._arrays: Dict[str, np.ndarray] = {}

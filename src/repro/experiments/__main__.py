@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=list(BACKENDS),
         help="simulation engine: per-node objects (reference, the default), "
         "the numpy bulk engine (vectorized; reaches 10^6 nodes), the "
-        "multi-process shared-memory engine (sharded; reaches 10^7 "
+        "same engine on worker threads (sharded; reaches 10^7 "
         "nodes, see --workers), or the multi-host message-transport "
         "engine (distributed; see --workers/--hosts). Every figure "
         "runs on every backend, including the concurrency studies "
@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workers",
         type=int,
-        help="worker processes for --backend sharded/distributed "
+        help="worker threads / processes for --backend sharded / distributed "
         "(default: all CPU cores)",
     )
     parser.add_argument(

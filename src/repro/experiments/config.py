@@ -67,13 +67,13 @@ class RunSpec:
     backend:
         One of :data:`BACKENDS`: ``"reference"`` (object-per-node
         engines), ``"vectorized"`` (numpy bulk engine), ``"sharded"``
-        (multi-process shared-memory engine), or ``"distributed"``
+        (the bulk engine on worker threads), or ``"distributed"``
         (multi-host message-transport engine).  Every
         backend supports every concurrency regime (the bulk backends
         model message overlap in batched form); the bulk backends
         support the ``cyclon-variant`` and ``uniform`` samplers only.
     workers:
-        Worker count for the multi-process backends (``"sharded"`` /
+        Worker count for the parallel backends (``"sharded"`` /
         ``"distributed"``; ``None`` = all CPU cores); must be
         ``None``/1 for the single-process backends.
     hosts:

@@ -74,7 +74,7 @@ ALL_FIGURES: Dict[str, Callable] = {}
 @contextmanager
 def simulation(spec: RunSpec):
     """The simulation ``spec`` describes, closed on exit: a
-    multi-process backend's worker pool and shared memory (and a
+    parallel backend's worker threads or processes (and a
     telemetry sink the spec opened) are released before the caller
     builds its next run, not whenever the garbage collector gets to
     them."""

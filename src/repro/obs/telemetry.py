@@ -5,8 +5,8 @@ A :class:`Telemetry` object attributes a simulation cycle's wall time
 to named phases.  Engines wrap each phase in ``with telemetry.span(
 "refresh"):`` blocks; nested spans build ``"/"``-separated paths
 (``"refresh/waves"``), so the report layer can reconstruct a self-time
-tree.  Precomputed durations — a sharded dispatch measured around a
-pipe round-trip, a worker kernel time carried back in the reply —
+tree.  Precomputed durations — a dispatch measured around its barrier,
+a worker's kernel time carried back from its thread or in its reply —
 enter through :meth:`Telemetry.add_span`, and monotonic counters
 (messages, wire bytes, barrier-wait nanoseconds) through
 :meth:`Telemetry.count`.
@@ -22,10 +22,10 @@ directly comparable to cycle wall time.
 
 On top of the PR-6 span tree this module adds three opt-in layers:
 
-* **worker sub-spans** (:meth:`add_worker_spans`) — the sharded and
-  distributed drivers merge the per-command sub-span dicts their
-  workers ship back (attach/kernel/reply, deserialize/compute/
-  serialize) into the open record's ``"workers"`` bucket, keyed by
+* **worker sub-spans** (:meth:`add_worker_spans`) — the executors
+  merge the per-command sub-span dicts of their workers (kernel on a
+  thread; deserialize/compute/serialize shipped back by a transport
+  worker) into the open record's ``"workers"`` bucket, keyed by
   worker index, so the report can render a per-worker
   utilization/straggler table;
 * **timeline mode** (``timeline=True``) — spans additionally record
@@ -240,7 +240,7 @@ class Telemetry:
         start_ns: Optional[int] = None,
     ) -> None:
         """Merge one worker's per-command sub-span dict (``{sub_name:
-        [ns, count]}``, e.g. attach/kernel/reply) into the current
+        [ns, count]}``, e.g. deserialize/compute/serialize) into the current
         record's ``"workers"`` bucket under ``<current path>/<name>``.
 
         ``dispatch_ns`` — the driver's barrier round-trip span —

@@ -1,7 +1,8 @@
-"""repro.sharded — multi-process bulk backend for 10^7-node runs.
+"""repro.sharded — the bulk backend on worker threads, for 10^7-node
+runs.
 
-Shards the :mod:`repro.vectorized` cycle across a persistent worker
-pool over ``multiprocessing.shared_memory``.  Churn, random draws,
+Shards the :mod:`repro.vectorized` cycle across persistent worker
+threads over the driver's own arrays.  Churn, random draws,
 exchange waves and message-overlap masks all come from the shared
 :class:`repro.bulk.CyclePlan`, so results — including the paper's
 half/full concurrency regimes — are bitwise identical to the

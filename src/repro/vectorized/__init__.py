@@ -12,9 +12,10 @@ It is also where the bulk cycle is *defined*, once, for all three bulk
 backends: :mod:`~repro.vectorized.cycle` is the command sequence,
 :mod:`~repro.vectorized.kernels` the per-shard work behind each
 command, and :mod:`~repro.vectorized.executor` the in-process executor
-this backend dispatches them on.  :mod:`repro.sharded` and
-:mod:`repro.distributed` add a worker pool and a message transport as
-alternative executors; nothing in this package imports them.
+this backend dispatches them on — and :mod:`repro.sharded` runs on too,
+with more than one worker thread.  :mod:`repro.distributed` adds a
+message transport as the alternative executor; nothing in this package
+imports either.
 
 Entry points:
 

@@ -16,9 +16,9 @@ between the plan and the metrics hooks.  Every cycle splits into
 
 The phase functions know nothing about *where* the kernels run: they
 dispatch through an executor (:mod:`repro.vectorized.executor`), which
-is the calling process for ``backend="vectorized"``, a shared-memory
-worker pool for ``"sharded"`` and framed messages for
-``"distributed"``.  Because the plan is identical for every executor
+is the calling thread for ``backend="vectorized"``, that thread plus a
+pool of others over the same arrays for ``"sharded"`` and framed
+messages for ``"distributed"``.  Because the plan is identical for every executor
 and each applied step is either row-local or wave-disjoint, a run's
 arrays are **bitwise identical** whichever executor ran it, at any
 worker count.
@@ -45,6 +45,7 @@ __all__ = [
     "ExchangeApplier",
     "prefix_offsets",
     "shard_run_payloads",
+    "shard_cut",
 ]
 
 
@@ -68,6 +69,25 @@ def shard_run_payloads(bounds, capacity, keys):
         {"offset": int(cuts[i]), "count": int(cuts[i + 1] - cuts[i])}
         for i in range(len(bounds))
     ]
+
+
+def shard_cut(bounds, rows):
+    """``(order, runs)`` for row ids in any order: the stable
+    permutation that groups ``rows`` by owning shard — each shard's
+    rows keep their relative order — and every shard's ``{offset,
+    count}`` run of the grouped list.  One comparison pass per shard
+    boundary and one index pass per shard: for the handful of shards a
+    machine has cores for, a fraction of what sorting by owner costs."""
+    owner = np.zeros(len(rows), dtype=np.min_scalar_type(len(bounds)))
+    for lo, _hi in bounds[1:]:
+        owner += rows >= lo
+    groups = [np.flatnonzero(owner == shard) for shard in range(len(bounds))]
+    offsets, _total = prefix_offsets(len(group) for group in groups)
+    runs = [
+        {"offset": offset, "count": len(group)}
+        for offset, group in zip(offsets, groups)
+    ]
+    return np.concatenate(groups), runs
 
 
 def _gather_proposals(executor, counts, names):
@@ -251,8 +271,8 @@ def ranking_phases(
             # the inline ones, in random order.  One-way messages
             # compare only immutable attributes, so overlap reorders
             # the event stream (which the sliding window observes)
-            # without changing counters; rank_apply preserves global
-            # order per row, so shards stay bitwise aligned.
+            # without changing counters; the per-shard cut below keeps
+            # the global order per row, so shards stay bitwise aligned.
             order, overlapping = plan.upd_schedule(2 * total_rows)
             if order is not None:
                 event_targets = event_targets[order]
@@ -301,13 +321,22 @@ def ranking_phases(
 
     n_events = len(event_targets)
     with telemetry.span("upd_deliver"):
+        runs = [{"offset": 0, "count": n_events}] * shards
         if n_events:
             targets = scratch.ensure("targets", np.int64, n_events)
             senders = scratch.ensure("senders", np.float64, n_events)
-            targets[:n_events] = event_targets
-            senders[:n_events] = event_senders
+            if shards > 1:
+                # Cut the event list by target shard once, here, keeping
+                # the global order within each shard (the sliding window
+                # observes per-node event order).
+                order, runs = shard_cut(executor.bounds, event_targets)
+                np.take(event_targets, order, out=targets[:n_events], mode="clip")
+                np.take(event_senders, order, out=senders[:n_events], mode="clip")
+            else:
+                targets[:n_events] = event_targets
+                senders[:n_events] = event_senders
         # One kernel delivers the events and recomputes the estimates.
-        executor.run("rank_apply", [{"events": n_events}] * shards)
+        executor.run("rank_apply", runs)
     if sent or matured_count:
         stats.note_round(messages=sent, intended=0)
         stats.note_overlapping(overlapping)

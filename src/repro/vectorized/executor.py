@@ -5,32 +5,54 @@ There is one bulk driver (:class:`~repro.vectorized.simulation.
 VectorSimulation`): it plans every cycle, applies churn, books
 rebalances and computes every metric from columns it holds itself.
 What it hands to an *executor* is whatever depends on where the node
-columns physically live — :class:`Executor` is that surface: allocate
-the state, start workers, run commands, replicate driver-written rows,
-compact a planned rebalance, sync, close (``docs/ARCHITECTURE.md``,
-"What an executor owns", tabulates the three side by side).
+columns physically live and who applies the kernels to them —
+:class:`Executor` is that surface: allocate the state, start workers,
+run commands, replicate driver-written rows, compact a planned
+rebalance, sync, close (``docs/ARCHITECTURE.md``, "What an executor
+owns", tabulates them side by side).
 
-This module holds the surface and the in-process executor — a single
-shard spanning the whole state, kernels called directly, plain arrays
-for scratch, no pool, no shared memory; its ``close`` releases nothing,
-so reads and runs keep working after it.  The pool
-(:mod:`repro.sharded.driver`) and message
-(:mod:`repro.distributed.driver`) executors serve the same surface
-across processes; nothing here imports them.
+This module holds the surface and the in-process executor
+(:class:`InlineExecutor`): the kernels called directly over the
+driver's own growable arrays, plain arrays for scratch — on the calling
+thread alone (``backend="vectorized"``), or on ``workers`` threads, one
+contiguous row range each (``backend="sharded"``).  The message
+executor (:mod:`repro.distributed.driver`) serves the same surface
+across processes and hosts; nothing here imports it.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter_ns
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.bulk.rebalance import compact_state
+from repro.bulk.rebalance import compact_state, rebalance_bounds
 from repro.vectorized.kernels import DISPATCH, ShardContext
 from repro.vectorized.state import ArrayState
 
-__all__ = ["Executor", "InlineScratch", "InlineExecutor", "grown_size"]
+__all__ = [
+    "Executor",
+    "InlineScratch",
+    "InlineExecutor",
+    "THREAD_PREFIX",
+    "grown_size",
+    "worker_count",
+]
+
+#: Name prefix of the in-process executor's worker threads (what the
+#: test suite's leak check looks for in ``threading.enumerate()``).
+THREAD_PREFIX = "repro-shard"
+
+
+def worker_count(workers: Optional[int]) -> int:
+    """``workers`` as a validated count; ``None`` means every CPU core."""
+    workers = (os.cpu_count() or 1) if workers is None else int(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return workers
 
 
 def grown_size(size: int, current: int = 0) -> int:
@@ -101,7 +123,9 @@ class InlineScratch:
         self._arrays: Dict[str, np.ndarray] = {}
 
     def ensure(self, name: str, dtype, size: int) -> np.ndarray:
-        """An array named ``name`` with at least ``size`` elements."""
+        """An array named ``name`` with at least ``size`` elements.  Only
+        the driver calls this, and never while a command is in flight:
+        a kernel looks its buffers up by name."""
         array = self._arrays.get(name)
         if array is not None and len(array) >= size and array.dtype == dtype:
             return array
@@ -114,10 +138,45 @@ class InlineScratch:
         return self._arrays[name]
 
 
+def _run_shard(kernel, ctx: ShardContext, payload: dict, start: int = 0) -> tuple:
+    """One kernel call on one shard, on whichever thread: ``(result,
+    busy_ns, end_ns, error)`` — an exception is returned, not raised, so
+    the barrier is always joined before anything propagates.  The
+    calling thread passes the dispatch ``start``: handing the other
+    shards out is part of its busy time."""
+    start = start or perf_counter_ns()
+    result = error = None
+    try:
+        result = kernel(ctx, **payload)
+    except Exception as caught:
+        error = caught
+    end = perf_counter_ns()
+    return result, end - start, end, error
+
+
 class InlineExecutor(Executor):
-    """Single-shard executor running the kernels in the calling
-    process.  The shard always spans the state's *current* capacity:
-    nothing here pins the arrays, so the state stays free to grow."""
+    """The in-process executor: ``workers`` shards of one growable
+    :class:`~repro.vectorized.state.ArrayState`, one
+    :class:`~repro.vectorized.kernels.ShardContext` each, the kernels
+    called directly over the driver's own arrays and plain scratch.
+
+    With one worker a command is a function call.  With more, the
+    calling thread runs shard 0 and a persistent thread pool the rest
+    (numpy releases the GIL inside the array passes a kernel consists
+    of); the pool is started by the first command and stopped by
+    :meth:`close`, which releases nothing else — reads keep working
+    after it, and a further command simply starts a new pool.
+
+    What threads share, and processes would not, is the *Python
+    objects*.  A kernel may write rows of the state's columns and its
+    own slices of the scratch arrays; it never assigns an attribute of
+    the state, the scratch or the telemetry — ``size``, the liveness
+    cache and ``maybe_dead_entries`` are the driver's
+    (``tests/vectorized/test_kernel_purity.py`` holds the rule)."""
+
+    def __init__(self, workers: int = 1) -> None:
+        self.workers = worker_count(workers)
+        self._pool = None
 
     def allocate(self, view_size: int, size: int, window) -> ArrayState:
         self.state = ArrayState(view_size, capacity=size)
@@ -128,34 +187,76 @@ class InlineExecutor(Executor):
     def attach(self, geometry, telemetry) -> None:
         self.scratch = InlineScratch()
         self._telemetry = telemetry
-        self._ctx = ShardContext(
-            self.state, 0, self.state.capacity, geometry, self.scratch
-        )
+        self._geometry = geometry
+        self._split()
+
+    def _split(self) -> None:
+        """Cut the populated span evenly into one context per worker
+        (the last one takes the spare rows, where joiners append).
+        Bounds never affect results, only which thread does which
+        rows' work."""
+        state = self.state
+        self._contexts = [
+            ShardContext(state, lo, hi, self._geometry, self.scratch)
+            for lo, hi in rebalance_bounds(state.size, self.workers, state.capacity)
+        ]
 
     @property
     def bounds(self) -> list:
-        return [(0, self.state.capacity)]
+        spans = [(ctx.lo, ctx.hi) for ctx in self._contexts]
+        spans[-1] = (spans[-1][0], self.state.capacity)
+        return spans
 
     def run_async(self, command: str, payloads):
-        """Inline execution is synchronous: the "in-flight" handle is
-        the finished result plus its timing, booked at collect time so
-        the plan/apply pipelining call pattern works unchanged."""
-        ctx = self._ctx
-        ctx.hi = ctx.state.capacity  # churn may have grown the state
-        if not self._telemetry.enabled:
-            return (command, [DISPATCH[command](ctx, **payloads[0])], None)
+        """Start one command on every shard and return once the calling
+        thread's own shard is done; the others may still be running.
+        The caller must :meth:`collect` before touching anything the
+        command writes."""
+        contexts = self._contexts
+        contexts[-1].hi = self.state.capacity  # churn may have grown the state
+        kernel = DISPATCH[command]
         start = perf_counter_ns()
-        result = [DISPATCH[command](ctx, **payloads[0])]
-        return (command, result, (start, perf_counter_ns() - start))
+        futures = []
+        if len(contexts) > 1:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    max_workers=len(contexts) - 1, thread_name_prefix=THREAD_PREFIX
+                )
+            futures = [
+                self._pool.submit(_run_shard, kernel, ctx, payload)
+                for ctx, payload in zip(contexts[1:], payloads[1:])
+            ]
+        own = _run_shard(kernel, contexts[0], payloads[0], start)
+        return command, start, own, futures
 
     def collect(self, pending) -> list:
-        command, result, timing = pending
-        if timing is not None:
-            start, span_ns = timing
+        command, start, own, futures = pending
+        outcomes = [own] + [future.result() for future in futures]
+        results, busy, ends, errors = zip(*outcomes)
+        for shard, error in enumerate(errors):
+            if error is not None:
+                error.args = (
+                    f"command {command!r} failed on shard {shard} of "
+                    f"{len(errors)}: {error}",
+                )
+                raise error
+        if self._telemetry.enabled:
+            # The dispatch span ends when the slowest shard does, so a
+            # shard's wait is the skew between the threads (none with
+            # one worker), not the planning the driver overlaps.
             self._telemetry.book_command(
-                command, start, span_ns, [(0, {"kernel": [span_ns, 1]})]
+                command,
+                start,
+                max(ends) - start,
+                [(shard, {"kernel": [ns, 1]}) for shard, ns in enumerate(busy)],
             )
-        return result
+        return list(results)
 
     def compact(self, decision) -> None:
         compact_state(self.state, decision)
+        self._split()
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True)
+            self._pool = None

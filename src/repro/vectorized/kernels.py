@@ -11,11 +11,18 @@ of a centrally scheduled exchange wave.  Together those two rules give
 the bulk backends their headline property: the arrays a cycle produces
 are bitwise identical for *any* split of the id space into shards.
 
-The in-process executor (``backend="vectorized"``) runs these kernels
-over one shard spanning the whole state; the pool and message
-executors (:mod:`repro.sharded.worker`,
-:mod:`repro.distributed.worker`) run the same functions in worker
-processes over their own row ranges.
+The in-process executor runs these kernels over the driver's own
+arrays — one shard spanning the whole state (``backend="vectorized"``)
+or one per worker thread (``"sharded"``); the message executor's
+workers (:mod:`repro.distributed.worker`) run the same functions in
+their own processes over their own row ranges.
+
+Threads share the Python objects, so a kernel writes *array elements*
+only — rows of the state's columns, its slices of the scratch arrays,
+its own context — and never assigns an attribute of the state, the
+scratch or the telemetry: ``size``, the liveness cache and
+``maybe_dead_entries`` belong to the driver
+(``tests/vectorized/test_kernel_purity.py``).
 """
 
 from __future__ import annotations
@@ -215,21 +222,23 @@ def cmd_rank_targets(
     return {}
 
 
-def cmd_rank_apply(ctx: ShardContext, events: int) -> dict:
-    """Deliver the ``events`` UPD messages landing on this shard's rows
-    (global order preserved, so the float accumulation is bitwise
-    identical to the single-process scatter-add), then recompute
-    estimates.  With a fault model the event list already reflects the
-    fates — lost messages filtered, matured mail prepended."""
+def cmd_rank_apply(ctx: ShardContext, offset: int, count: int) -> dict:
+    """Deliver this shard's run of the UPD event list — the driver cut
+    the global list by target shard, order preserved, so the per-node
+    event order (and with it every counter and window) is bitwise that
+    of the single-shard delivery — then recompute estimates.  With a
+    fault model the event list already reflects the fates — lost
+    messages filtered, matured mail prepended."""
     state = ctx.state
     live = ctx.cache["live"]
-    if events:
-        targets = ctx.scratch["targets"][:events]
-        senders = ctx.scratch["senders"][:events]
-        if ctx.lo > 0 or ctx.hi < state.size:  # some land on other shards
-            mine = (targets >= ctx.lo) & (targets < ctx.hi)
-            targets, senders = targets[mine], senders[mine]
-        deliver_updates(state, targets, senders)
+    if count:
+        deliver_updates(
+            state,
+            ctx.scratch["targets"][offset : offset + count],
+            ctx.scratch["senders"][offset : offset + count],
+            ctx.lo,
+            min(ctx.hi, state.size),
+        )
     if len(live):
         recompute_estimates(state, live)
     return {}

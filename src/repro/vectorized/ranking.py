@@ -172,16 +172,22 @@ def boundary_columns(
 
 
 def deliver_updates(
-    state: ArrayState, targets: np.ndarray, senders_attr: np.ndarray
+    state: ArrayState, targets: np.ndarray, senders_attr: np.ndarray, lo: int, hi: int
 ) -> None:
-    """Lines 13-14 + 17-21: one-way ``UPD`` delivery as scatter-adds
-    (or, with a sliding window, as window events), in event order."""
+    """Lines 13-14 + 17-21: one-way ``UPD`` delivery to targets within
+    rows ``[lo, hi)`` — per-row event counts added to the counters (or,
+    with a sliding window, window events in event order)."""
     upd_le = (senders_attr <= state.attribute[targets]).astype(np.float64)
     if state.window is not None:
         window_push(state, targets, upd_le)
     else:
-        np.add.at(state.obs_total, targets, 1.0)
-        np.add.at(state.obs_le, targets, upd_le)
+        # Each event adds an exact 1.0 (or 0.0), so a row's total is its
+        # event count whatever the order — counted in one pass that,
+        # unlike ``np.add.at``, runs without the GIL.
+        local = targets - lo if lo else targets
+        rows = hi - lo
+        state.obs_total[lo:hi] += np.bincount(local, minlength=rows)
+        state.obs_le[lo:hi] += np.bincount(local, weights=upd_le, minlength=rows)
 
 
 def recompute_estimates(state: ArrayState, live: np.ndarray) -> None:

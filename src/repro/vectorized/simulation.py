@@ -26,7 +26,7 @@ dispatched as commands through an executor
 (:mod:`repro.vectorized.executor`).  This class is the only bulk
 driver: by default the executor runs the kernels in this process, and
 ``ShardedSimulation`` / ``DistributedSimulation`` are constructors that
-hand it a worker pool or a message transport instead — plan, churn,
+hand it more worker threads or a message transport instead — plan, churn,
 rebalance bookkeeping and every metric are this code on all three,
 which is what makes them bitwise interchangeable.  The metrics read
 ``attribute``, ``value`` and ``alive``, which the driver holds current
@@ -252,9 +252,9 @@ class VectorSimulation:
         live-load ratio over the fixed occupancy probe exceeds
         ``rebalance_threshold``.  On this backend compaction is a pure
         relabeling (it reclaims capacity and keeps long churn runs
-        compact); on the sharded backend the same planned permutation
-        drives the shard-boundary rebalance — and because the plan
-        decides it, the two backends stay bitwise identical.  Note
+        compact); on the sharded backend the shard boundaries are then
+        recomputed over the live span — and because the plan decides
+        the permutation, the two backends stay bitwise identical.  Note
         that a compaction relabels node ids, so the compatibility
         API's ids are not stable across one.  Both ``None`` (default)
         disables rebalancing.
@@ -341,7 +341,7 @@ class VectorSimulation:
 
         self.executor = executor if executor is not None else InlineExecutor()
         # The executor never references the simulation, so dropping the
-        # last user reference releases workers and shared memory.
+        # last user reference releases the workers.
         self._finalizer = weakref.finalize(self, self.executor.close)
         self.state = self.executor.allocate(view_size, size, self.window)
         attribute_values = self._draw_attributes(size, attributes)
@@ -356,12 +356,10 @@ class VectorSimulation:
         self._bulk_churn = bulk_churn.from_model(churn) if churn is not None else None
 
     def close(self) -> None:
-        """Stop the executor's workers and release its memory;
-        idempotent, and also run on garbage collection.  ``state``
-        stays readable except on a pool, whose columns lived in the
-        shared memory this releases: there every read raises a
-        ``RuntimeError`` afterwards."""
-        self._finalizer()
+        """Stop the executor's workers; idempotent, and also run on
+        garbage collection.  ``state`` stays readable on every
+        executor (a transport pulls its shards' columns down first)."""
+        self.executor.close()
 
     def __enter__(self):
         return self
@@ -567,8 +565,8 @@ class VectorSimulation:
     def _maybe_rebalance(self, plan: CyclePlan) -> None:
         """Apply the plan's compaction decision, if any.  The decision
         lives in the plan (no scheduling outside it); only the *apply*
-        differs per executor (an in-place relabeling here, a row
-        migration between shards on a pool or a transport)."""
+        differs per executor (an in-place relabeling in process, a row
+        migration between shards on a transport)."""
         decision = plan.rebalance(self.state, self._cycle)
         if decision is None:
             return

@@ -65,8 +65,8 @@ MEMBERSHIP_LOG_CAP = 256
 
 #: The always-present columns: attribute name -> (dtype, per-row width).
 #: Width 1 means a flat ``(capacity,)`` array; ``"view"`` means
-#: ``(capacity, view_size)``.  The sharded backend uses this table to
-#: lay the same state out in shared memory.
+#: ``(capacity, view_size)``.  The distributed backend's workers build
+#: their replicas from this table.
 COLUMNS = {
     "attribute": (np.float64, 1),
     "value": (np.float64, 1),
@@ -181,13 +181,15 @@ class ArrayState:
         self.win_bits: Optional[np.ndarray] = None
         self.win_pos: Optional[np.ndarray] = None
         self.win_len: Optional[np.ndarray] = None
-        # Fixed-capacity states (shared-memory shards) cannot grow.
+        # Fixed-capacity states (a transport worker's replica, and the
+        # driver's copy of it) cannot grow.
         self.fixed_capacity = False
         self._live_cache: np.ndarray = np.empty(0, dtype=np.int64)
         self._live_dirty = True
         # True while some view may still hold a pointer to a dead node;
-        # cleared by purge_dead_entries so protocol rounds can skip the
-        # per-slot liveness gather in the (common) churn-free steady state.
+        # cleared by the driver once every live row was purged, so
+        # protocol rounds can skip the per-slot liveness gather in the
+        # (common) churn-free steady state.
         self.maybe_dead_entries = False
         self._membership_log: list = []
         self._membership_seq = 0
@@ -201,11 +203,9 @@ class ArrayState:
         window: Optional[int] = None,
         fixed_capacity: bool = True,
     ) -> "ArrayState":
-        """Build a state over externally allocated column arrays (e.g.
-        ``multiprocessing.shared_memory`` views).  The arrays are
-        adopted, not copied, so several processes holding views of the
-        same buffers observe one shared state.  ``fixed_capacity``
-        states refuse to grow (the buffers cannot be resized in place).
+        """Build a state over externally allocated column arrays (a
+        transport worker's replica).  The arrays are adopted, not
+        copied.  ``fixed_capacity`` states refuse to grow.
         """
         state = cls.__new__(cls)
         state.view_size = int(view_size)
@@ -312,7 +312,7 @@ class ArrayState:
         if self.fixed_capacity:
             raise RuntimeError(
                 f"state is at its fixed capacity of {self.capacity} rows "
-                f"({rows} needed); shared-memory shards cannot grow — "
+                f"({rows} needed); the workers' replicas cannot grow — "
                 "construct the simulation with a larger spare_capacity"
             )
         new_capacity = max(rows, 2 * self.capacity)
@@ -400,11 +400,14 @@ class ArrayState:
         """Blank view slots that point at dead nodes; returns how many
         were purged (the churn-bookkeeping invariant the tests check).
 
-        ``rows=None`` purges every row; passing the live rows (what the
-        refresh does) is equivalent for protocol purposes, since dead
-        rows' views are never read.  Either way the
-        ``maybe_dead_entries`` flag clears, letting protocol rounds
-        skip their per-slot liveness checks until the next removal.
+        ``rows=None`` purges every row; a shard's refresh passes its
+        own live rows, from its own thread.  The ``maybe_dead_entries``
+        flag is read here and never written: a purge of some rows says
+        nothing about the others, so the caller that knows every live
+        row has been purged (dead rows' views are never read) clears it
+        — the driver, after the refresh's age barrier — letting
+        protocol rounds skip their per-slot liveness checks until the
+        next removal.
         """
         if not self.maybe_dead_entries:
             return 0
@@ -424,7 +427,6 @@ class ArrayState:
             ages[hit_dead] = 0
             put_rows(self.view_ids, hit_rows, ids)
             put_rows(self.view_ages, hit_rows, ages)
-        self.maybe_dead_entries = False
         return int(np.count_nonzero(dead))
 
     def fill_empty_slots(self, rng: np.random.Generator) -> None:

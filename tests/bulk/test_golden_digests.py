@@ -13,6 +13,7 @@ import itertools
 import json
 import pathlib
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -92,20 +93,40 @@ def test_fixture_covers_the_matrix():
     assert set(GOLDEN["digests"]) == set(configs())
 
 
-@pytest.mark.parametrize(
-    "backend",
-    [dict(backend="vectorized"), dict(backend="sharded", workers=2)],
-    ids=["vectorized", "sharded2"],
-)
-@pytest.mark.parametrize("protocol", AXES["protocol"])
-def test_reproduces_the_recorded_digests(protocol, backend):
-    mismatched = [
+def mismatches(protocol, **backend):
+    return [
         key
         for key, overrides in configs().items()
         if key.startswith(protocol + "/")
         and run_digest(overrides, **backend) != GOLDEN["digests"][key]
     ]
-    assert not mismatched
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [
+        dict(backend="vectorized"),
+        dict(backend="sharded", workers=2),
+        dict(backend="sharded", workers=3),
+    ],
+    ids=["vectorized", "sharded2", "sharded3"],
+)
+@pytest.mark.parametrize("protocol", AXES["protocol"])
+def test_reproduces_the_recorded_digests(protocol, backend):
+    assert not mismatches(protocol, **backend)
+
+
+@pytest.mark.parametrize("protocol", ["ranking", "mod-jk"])
+def test_race_shaker(protocol):
+    """Four threads with the interpreter switching between them every
+    microsecond instead of every 5 ms: a kernel that touched anything
+    but its own rows and scratch slices gets its chance to show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert not mismatches(protocol, backend="sharded", workers=4)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 if __name__ == "__main__":

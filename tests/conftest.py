@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import multiprocessing
 import random
+import threading
 
 import pytest
 
@@ -11,14 +12,26 @@ from repro.core.ordering import OrderingProtocol
 from repro.core.ranking import RankingProtocol
 from repro.core.slices import SlicePartition
 from repro.engine.simulator import CycleSimulation
+from repro.vectorized.executor import THREAD_PREFIX
+
+
+def executor_threads():
+    """The in-process executor's worker threads alive right now."""
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith(THREAD_PREFIX)
+    ]
 
 
 @pytest.fixture(autouse=True, scope="module")
 def _no_worker_outlives_its_module():
-    """Every pool or transport a test opens must be closed by it: a
-    leaked worker holds its pipes and /dev/shm segments until exit."""
+    """Every worker a test starts must be stopped by it — a transport's
+    processes (a leaked one holds its sockets until exit) and the
+    in-process executor's threads alike."""
     yield
     assert not multiprocessing.active_children()
+    assert not executor_threads()
 
 
 @pytest.fixture

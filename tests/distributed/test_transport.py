@@ -28,6 +28,7 @@ from repro.distributed.transport import parse_host_port
 from repro.sharded import ShardedSimulation
 from repro.vectorized import metrics as vmetrics
 from repro.vectorized.simulation import VectorSimulation
+from tests.conftest import executor_threads
 
 
 def make_sim(workers=2, transport="loopback", size=120, **overrides):
@@ -200,23 +201,34 @@ class TestWorkerDeath:
             sim.close()
 
     def test_killed_pool_worker_raises_and_metrics_survive(self, monkeypatch):
-        # Same contract on the shared-memory pool: a named error (not a
-        # bare BrokenPipeError), metrics still answered from the
-        # driver's columns, and close() leaves nothing behind.
-        monkeypatch.setenv("REPRO_SHARDED_START_METHOD", "fork")
-        segments = set(os.listdir("/dev/shm"))
+        # The id dates from the process pool, where a worker could be
+        # killed.  A thread fails by raising: a kernel's exception on a
+        # non-calling thread must surface as that exception — command
+        # and shard named, every other shard joined first — with the
+        # metrics still answered and close() leaving nothing behind.
+        from repro.vectorized import executor as executor_module
+
+        fold = executor_module.DISPATCH["rank_fold"]
+        raised_on = []
+
+        def failing_fold(ctx, **payload):
+            if ctx.lo > 0:
+                raised_on.append(threading.current_thread().name)
+                raise FloatingPointError("injected kernel failure")
+            return fold(ctx, **payload)
+
         sim = ShardedSimulation(
             size=300, partition=SlicePartition.equal(8), view_size=6, seed=9, workers=2
         )
         try:
             sim.run(2)
-            victim = sim.executor._processes[1]
-            victim.kill()
-            victim.join(timeout=5)
-            started = time.time()
-            with pytest.raises(RuntimeError, match="worker 1 .* died during command"):
+            monkeypatch.setitem(executor_module.DISPATCH, "rank_fold", failing_fold)
+            with pytest.raises(
+                FloatingPointError,
+                match=r"'rank_fold' failed on shard 1 of 2: injected kernel failure",
+            ):
                 sim.run(1)
-            assert time.time() - started < 1
+            assert raised_on and raised_on[0].startswith(executor_module.THREAD_PREFIX)
             state = sim.state
             live = state.live_ids()
             assert sim.slice_disorder() == vmetrics.slice_disorder_arrays(
@@ -227,7 +239,7 @@ class TestWorkerDeath:
             sim.close()
         assert time.time() - started < 5
         assert not multiprocessing.active_children()
-        assert set(os.listdir("/dev/shm")) <= segments
+        assert not executor_threads()
 
     def test_worker_error_propagates_with_traceback(self):
         sim = make_sim(workers=2, transport="loopback")

@@ -88,7 +88,7 @@ class TestGoldenTrace:
             for e in trace["traceEvents"]
             if e["ph"] == "X" and e["tid"] > traceview.DRIVER_TID
         }
-        assert {"attach", "kernel", "reply"} <= worker_names
+        assert "kernel" in worker_names  # a thread's only sub-span
 
     def test_metrics_stream_becomes_counter_events(self, sharded_profile):
         _path, records = sharded_profile

@@ -1,12 +1,8 @@
-"""ShardedSimulation driver behaviour: service seam, metrics on a
-pool, dead-shard resilience, worker start methods, capacity limits,
-and resource lifecycle."""
+"""ShardedSimulation driver behaviour: service seam, metrics over
+worker threads, dead-shard resilience, thread start and restart, state
+growth under the threads, and resource lifecycle."""
 
 import multiprocessing
-import os
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
@@ -18,9 +14,10 @@ from repro.distributed import DistributedSimulation
 from repro.metrics.statistics import z_value
 from repro.obs import Telemetry
 from repro.sharded import ShardedSimulation
-from repro.sharded.shm import SharedScratch
 from repro.vectorized import metrics as vmetrics
+from repro.vectorized.executor import InlineScratch
 from repro.vectorized.simulation import VectorSimulation
+from tests.conftest import executor_threads
 
 
 def make_sim(workers, size=240, protocol="ranking", **kwargs):
@@ -36,8 +33,8 @@ def make_sim(workers, size=240, protocol="ranking", **kwargs):
 
 
 class TestDistributedMetrics:
-    """The metrics of a pooled run must equal the central computations
-    on the same arrays."""
+    """The metrics of a multi-threaded run must equal the central
+    computations on the same arrays."""
 
     @pytest.fixture(scope="class")
     def pooled(self):
@@ -101,7 +98,7 @@ class TestMetricReadsDispatchNothing:
     """Metrics are the driver's own computation over columns it holds
     current on every executor: reading one sends no command to any
     worker (``confident_fraction`` pulls ``obs_total`` — one
-    ``dump_state`` round on a transport, nothing on a pool)."""
+    ``dump_state`` round on a transport, nothing on threads)."""
 
     @pytest.mark.parametrize("backend", ["pool", "loopback"])
     def test_metric_reads_dispatch_nothing(self, backend):
@@ -129,10 +126,11 @@ class TestMetricReadsDispatchNothing:
             return telemetry.counter_totals().get("commands", 0)
 
         with sim:
-            # Before the first cycle a pool has forked nothing, and a
-            # metric read must not be what starts it.
+            # Before the first cycle no worker thread has started, and
+            # a metric read must not be what starts one.
             sim.slice_disorder(), sim.global_disorder(), sim.confident_fraction()
             assert not multiprocessing.active_children()
+            assert not executor_threads()
             sim.run(6)
             assert sim.rebalance_count > 0
             state = sim.sync_state()
@@ -158,7 +156,7 @@ class TestMetricReadsDispatchNothing:
 
 
 class TestDeadShard:
-    """A shard whose rows all die must neither stall the pool nor skew
+    """A shard whose rows all die must neither stall the others nor skew
     the metrics (they read the driver's columns, whichever shard the
     live rows sit in)."""
 
@@ -193,7 +191,7 @@ class TestDeadShard:
         with make_sim(workers=3, size=240) as sim:
             sim.run(2)
             self.kill_first_shard(sim)
-            sim.run(2)  # the pool keeps cycling
+            sim.run(2)  # the threads keep cycling
             assert sim.state.live_count > 0
             sdm, accuracy, gdm = self.central_metrics(sim)
             assert sim.slice_disorder() == pytest.approx(sdm, abs=1e-9)
@@ -220,16 +218,13 @@ class TestDeadShard:
 
 
 class TestStartMethods:
-    """The worker protocol — including the rebalance pack/unpack/commit
-    messages — must work under every multiprocessing start method the
-    platform offers, not just fork (spawn re-imports the worker module
-    and re-attaches every shared segment from its pickled init)."""
+    """How the worker threads come to exist must not matter: started by
+    the first command (``fork`` — the ids date from the process pool),
+    or started again after a ``close()`` in mid-run (``spawn``), the
+    run — rebalances included — is the single-threaded run, bitwise."""
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
-    def test_pool_bitwise_parity_under_start_method(self, method, monkeypatch):
-        if method not in multiprocessing.get_all_start_methods():
-            pytest.skip(f"start method {method!r} unsupported on this platform")
-        monkeypatch.setenv("REPRO_SHARDED_START_METHOD", method)
+    def test_pool_bitwise_parity_under_start_method(self, method):
         kwargs = dict(
             size=120,
             partition=SlicePartition.equal(8),
@@ -241,10 +236,15 @@ class TestStartMethods:
         )
         vectorized = VectorSimulation(**kwargs)
         vectorized.run(4)
-        with ShardedSimulation(workers=2, **kwargs) as sharded:
-            sharded.run(4)
-            assert sharded.executor._processes  # a real pool ran it
-            # The new protocol messages actually ran.
+        with ShardedSimulation(workers=3, **kwargs) as sharded:
+            assert not executor_threads()  # nothing starts at construction
+            sharded.run(2)
+            assert len(executor_threads()) == 2  # the caller is the third
+            if method == "spawn":
+                sharded.close()
+                assert not executor_threads()
+            sharded.run(2)
+            assert len(executor_threads()) == 2
             assert sharded.rebalance_count == vectorized.rebalance_count > 0
             n = vectorized.state.size
             assert sharded.state.size == n
@@ -256,61 +256,43 @@ class TestStartMethods:
             assert np.array_equal(
                 vectorized.state.view_ids[:n], sharded.state.view_ids[:n]
             )
+        assert not executor_threads()
 
 
 class TestLifecycle:
     def test_closed_pool_simulation_raises_instead_of_crashing(self):
-        # close() unmaps the shared blocks the state's arrays sat on;
-        # reading them used to take the interpreter down with SIGSEGV.
-        # Run in a subprocess so a crash fails this test, not pytest.
-        script = textwrap.dedent(
-            """
-            from repro.core.slices import SlicePartition
-            from repro.sharded import ShardedSimulation
-
-            sim = ShardedSimulation(
-                size=500, partition=SlicePartition.equal(8), workers=2, seed=1
-            )
-            sim.run(3)
-            sim.close()
-            reads = (sim.slice_disorder, lambda: sim.state.value, lambda: sim.run(1))
-            for read in reads:
-                try:
-                    read()
-                except RuntimeError as error:
-                    assert "closed" in str(error), error
-                else:
-                    raise SystemExit("read of a closed simulation returned")
-            """
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", script],
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
+        # The id dates from the process pool, whose close() unmapped the
+        # state.  Threads work on the driver's own arrays: close() stops
+        # them and nothing else, so every read still answers — and
+        # answers what it did before.
+        sim = make_sim(workers=2, size=500)
+        sim.run(3)
+        assert executor_threads()
+        before = (sim.slice_disorder(), sim.state.value[: sim.state.size].copy())
+        sim.close()
+        assert not executor_threads()
+        assert sim.slice_disorder() == before[0]
+        assert np.array_equal(sim.state.value[: sim.state.size], before[1])
+        assert sim.live_count == 500
 
     def test_garbage_collection_releases_pool(self):
         # The finalizer must not be kept alive through its own
         # arguments: dropping the last user reference has to stop the
-        # workers and release the shared memory.
+        # worker threads.
         import gc
-        import time
         import weakref
 
         sim = make_sim(workers=2, size=120)
         sim.run(1)
-        processes = list(sim.executor._processes)
+        threads = executor_threads()
+        assert threads
         ref = weakref.ref(sim)
         del sim
         gc.collect()
         assert ref() is None, "simulation kept alive by its own finalizer"
-        deadline = time.time() + 5
-        while time.time() < deadline and any(p.is_alive() for p in processes):
-            time.sleep(0.05)
-        assert all(not p.is_alive() for p in processes)
+        for thread in threads:
+            thread.join(timeout=5)
+        assert not executor_threads()
 
     def test_close_is_idempotent(self):
         sim = make_sim(workers=2)
@@ -324,22 +306,32 @@ class TestLifecycle:
             assert sim.live_count == 240
 
     def test_spare_capacity_exhaustion_raises(self):
+        # The id dates from the process pool, whose shared memory could
+        # not grow.  The threads' state can: a run whose churn outgrows
+        # the first allocation several times over reallocates every
+        # column under them and stays the single-threaded run, bitwise.
         churn = RegularChurn(rate=0.2, period=1)
-        with make_sim(workers=2, size=100, churn=churn, spare_capacity=10) as sim:
-            with pytest.raises(RuntimeError, match="spare_capacity"):
-                sim.run(50)
-        # Only shared-memory blocks pin the capacity; workers=1 owns
-        # none, so the knob is refused and the state simply grows.
-        with pytest.raises(ValueError, match="spare_capacity"):
-            make_sim(workers=1, size=100, churn=churn, spare_capacity=10)
-        sim = make_sim(workers=1, size=100, churn=churn)
-        sim.run(50)
-        assert sim.state.size > 110
+        vectorized = make_sim(workers=1, size=100, churn=churn)
+        vectorized.run(50)
+        assert vectorized.state.size > 1000
+        with make_sim(workers=2, size=100, churn=churn) as sim:
+            assert sim.state.capacity == 100
+            sim.run(50)
+            n = sim.state.size
+            assert n == vectorized.state.size
+            assert sim.state.capacity >= n
+            for column in ("attribute", "value", "alive", "obs_le", "view_ids"):
+                assert np.array_equal(
+                    getattr(vectorized.state, column)[:n],
+                    getattr(sim.state, column)[:n],
+                ), column
+        with pytest.raises(TypeError, match="spare_capacity"):
+            make_sim(workers=2, size=100, spare_capacity=10)
 
     def test_default_spare_outlasts_the_first_compaction(self):
-        """The skew trigger (threshold 1.2: ~15.6% dead rows) must fire
-        before the *default* spare runs out — an eighth (2000 rows
-        here, above the 1024 floor) was gone at cycle 13."""
+        """The skew trigger (threshold 1.2: ~15.6% dead rows) fires
+        well before the state has to grow by a quarter — what a
+        non-growing executor's default spare relies on."""
         churn = RegularChurn(rate=0.01, period=1)
         with make_sim(
             workers=2, size=16000, churn=churn, rebalance_threshold=1.2
@@ -353,13 +345,17 @@ class TestLifecycle:
             make_sim(workers=0)
 
     def test_scratch_regrows(self):
-        scratch = SharedScratch()
+        scratch = InlineScratch()
         first = scratch.ensure("x", np.int64, 8)
-        first[:8] = np.arange(8)
+        assert scratch.ensure("x", np.int64, 8) is first  # no remap
         second = scratch.ensure("x", np.int64, 5000)
-        assert len(second) >= 5000
-        assert len(scratch.take_remaps()) == 2  # initial map + regrow
-        scratch.close()
+        assert len(second) >= 5000 and scratch["x"] is second
+        # Kernels look buffers up by name through the one scratch all
+        # shard contexts share, so a regrown buffer is what they see.
+        with make_sim(workers=2) as sim:
+            contexts = sim.executor._contexts
+            assert len(contexts) == 2
+            assert all(ctx.scratch is sim.executor.scratch for ctx in contexts)
 
 
 class TestServiceSeam:

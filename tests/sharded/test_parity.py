@@ -3,9 +3,9 @@
 Two levels of agreement are asserted:
 
 * **bitwise** — every bulk backend runs one cycle definition over one
-  :class:`~repro.bulk.CyclePlan`; only the executor differs.  So a
-  real multi-process pool must produce arrays *identical* to the
-  in-process executor's (``VectorSimulation``) at every worker count,
+  :class:`~repro.bulk.CyclePlan`; only the executor differs.  So the
+  executor's worker threads must produce arrays *identical* to the
+  single-threaded run's (``VectorSimulation``) at every worker count,
   and ``ShardedSimulation(workers=1)`` must *be* a ``VectorSimulation``,
   not a third thing;
 * **statistical** — all three backends, from one seed, produce the
@@ -61,9 +61,8 @@ def paired_runs(protocol, workers, cycles=6, size=300, **overrides):
 
 class TestWorkersOneBitwise:
     """`sharded` with workers=1 *is* `vectorized`: the constructor
-    hands back a plain ``VectorSimulation`` (no pool, no shared blocks,
-    growable state) with every option forwarded — and so the same
-    bits."""
+    hands back a plain ``VectorSimulation`` (no thread pool, one shard
+    context) with every option forwarded — and so the same bits."""
 
     @staticmethod
     def assert_same_backend(vectorized, sharded):
@@ -107,7 +106,7 @@ class TestWorkersOneBitwise:
 
 
 class TestPoolBitwise:
-    """A real multi-process pool produces the same bits: results are
+    """Real worker threads produce the same bits: results are
     independent of the worker count."""
 
     def test_pool_matches_vectorized(self):
@@ -270,9 +269,10 @@ class TestRebalancingParity:
             sharded.close()
 
     def test_compaction_reclaims_capacity(self):
-        # Without rebalancing this churn schedule would exhaust a tight
-        # spare_capacity (ids are append-only); compaction recycles the
-        # dead rows, so the same run fits indefinitely.
+        # Ids are append-only, so without rebalancing this churn
+        # schedule keeps adding rows (the state grows under the worker
+        # threads); compaction recycles the dead rows, so the same run
+        # fits in its first allocation indefinitely.
         partition = SlicePartition.equal(10)
         kwargs = dict(
             size=200,
@@ -281,16 +281,18 @@ class TestRebalancingParity:
             view_size=8,
             seed=3,
             churn=skewed_churn(0.1),
-            spare_capacity=64,
         )
         with ShardedSimulation(workers=2, rebalance_every=2, **kwargs) as sim:
             sim.run(12)
             assert sim.rebalance_count > 0
             assert sim.live_count == 200
             assert sim.state.size <= 200 + 64
-        with pytest.raises(RuntimeError, match="spare_capacity"):
-            with ShardedSimulation(workers=2, **kwargs) as sim:
-                sim.run(12)
+            assert sim.state.capacity <= 400  # grown once at most
+        with ShardedSimulation(workers=2, **kwargs) as sim:
+            sim.run(12)
+            assert sim.live_count == 200
+            assert sim.state.size == 200 + 12 * 20
+            assert sim.state.capacity > 400
 
     def test_rebalanced_shards_report_even_loads(self):
         vectorized, sharded = paired_runs(
