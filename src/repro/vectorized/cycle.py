@@ -332,7 +332,7 @@ def ranking_phases(
                 order, runs = shard_cut(executor.bounds, event_targets)
                 np.take(event_targets, order, out=targets[:n_events], mode="clip")
                 np.take(event_senders, order, out=senders[:n_events], mode="clip")
-            else:
+            else:  # one shard: a 1 ms copy at n=4e5, where the cut costs 5
                 targets[:n_events] = event_targets
                 senders[:n_events] = event_senders
         # One kernel delivers the events and recomputes the estimates.

@@ -235,10 +235,11 @@ class InlineExecutor(Executor):
         results, busy, ends, errors = zip(*outcomes)
         for shard, error in enumerate(errors):
             if error is not None:
-                error.args = (
-                    f"command {command!r} failed on shard {shard} of "
-                    f"{len(errors)}: {error}",
-                )
+                # A note (PEP 678), not new args: the exception's own
+                # data (errno, key, ...) stays what the kernel raised.
+                error.__notes__ = getattr(error, "__notes__", []) + [
+                    f"command {command!r} failed on shard {shard} of {len(errors)}"
+                ]
                 raise error
         if self._telemetry.enabled:
             # The dispatch span ends when the slowest shard does, so a

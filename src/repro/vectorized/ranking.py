@@ -184,7 +184,7 @@ def deliver_updates(
         # Each event adds an exact 1.0 (or 0.0), so a row's total is its
         # event count whatever the order — counted in one pass that,
         # unlike ``np.add.at``, runs without the GIL.
-        local = targets - lo if lo else targets
+        local = targets - lo
         rows = hi - lo
         state.obs_total[lo:hi] += np.bincount(local, minlength=rows)
         state.obs_le[lo:hi] += np.bincount(local, weights=upd_le, minlength=rows)

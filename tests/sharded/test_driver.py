@@ -32,6 +32,19 @@ def make_sim(workers, size=240, protocol="ranking", **kwargs):
     )
 
 
+def make_distributed(size=240, **kwargs):
+    """The non-growing executor: fixed-capacity state, ``spare_capacity``."""
+    return DistributedSimulation(
+        size=size,
+        partition=SlicePartition.equal(8),
+        view_size=8,
+        seed=9,
+        workers=2,
+        transport="loopback",
+        **kwargs,
+    )
+
+
 class TestDistributedMetrics:
     """The metrics of a multi-threaded run must equal the central
     computations on the same arrays."""
@@ -111,15 +124,7 @@ class TestMetricReadsDispatchNothing:
         if backend == "pool":
             sim = make_sim(workers=2, **kwargs)
         else:
-            sim = DistributedSimulation(
-                size=240,
-                partition=SlicePartition.equal(8),
-                view_size=8,
-                seed=9,
-                workers=2,
-                transport="loopback",
-                **kwargs,
-            )
+            sim = make_distributed(**kwargs)
 
         def commands():
             telemetry.flush()
@@ -327,15 +332,26 @@ class TestLifecycle:
                 ), column
         with pytest.raises(TypeError, match="spare_capacity"):
             make_sim(workers=2, size=100, spare_capacity=10)
+        # The transport workers' replicas still cannot grow: there the
+        # knob remains and running out of it is an error, not a crash.
+        with make_distributed(size=100, churn=churn, spare_capacity=10) as sim:
+            assert sim.state.capacity == 110
+            with pytest.raises(RuntimeError, match="spare_capacity"):
+                sim.run(50)
 
     def test_default_spare_outlasts_the_first_compaction(self):
-        """The skew trigger (threshold 1.2: ~15.6% dead rows) fires
-        well before the state has to grow by a quarter — what a
-        non-growing executor's default spare relies on."""
+        """The skew trigger (threshold 1.2: ~15.6% dead rows) must fire
+        before the *default* spare of the non-growing executor runs out
+        — an eighth (2000 rows here, above the 1024 floor) was gone at
+        cycle 13.  The threads compact on the same trigger."""
         churn = RegularChurn(rate=0.01, period=1)
-        with make_sim(
-            workers=2, size=16000, churn=churn, rebalance_threshold=1.2
-        ) as sim:
+        kwargs = dict(size=16000, churn=churn, rebalance_threshold=1.2)
+        with make_distributed(**kwargs) as sim:
+            assert sim.state.capacity == 16000 + 4000
+            sim.run(20)
+            assert sim.rebalance_count >= 1
+            assert sim.live_count == 16000
+        with make_sim(workers=2, **kwargs) as sim:
             sim.run(20)
             assert sim.rebalance_count >= 1
             assert sim.live_count == 16000

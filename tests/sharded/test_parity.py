@@ -18,6 +18,7 @@ import pytest
 
 from repro.churn.models import RegularChurn
 from repro.core.slices import SlicePartition
+from repro.distributed import DistributedSimulation
 from repro.experiments.config import RunSpec, build_simulation
 from repro.metrics.collectors import SliceDisorderCollector
 from repro.sharded import ShardedSimulation
@@ -293,6 +294,17 @@ class TestRebalancingParity:
             assert sim.live_count == 200
             assert sim.state.size == 200 + 12 * 20
             assert sim.state.capacity > 400
+        # The transport's replicas cannot grow: there a tight
+        # spare_capacity holds with compaction and runs out without.
+        kwargs.update(workers=2, transport="loopback", spare_capacity=64)
+        with DistributedSimulation(rebalance_every=2, **kwargs) as sim:
+            sim.run(12)
+            assert sim.rebalance_count > 0
+            assert sim.live_count == 200
+            assert sim.state.capacity == 200 + 64
+        with DistributedSimulation(**kwargs) as sim:
+            with pytest.raises(RuntimeError, match="spare_capacity"):
+                sim.run(12)
 
     def test_rebalanced_shards_report_even_loads(self):
         vectorized, sharded = paired_runs(
