@@ -29,6 +29,9 @@ setup(
         # `pip install '.[fast]'` stays a no-op alias now that the bulk
         # backend's dependency is part of the core install.
         "fast": ["numpy>=1.22"],
-        "test": ["pytest", "hypothesis", "pytest-benchmark"],
+        # repro.sampling.graph_analysis (overlay statistics for the
+        # sampler tests and ablations); no engine imports it.
+        "analysis": ["networkx"],
+        "test": ["pytest", "hypothesis", "pytest-benchmark", "networkx"],
     },
 )

@@ -5,8 +5,9 @@ quantity a cycle consumes — churn events, bootstrap view fills,
 partner-selection jitter, protocol uniforms, exchange-wave pairing,
 message-overlap masks, flush delivery order — is produced here, by one
 :class:`CyclePlan` per cycle, in a canonical order.  The cycle's
-phase functions (:mod:`repro.vectorized.cycle`) copy the planned
-blocks into the executor's scratch and hand each shard its slice.
+phase functions (:mod:`repro.vectorized.cycle`) stage the planned
+blocks in the executor's scratch — the large ones are drawn straight
+into their slot — and hand each shard its slice.
 Because the plan is the *only* code that draws, a run is bitwise
 identical on every executor — in-process, on one thread or many, or
 message transport — at every worker count.
@@ -176,11 +177,12 @@ class CyclePlan:
             return np.empty(0, dtype=np.int64)
         return self.rng("sampler").integers(0, live_total, size=empty_total)
 
-    def partner_jitter(self, live_total: int, view_size: int) -> np.ndarray:
+    def partner_jitter(self, out: np.ndarray) -> None:
         """Tie-break jitter for the oldest-neighbor choice, one float32
-        per view slot of every live node."""
-        self._note("jitter", live_total * view_size)
-        return self.rng("sampler").random((live_total, view_size), dtype=np.float32)
+        per view slot of every live node, drawn straight into ``out``
+        (the stream is consumed as by a fresh ``random(len(out))``)."""
+        self._note("jitter", len(out))
+        self.rng("sampler").random(out=out, dtype=np.float32)
 
     # ------------------------------------------------------------------
     # Exchange-wave pairing
@@ -211,21 +213,16 @@ class CyclePlan:
     # Protocol uniforms
     # ------------------------------------------------------------------
 
-    def ranking_uniforms(
-        self,
-        rows: int,
-        boundary_bias: bool,
-    ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        """The ranking round's target-selection uniforms: ``u1`` for a
-        random ``j1`` (only when the boundary bias is ablated) and
-        ``u2`` for the uniformly random ``j2``."""
+    def ranking_uniforms(self, u1: Optional[np.ndarray], u2: np.ndarray) -> None:
+        """The ranking round's target-selection uniforms, drawn into the
+        given blocks: ``u1`` for a random ``j1`` (``None`` unless the
+        boundary bias is ablated), then ``u2`` for the uniformly random
+        ``j2``."""
         rng = self.rng("ranking")
-        u1 = None
-        if not boundary_bias:
-            self._note("rank-u1", rows)
-            u1 = rng.random(rows)
-        self._note("rank-u2", rows)
-        return u1, rng.random(rows)
+        for name, out in (("rank-u1", u1), ("rank-u2", u2)):
+            if out is not None:
+                self._note(name, len(out))
+                rng.random(out=out)
 
     def ordering_uniforms(self, rows: int) -> np.ndarray:
         """Per-node partner-pick uniforms for the random ordering

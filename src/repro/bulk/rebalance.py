@@ -38,6 +38,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.bulk.blocks import row_blocks
+
 __all__ = [
     "EMPTY",
     "REBALANCE_PROBE_SHARDS",
@@ -193,17 +195,21 @@ def compact_state(state, plan: RebalancePlan) -> None:
     the single-process twin of the sharded backend's pack/unpack row
     migration, byte-for-byte identical in effect.
 
-    Rows beyond the new size keep whatever column data they held (both
-    backends leave them untouched, preserving bitwise parity) but are
-    marked dead; ``add_nodes`` fully initializes rows it reuses.
+    Each column moves one ascending :func:`~repro.bulk.blocks.row_blocks`
+    block at a time, in place: new row ``k`` reads old row ``live[k] >=
+    k``, so a finished block never overwrote a row a later block still
+    gathers.  Rows beyond the new size keep whatever column data they
+    held (both backends leave them untouched, preserving bitwise parity)
+    but are marked dead; ``add_nodes`` fully initializes rows it reuses.
     """
     new_size = plan.new_size
     for name in migration_columns(state):
         column = getattr(state, name)
-        column[:new_size] = column[plan.live]
-    remap_views(
-        state.view_ids[:new_size], state.view_ages[:new_size], plan.id_map()
-    )
+        for lo, hi in row_blocks(column, 0, new_size):
+            column[lo:hi] = np.take(column, plan.live[lo:hi], axis=0)
+    id_map = plan.id_map()
+    for lo, hi in row_blocks(state.view_ids, 0, new_size):
+        remap_views(state.view_ids[lo:hi], state.view_ages[lo:hi], id_map)
     state.alive[:new_size] = True
     state.alive[new_size : plan.old_size] = False
     state.size = new_size

@@ -49,6 +49,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.bulk.blocks import row_blocks
 from repro.bulk.rebalance import rebalance_bounds
 from repro.distributed import protocol
 from repro.distributed.framing import DEFAULT_MAX_FRAME, TransportError
@@ -62,7 +63,7 @@ from repro.distributed.migration import migrate_rows
 from repro.vectorized.executor import Executor, grown_size, worker_count
 from repro.vectorized.kernels import WAVE_BUFFERS
 from repro.vectorized.simulation import VectorSimulation
-from repro.vectorized.state import ArrayState, column_spec, row_blocks, take_rows
+from repro.vectorized.state import ArrayState, column_spec, take_rows
 
 __all__ = ["DistributedSimulation", "capacity_with_spare"]
 
@@ -88,13 +89,25 @@ class MessageScratch:
     """Driver-side named scratch (grow-on-demand), with (re)allocation
     notices pushed to every worker so their local mirrors stay
     layout-compatible — the message twin of
-    :class:`~repro.vectorized.executor.InlineScratch`."""
+    :class:`~repro.vectorized.executor.InlineScratch`, except that a
+    buffer keeps its name and place for the whole run: every worker
+    mirrors the layout by name and replies merge into it by name, so
+    handing the memory out again each phase (:meth:`begin_phase` is a
+    no-op here) would re-announce the layout to every worker per phase
+    to save scratch that is a copy of nothing the workers hold."""
 
     def __init__(self, on_remap) -> None:
         self._arrays: Dict[str, np.ndarray] = {}
         self._on_remap = on_remap
 
-    def ensure(self, name: str, dtype, size: int) -> np.ndarray:
+    def begin_phase(self) -> None:
+        pass
+
+    @property
+    def used(self) -> int:
+        return sum(array.nbytes for array in self._arrays.values())
+
+    def ensure(self, name: str, dtype, size: int, keep: bool = False) -> np.ndarray:
         dtype = np.dtype(dtype)
         array = self._arrays.get(name)
         if array is not None and len(array) >= size and array.dtype == dtype:

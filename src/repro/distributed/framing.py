@@ -44,8 +44,8 @@ __all__ = [
 
 #: Default per-frame size cap (1 GiB).  The largest message is a
 #: worker's init (its shard of the heavy columns plus the replicated
-#: ones); sync and migration move :data:`~repro.vectorized.state.
-#: BLOCK_BYTES` blocks.
+#: ones); sync and migration move :data:`~repro.bulk.blocks.BLOCK_BYTES`
+#: blocks.
 DEFAULT_MAX_FRAME = 1 << 30
 
 _HEADER = struct.Struct(">Q")

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bulk.blocks import block_rows, row_blocks
 from repro.bulk.rebalance import migration_columns, rebalance_bounds
 from repro.vectorized.cycle import shard_run_payloads
 from repro.vectorized.kernels import DISPATCH as CYCLE_DISPATCH
 from repro.vectorized.kernels import ShardContext
-from repro.vectorized.state import EMPTY, block_rows, row_blocks
+from repro.vectorized.state import EMPTY
 
 __all__ = ["DISPATCH", "migrate_rows"]
 
@@ -33,7 +34,7 @@ def migrate_rows(executor, decision) -> None:
     """Execute one planned compaction as a row migration between the
     shards of ``executor`` (a message transport).
 
-    Each column moves one :func:`~repro.vectorized.state.row_blocks`
+    Each column moves one :func:`~repro.bulk.blocks.row_blocks`
     block of *new* rows at a time, in two barrier-separated phases —
     **pack** (every worker gathers the live rows of its *old* range
     that land in the block into the staging buffer) and **unpack**

@@ -289,8 +289,8 @@ class CycleReport:
                 )
         levels = sorted(name for name in self.counters if name.startswith("mem."))
         if levels:
-            # Driver RSS per cycle, its peak after each whole-column
-            # phase, and every worker's own peak: where the peak was.
+            # Driver RSS and scratch bytes per cycle, its peak after each
+            # whole-column phase, every worker's own peak: where the peak was.
             lines.append("  memory (largest value, MB):")
             for name in levels:
                 lines.append(f"    {name:<40} {self.counters[name]:>10.1f}")

@@ -6,7 +6,9 @@ entries) connected and random-graph-like — that is the property behind
 the paper's claim that a Cyclon-like protocol "is reportedly the best
 approach to achieve a uniform random neighbor set".  This module turns
 a set of node views into a :mod:`networkx` graph and computes the
-statistics used by the sampler benchmarks and tests:
+statistics used by the sampler benchmarks and tests (no engine calls
+it, so ``networkx`` — the ``analysis`` extra — is imported where it is
+used, not with the package):
 
 * in-degree distribution (uniformity of being sampled),
 * weak connectivity and largest-component coverage,
@@ -18,8 +20,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
-
-import networkx as nx
 
 __all__ = ["OverlayStats", "build_overlay_graph", "analyze_overlay", "indegree_counts"]
 
@@ -40,13 +40,24 @@ class OverlayStats:
     approx_avg_path_length: Optional[float]
 
 
-def build_overlay_graph(nodes: Iterable) -> "nx.DiGraph":
-    """Directed graph with an arc ``i -> j`` for every view entry.
+def _networkx():
+    try:
+        import networkx
+    except ImportError as error:
+        raise ImportError(
+            "overlay analysis needs networkx: pip install '.[analysis]'"
+        ) from error
+    return networkx
+
+
+def build_overlay_graph(nodes: Iterable):
+    """Directed graph (``networkx.DiGraph``) with an arc ``i -> j`` for
+    every view entry.
 
     ``nodes`` is any iterable of :class:`~repro.engine.node.Node` with
     attached samplers (dead nodes are skipped).
     """
-    graph = nx.DiGraph()
+    graph = _networkx().DiGraph()
     live = [node for node in nodes if node.alive]
     graph.add_nodes_from(node.node_id for node in live)
     live_ids = set(graph.nodes)
@@ -75,6 +86,7 @@ def analyze_overlay(
     projection); exact all-pairs computation is quadratic and
     unnecessary for the assertions we make.
     """
+    nx = _networkx()
     graph = build_overlay_graph(nodes)
     n = graph.number_of_nodes()
     if n == 0:

@@ -90,20 +90,16 @@ def shard_cut(bounds, rows):
     return np.concatenate(groups), runs
 
 
+def _segments(executor, counts, name: str) -> list:
+    """The per-shard segments the kernels published at their own ``lo``
+    under one scratch name, in shard order — views, not copies."""
+    array = executor.scratch[name]
+    return [array[lo : lo + count] for (lo, _hi), count in zip(executor.bounds, counts)]
+
+
 def _gather_proposals(executor, counts, names):
-    """Compact the per-shard segments the kernels published at their
-    own ``lo`` into one array per scratch name, in shard order."""
-    segments = [
-        [
-            executor.scratch[name][lo : lo + count]
-            for (lo, _hi), count in zip(executor.bounds, counts)
-        ]
-        for name in names
-    ]
-    return tuple(
-        np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        for parts in segments
-    )
+    """Compact those segments into one array per scratch name."""
+    return tuple(np.concatenate(_segments(executor, counts, name)) for name in names)
 
 
 def refresh_phases(executor, state, plan, uniform: bool, telemetry) -> list:
@@ -111,22 +107,23 @@ def refresh_phases(executor, state, plan, uniform: bool, telemetry) -> list:
     the uniform oracle's redraw (Figure 6(b)'s "uniform" curve).
     Returns the per-shard live-row counts the age pass reported."""
     shards = len(executor.bounds)
-    view_size = state.view_size
     scratch = executor.scratch
+    scratch.begin_phase()
     with telemetry.span("age_purge"):
-        occupancy = scratch.ensure("occupancy", np.int64, shards)
+        occupancy = scratch.ensure("occupancy", np.int64, shards, keep=True)
         pending = executor.run_async(
             "refresh_age",
             [{"uniform": uniform, "shard": index} for index in range(shards)],
         )
         # Pipelined plan/apply: the jitter block's size depends only on
         # the live count, which age/purge/fill never change, so it is
-        # drawn while the age/purge barrier is still in flight (the
-        # canonical draw order puts the jitter before the fill draws
-        # for exactly this reason — the fill size needs the replies).
-        jitter_draw = (
-            None if uniform else plan.partner_jitter(state.live_count, view_size)
-        )
+        # drawn — straight into its slot — while the age/purge barrier
+        # is still in flight (the canonical draw order puts the jitter
+        # before the fill draws for exactly this reason — the fill size
+        # needs the replies).
+        if not uniform:
+            slots = state.live_count * state.view_size
+            plan.partner_jitter(scratch.ensure("jitter", np.float32, slots)[:slots])
         replies = executor.collect(pending)
         # Live counts ride the occupancy slots (one per shard, written
         # by refresh_age) — the load tracking shard_live_loads() reads.
@@ -148,8 +145,6 @@ def refresh_phases(executor, state, plan, uniform: bool, telemetry) -> list:
 
     with telemetry.span("partner_select"):
         if not uniform:
-            jitter = scratch.ensure("jitter", np.float32, live_total * view_size)
-            jitter[: live_total * view_size] = jitter_draw.ravel()
             scratch.ensure("prop_a", np.int64, state.capacity)
             scratch.ensure("prop_b", np.int64, state.capacity)
         if empty_total or not uniform:
@@ -186,14 +181,15 @@ def refresh_phases(executor, state, plan, uniform: bool, telemetry) -> list:
 
     with telemetry.span("waves"):
         no_payload = np.zeros(len(initiators), dtype=bool)
+        waves = plan.waves("sampler", initiators, partners, no_payload, state.size)
+        largest = max([1] + [len(side_a) for side_a, _side_b, _unused in waves])
         buffers = [
             (
-                scratch.ensure(name_a, np.int64, max(1, len(initiators))),
-                scratch.ensure(name_b, np.int64, max(1, len(initiators))),
+                scratch.ensure(name_a, np.int64, largest),
+                scratch.ensure(name_b, np.int64, largest),
             )
             for name_a, name_b in WAVE_BUFFERS
         ]
-        waves = plan.waves("sampler", initiators, partners, no_payload, state.size)
         pending = None
         for index, (side_a, side_b, _unused) in enumerate(waves):
             # Stage wave k+1 into the other buffer pair while the
@@ -231,6 +227,7 @@ def ranking_phases(
     before this cycle's inline ones."""
     shards = len(executor.bounds)
     scratch = executor.scratch
+    scratch.begin_phase()
     with telemetry.span("fold"):
         replies = executor.run("rank_fold", [{"boundary_bias": boundary_bias}] * shards)
     row_counts = [reply["rows"] for reply in replies]
@@ -241,12 +238,11 @@ def ranking_phases(
     sent = lost_count = delayed_count = matured_count = 0
     if total_rows:
         with telemetry.span("targets"):
-            planned_u1, planned_u2 = plan.ranking_uniforms(total_rows, boundary_bias)
-            if planned_u1 is not None:
-                u1 = scratch.ensure("u1", np.float64, total_rows)
-                u1[:total_rows] = planned_u1
-            u2 = scratch.ensure("u2", np.float64, total_rows)
-            u2[:total_rows] = planned_u2
+            u1 = None
+            if not boundary_bias:
+                u1 = scratch.ensure("u1", np.float64, total_rows)[:total_rows]
+            u2 = scratch.ensure("u2", np.float64, total_rows)[:total_rows]
+            plan.ranking_uniforms(u1, u2)
             capacity = state.capacity
             scratch.ensure("tgt1", np.int64, capacity)
             scratch.ensure("tgt2", np.int64, capacity)
@@ -262,11 +258,11 @@ def ranking_phases(
             )
             # Compact per-shard target segments into the global UPD
             # list: all j1 targets (shard order), then all j2 targets.
-            tgt1, tgt2, sattr = _gather_proposals(
-                executor, row_counts, ("tgt1", "tgt2", "sattr")
+            event_targets = np.concatenate(
+                _segments(executor, row_counts, "tgt1")
+                + _segments(executor, row_counts, "tgt2")
             )
-            event_targets = np.concatenate([tgt1, tgt2])
-            event_senders = np.concatenate([sattr, sattr])
+            event_senders = np.concatenate(2 * _segments(executor, row_counts, "sattr"))
             # Section 4.5.2: overlapping UPD messages are flushed after
             # the inline ones, in random order.  One-way messages
             # compare only immutable attributes, so overlap reorders
@@ -282,8 +278,7 @@ def ranking_phases(
             # Fault fates: lost (or partition-crossing) UPDs vanish;
             # delayed ones are mailed with the sender attribute frozen.
             if plan.faults_enabled:
-                (sid,) = _gather_proposals(executor, row_counts, ("sid",))
-                sender_ids = np.concatenate([sid, sid])
+                sender_ids = np.concatenate(2 * _segments(executor, row_counts, "sid"))
                 if order is not None:
                     sender_ids = sender_ids[order]
                 crossing = plan.partition_mask(sender_ids, event_targets)
@@ -335,6 +330,7 @@ def ranking_phases(
             else:  # one shard: a 1 ms copy at n=4e5, where the cut costs 5
                 targets[:n_events] = event_targets
                 senders[:n_events] = event_senders
+        del event_targets, event_senders  # staged: not held through the kernel
         # One kernel delivers the events and recomputes the estimates.
         executor.run("rank_apply", runs)
     if sent or matured_count:
@@ -360,6 +356,7 @@ def ordering_phases(
     plan carries an enabled fault model).  ``live_counts`` are the
     per-shard live-row counts :func:`refresh_phases` returned."""
     scratch = executor.scratch
+    scratch.begin_phase()
     live_offsets, live_total = prefix_offsets(live_counts)
     with telemetry.span("select"):
         if selection in (SELECTION_RANDOM, SELECTION_RANDOM_MISPLACED):

@@ -117,25 +117,55 @@ class Executor:
 
 
 class InlineScratch:
-    """Named grow-on-demand scratch buffers as plain arrays."""
+    """Named scratch buffers as views of one arena, handed out by phase.
+
+    A buffer is read in the phase that staged it and in no other, so
+    :meth:`begin_phase` hands the whole arena out again: the executor
+    holds the largest phase's buffers, not the sum of every phase's.
+    A buffer the arena has no room for gets a block of its own — the
+    views handed out earlier stay where they are — and the next reset
+    re-cuts the arena to what the phase really took.  ``keep=True``
+    names the exception, a private array no reset touches
+    (``occupancy``, the shards' live counts)."""
 
     def __init__(self) -> None:
-        self._arrays: Dict[str, np.ndarray] = {}
+        self._arena = np.empty(0, dtype=np.uint8)
+        self._views: Dict[str, np.ndarray] = {}
+        self._kept: Dict[str, np.ndarray] = {}
+        self.used = 0  # bytes handed out since the last reset
 
-    def ensure(self, name: str, dtype, size: int) -> np.ndarray:
-        """An array named ``name`` with at least ``size`` elements.  Only
-        the driver calls this, and never while a command is in flight:
-        a kernel looks its buffers up by name."""
-        array = self._arrays.get(name)
+    def begin_phase(self) -> None:
+        """Forget every buffer but the kept ones.  Driver only, with no
+        command in flight and no view of the last phase still in use."""
+        if self.used > len(self._arena):  # spilled: one arena, with headroom
+            self._arena = np.empty(self.used + self.used // 8, dtype=np.uint8)
+        self._views.clear()
+        self.used = 0
+
+    def ensure(self, name: str, dtype, size: int, keep: bool = False) -> np.ndarray:
+        """An array named ``name`` with at least ``size`` elements — the
+        same memory for the rest of the phase unless asked to grow.  Only
+        the driver calls this; a kernel looks its buffers up by name, so
+        one that is looked up by a command in flight is not re-ensured."""
+        views = self._kept if keep else self._views
+        array = views.get(name)
         if array is not None and len(array) >= size and array.dtype == dtype:
             return array
-        current = 0 if array is None else len(array)
-        array = np.empty(grown_size(size, current), dtype=dtype)
-        self._arrays[name] = array
+        if keep:
+            array = np.zeros(grown_size(size), dtype=dtype)
+        else:
+            nbytes = -(-size * np.dtype(dtype).itemsize // 64) * 64  # cache lines
+            block = self._arena[self.used : self.used + nbytes]
+            if len(block) < nbytes:
+                block = np.empty(nbytes, dtype=np.uint8)
+            self.used += nbytes
+            array = block.view(dtype)
+        views[name] = array
         return array
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._arrays[name]
+        array = self._views.get(name)
+        return self._kept[name] if array is None else array
 
 
 def _run_shard(kernel, ctx: ShardContext, payload: dict, start: int = 0) -> tuple:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bulk.blocks import block_rows, index_blocks
 from repro.bulk.concurrency import deliver_one_sided, wave_exchange
 from repro.vectorized.ordering import _random_valid_column_from, select_exchanges
 from repro.vectorized.ranking import (
@@ -43,7 +44,13 @@ from repro.vectorized.sampler import (
     _propose_to_oldest,
     _swap_views,
 )
-from repro.vectorized.state import EMPTY, ArrayState, pick_columns, row_index
+from repro.vectorized.state import (
+    EMPTY,
+    ArrayState,
+    pick_columns,
+    row_index,
+    take_rows,
+)
 
 __all__ = ["ShardContext", "WAVE_BUFFERS", "DISPATCH"]
 
@@ -91,7 +98,9 @@ def cmd_refresh_age(ctx: ShardContext, uniform: bool, shard: int) -> dict:
             state.view_ids[rows] = EMPTY
             state.view_ages[rows] = 0
         else:
-            _age_and_purge(state, rows)
+            # Under churn the rows are gathered copies: a block's worth.
+            for _a, _b, block in index_blocks(state.view_ids, rows, len(live)):
+                _age_and_purge(state, block)
     empty_rows, empty_cols = state.empty_live_slots(ctx.lo, ctx.hi)
     ctx.cache["empty"] = (empty_rows, empty_cols)
     return {"empty": len(empty_rows)}
@@ -150,14 +159,16 @@ WAVE_BUFFERS = (("wave_a", "wave_b"), ("wave_a2", "wave_b2"))
 
 
 def cmd_refresh_swap(ctx: ShardContext, offset: int, count: int, buffer: int = 0) -> dict:
-    """Execute this shard's pairs of one node-disjoint exchange wave."""
-    if count:
-        name_a, name_b = WAVE_BUFFERS[buffer]
-        _swap_views(
-            ctx.state,
-            ctx.scratch[name_a][offset : offset + count],
-            ctx.scratch[name_b][offset : offset + count],
-        )
+    """Execute this shard's pairs of one node-disjoint exchange wave, a
+    block of rows — half as many pairs — at a time: the pairs of a wave
+    share no node, so the chunking cannot show in the result, and the
+    gathered rows and masks are a block's, not the wave's."""
+    name_a, name_b = WAVE_BUFFERS[buffer]
+    side_a, side_b = ctx.scratch[name_a], ctx.scratch[name_b]
+    pairs = max(1, block_rows(ctx.state.view_ids) // 2)
+    for start in range(offset, offset + count, pairs):
+        stop = min(start + pairs, offset + count)
+        _swap_views(ctx.state, side_a[start:stop], side_b[start:stop])
     return {}
 
 
@@ -168,25 +179,38 @@ def cmd_refresh_swap(ctx: ShardContext, offset: int, count: int, buffer: int = 0
 
 def cmd_rank_fold(ctx: ShardContext, boundary_bias: bool) -> dict:
     """Fold refreshed views into the rank counters (Figure 5, lines
-    5-7) and pre-compute the boundary-biased j1 choice."""
+    5-7) and pre-compute the boundary-biased j1 choice, a block of rows
+    at a time: what rides to ``rank_targets`` is a mask and two index
+    columns, and the gathered neighbor attributes and distances — eight
+    bytes per view slot each — are only ever a block's."""
     state = ctx.state
-    live = ctx.cache["live"]
+    live, rows = ctx.cache["live"], ctx.cache["live_rows"]
     if len(live) == 0:
         ctx.cache.update(rows=np.empty(0, dtype=np.int64))
         return {"rows": 0}
-    view, valid, counts, a_self = fold_views(state, ctx.cache["live_rows"], live)
+    view = take_rows(state.view_ids, rows)
+    valid = np.empty(view.shape, dtype=bool)
+    counts = np.empty(len(live), dtype=np.int64)
+    j1_cols = distance = None
+    if boundary_bias:
+        j1_cols = np.empty(len(live), dtype=np.int64)
+        distance = ctx.geometry.boundary_distance(state.value[: state.size])
+    for a, b, block in index_blocks(state.view_ids, rows, len(live)):
+        part, nodes = view[a:b], live[a:b]
+        _part, valid[a:b], counts[a:b], _attr = fold_views(state, block, nodes, part)
+        if boundary_bias:
+            j1_cols[a:b] = boundary_columns(distance, part, valid[a:b], counts[a:b])
     senders = np.flatnonzero(counts)
-    view, valid, counts = sender_rows(senders, view, valid, counts)
-    j1_cols = None
-    if boundary_bias and len(senders):
-        j1_cols = boundary_columns(state, ctx.geometry, view, valid, counts)
+    if len(senders) < len(live):
+        view, valid, counts = sender_rows(senders, view, valid, counts)
+        j1_cols = j1_cols[senders] if boundary_bias else None
     ctx.cache.update(
         rows=senders,
         sub_view=view,
         sub_valid=valid,
         sub_counts=counts,
         j1_cols=j1_cols,
-        a_self=a_self,
+        a_self=take_rows(state.attribute, rows),
     )
     return {"rows": len(senders)}
 
@@ -204,9 +228,11 @@ def cmd_rank_targets(
     count = len(rows)
     if count == 0:
         return {}
-    sub_view, sub_valid = ctx.cache["sub_view"], ctx.cache["sub_valid"]
-    sub_counts = ctx.cache["sub_counts"]
-    j1_cols = ctx.cache["j1_cols"]
+    # The fold's arrays are read here and nowhere later: taken out of
+    # the cache, they are gone when this command returns.
+    sub_view, sub_valid = ctx.cache.pop("sub_view"), ctx.cache.pop("sub_valid")
+    sub_counts, a_self = ctx.cache.pop("sub_counts"), ctx.cache.pop("a_self")
+    j1_cols = ctx.cache.pop("j1_cols")
     if j1_cols is None:  # boundary_bias=False ablation: j1 is random too
         j1_cols = _random_valid_column_from(
             sub_valid, ctx.scratch["u1"][offset : offset + count], sub_counts
@@ -216,7 +242,7 @@ def cmd_rank_targets(
     )
     ctx.scratch["tgt1"][ctx.lo : ctx.lo + count] = pick_columns(sub_view, j1_cols)
     ctx.scratch["tgt2"][ctx.lo : ctx.lo + count] = pick_columns(sub_view, j2_cols)
-    ctx.scratch["sattr"][ctx.lo : ctx.lo + count] = ctx.cache["a_self"][rows]
+    ctx.scratch["sattr"][ctx.lo : ctx.lo + count] = a_self[rows]
     if sids:
         ctx.scratch["sid"][ctx.lo : ctx.lo + count] = ctx.cache["live"][rows]
     return {}

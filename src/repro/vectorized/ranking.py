@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.vectorized.metrics import PartitionArrays
 from repro.vectorized.ordering import _row_counts, _valid_slots
 from repro.vectorized.state import ArrayState, take_rows
 
@@ -115,15 +114,17 @@ def window_push(state: ArrayState, ids: np.ndarray, bits: np.ndarray) -> None:
     _push_rounds(state, nodes, nodes, rounds)
 
 
-def fold_views(state: ArrayState, rows, live: np.ndarray):
+def fold_views(state: ArrayState, rows, live: np.ndarray, view=None):
     """Lines 5-7 for the live nodes ``live`` (row index ``rows``): fold
     every valid view entry's comparison into the node's counters.
 
-    Returns ``(view, valid, counts, a_self)`` — the nodes' view rows (a
-    zero-copy slice of the state when ``rows`` is one), their
-    occupied-and-alive mask, its per-row counts, and their attributes.
+    Returns ``(view, valid, counts, a_self)`` — the nodes' view rows
+    (``view`` if the caller already holds them, else a zero-copy slice
+    of the state when ``rows`` is one), their occupied-and-alive mask,
+    its per-row counts, and their attributes.
     """
-    view = take_rows(state.view_ids, rows)
+    if view is None:
+        view = take_rows(state.view_ids, rows)
     valid = _valid_slots(state, view)
     full = bool(valid.all())  # steady state: no masking passes needed
     a_self = take_rows(state.attribute, rows)
@@ -153,17 +154,14 @@ def sender_rows(
 
 
 def boundary_columns(
-    state: ArrayState,
-    geometry: PartitionArrays,
-    view: np.ndarray,
-    valid: np.ndarray,
-    counts: np.ndarray,
+    node_distance: np.ndarray, view: np.ndarray, valid: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
     """Lines 8-10: per row, the column of the valid neighbor whose
-    published estimate is closest to a slice boundary.  ``dist`` is a
-    function of the neighbor's estimate alone, so it is evaluated once
-    per node and gathered, not once per view slot."""
-    node_distance = geometry.boundary_distance(state.value[: state.size])
+    published estimate is closest to a slice boundary (column 0 for a
+    row with none).  ``dist`` is a function of the neighbor's estimate
+    alone, so the caller evaluates it once per node
+    (``geometry.boundary_distance(state.value[:state.size])``) and it
+    is gathered here, not computed once per view slot."""
     if counts.min() == view.shape[1]:
         return np.argmin(np.take(node_distance, view), axis=1)
     distance = np.take(node_distance, np.where(valid, view, 0))

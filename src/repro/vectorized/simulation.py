@@ -474,6 +474,9 @@ class VectorSimulation:
                 self._live_counts = refresh_phases(
                     executor, state, plan, self.sampler == "uniform", telemetry
                 )
+            # Scratch bytes handed out by the phase that just ended: a
+            # level, so the cycle's record keeps the larger phase.
+            telemetry.count("mem.scratch_mb", executor.scratch.used / 1e6)
             if self._is_ranking():
                 with telemetry.span("ranking"):
                     ranking_phases(
@@ -487,6 +490,7 @@ class VectorSimulation:
                         self._live_counts,
                         self._stats, self._fault_queue, self._cycle, telemetry,
                     )
+            telemetry.count("mem.scratch_mb", executor.scratch.used / 1e6)
         self._cycle += 1
         if telemetry.enabled:
             telemetry.count("mem.rss_mb", resident_mb())

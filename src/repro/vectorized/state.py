@@ -29,16 +29,15 @@ of the view columns are addressed through :func:`row_index` /
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
+
+from repro.bulk.blocks import row_blocks
 
 __all__ = [
     "ArrayState",
     "EMPTY",
-    "BLOCK_BYTES",
-    "block_rows",
-    "row_blocks",
     "COLUMNS",
     "WINDOW_COLUMNS",
     "column_spec",
@@ -50,13 +49,6 @@ __all__ = [
 
 #: Sentinel id marking an empty view slot.
 EMPTY = -1
-
-#: Bytes per block wherever state is derived or moved outside the cycle
-#: — bootstrap fill, the transport's replication and sync, the row
-#: migration: one column, as many whole rows as fit (:func:`row_blocks`),
-#: so no step holds a second copy of the state (``docs/ARCHITECTURE.md``,
-#: "Memory budget").
-BLOCK_BYTES = 4 << 20
 
 #: Membership events retained for incremental consumers (the alpha
 #: rank index).  Consumers whose cursor falls off the back rebuild
@@ -102,19 +94,6 @@ def column_spec(
                 width = (window + 7) // 8
             spec[name] = (np.dtype(dtype), width)
     return spec
-
-
-def block_rows(column: np.ndarray) -> int:
-    """Whole rows of ``column`` per block: what fits :data:`BLOCK_BYTES`,
-    at least one."""
-    return max(1, BLOCK_BYTES // column.strides[0])
-
-
-def row_blocks(column: np.ndarray, lo: int, hi: int) -> List[Tuple[int, int]]:
-    """The ascending ``(start, stop)`` spans that tile rows ``[lo, hi)``
-    of ``column`` in blocks of :func:`block_rows` rows."""
-    step = block_rows(column)
-    return [(start, min(start + step, hi)) for start in range(lo, hi, step)]
 
 
 def row_index(live: np.ndarray, lo: int, hi: int):
@@ -436,27 +415,19 @@ class ArrayState:
 
         Slots that happen to draw the owner or a duplicate are blanked
         again rather than re-drawn; they get another chance next cycle.
-        One ``rng.integers`` call covers all empty slots (bounded draws
-        buffer 32-bit halves per call: a draw per block would change the
-        stream); everything derived from it runs over :func:`row_blocks`.
+        One draw per :func:`~repro.bulk.blocks.row_blocks` block of the
+        view — a generator keeps the unused half of a 64-bit word between
+        calls, so the blocks' draws are the values, and leave the state,
+        of one draw for every empty slot (``tests/property/
+        test_property_fill.py``) — and nothing here is whole-state sized.
         """
         live = self.live_ids()
         if len(live) < 2:
             return
-        spans = row_blocks(self.view_ids, 0, self.size)
-        alive = self.alive[:, None]
-        counts = [
-            np.count_nonzero((self.view_ids[lo:hi] == EMPTY) & alive[lo:hi])
-            for lo, hi in spans
-        ]
-        if not any(counts):
-            return
-        picks = rng.integers(0, len(live), size=sum(counts))
-        offset = 0
-        for (lo, hi), count in zip(spans, counts):
+        for lo, hi in row_blocks(self.view_ids, 0, self.size):
             rows, cols = self.empty_live_slots(lo, hi)
-            self.apply_fill(rows, cols, live[picks[offset : offset + count]])
-            offset += count
+            picks = rng.integers(0, len(live), size=len(rows))
+            self.apply_fill(rows, cols, live[picks])
 
     def empty_live_slots(
         self, lo: int = 0, hi: Optional[int] = None
@@ -468,10 +439,13 @@ class ArrayState:
         if hi <= lo:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        flat = np.flatnonzero(self.view_ids[lo:hi] == EMPTY)
-        empty_rows, empty_cols = np.divmod(flat, self.view_size)
+        empty_rows, empty_cols = np.divmod(
+            np.flatnonzero(self.view_ids[lo:hi] == EMPTY), self.view_size
+        )
         empty_rows += lo
         alive_rows = self.alive[empty_rows]
+        if alive_rows.all():  # no copy where no row of the range is dead
+            return empty_rows, empty_cols
         return empty_rows[alive_rows], empty_cols[alive_rows]
 
     def apply_fill(
@@ -488,9 +462,10 @@ class ArrayState:
         draws[draws == empty_rows] = EMPTY  # no self-pointers
         self.view_ids[empty_rows, empty_cols] = draws
         self.view_ages[empty_rows, empty_cols] = 0
+        del draws
         # nonzero() returns row-major order, so empty_rows is sorted.
-        touched = empty_rows[np.flatnonzero(np.diff(empty_rows, prepend=-1))]
-        self._blank_duplicates(touched)
+        first = np.flatnonzero(empty_rows[1:] != empty_rows[:-1]) + 1
+        self._blank_duplicates(empty_rows[np.concatenate(([0], first))])
 
     def _blank_duplicates(self, rows: np.ndarray) -> None:
         """Blank later duplicates of the same id within each row."""

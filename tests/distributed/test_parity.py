@@ -12,12 +12,13 @@ the same bytes as TCP.
 import numpy as np
 import pytest
 
+from repro.bulk.blocks import block_rows
 from repro.churn.models import RegularChurn
 from repro.core.slices import SlicePartition
 from repro.distributed import DistributedSimulation
 from repro.sharded import ShardedSimulation
 from repro.vectorized.simulation import VectorSimulation
-from repro.vectorized.state import block_rows, column_spec
+from repro.vectorized.state import column_spec
 
 STATE_COLUMNS = ("attribute", "value", "alive", "obs_le", "obs_total")
 
@@ -187,15 +188,15 @@ class TestLoopbackParity:
             distributed.close()
 
     def test_block_size_changes_nothing(self, monkeypatch):
-        # State moves in BLOCK_BYTES blocks outside the cycle (bootstrap
-        # fill, replication, migration, sync); at test sizes a column is
-        # one block, so shrink the block until every column is many.
+        # State moves in BLOCK_BYTES blocks (bootstrap fill, replication,
+        # migration, sync, the row-local kernels); at test sizes a column
+        # is one block, so shrink the block until every column is many.
         spec = dict(
             cycles=10, window=15, churn=skewed_churn(), rebalance_every=2, size=300
         )
         whole, _unused = paired_runs("ranking-window", 1, "loopback", **spec)
         _unused.close()
-        monkeypatch.setattr("repro.vectorized.state.BLOCK_BYTES", 256)
+        monkeypatch.setattr("repro.bulk.blocks.BLOCK_BYTES", 256)
         vectorized, distributed = paired_runs("ranking-window", 3, "loopback", **spec)
         kwargs = dict(spec, partition=SlicePartition.equal(10), view_size=8, seed=13)
         cycles = kwargs.pop("cycles")

@@ -428,9 +428,10 @@ class TestDistributedWireAccounting:
 
 
 class TestMemoryLevels:
-    """Where the peak was, on the stream: driver RSS per cycle, its
-    peak after each phase that moves whole columns, every worker
-    process's own peak — levels (largest value wins), never sums."""
+    """Where the peak was, on the stream: driver RSS and scratch bytes
+    per cycle, its peak after each phase that moves whole columns,
+    every worker process's own peak — levels (largest value wins),
+    never sums."""
 
     @pytest.mark.parametrize("backend", ["vectorized", "sharded", "distributed"])
     def test_levels_ride_the_records_and_the_report(self, backend):
@@ -454,6 +455,7 @@ class TestMemoryLevels:
         levels = {name for name in report.counters if name.startswith("mem.")}
         expected = {
             "mem.rss_mb",
+            "mem.scratch_mb",
             "mem.hwm_mb:setup/bootstrap",
             "mem.hwm_mb:setup/replicate",
             "mem.hwm_mb:rebalance/migrate",
@@ -466,6 +468,12 @@ class TestMemoryLevels:
             record["counters"]["mem.rss_mb"] for record in cycles
         )
         assert telemetry.counter_totals()["mem.rss_mb"] == report.counters["mem.rss_mb"]
+        # Scratch: what the larger phase of the cycle took, in every
+        # record, and exactly what the executor's scratch says it holds.
+        assert all(record["counters"]["mem.scratch_mb"] > 0 for record in cycles)
+        held_mb = sim.executor.scratch.used / 1e6
+        assert cycles[-1]["counters"]["mem.scratch_mb"] >= held_mb
+        assert "mem.scratch_mb" in report.render().split("counters (total")[0]
         assert (
             report.counters["mem.hwm_mb:setup/bootstrap"]
             <= report.counters["mem.hwm_mb:rebalance/migrate"]

@@ -1,7 +1,7 @@
 """The blocked bootstrap fill is the whole-state fill.
 
 ``ArrayState.fill_empty_slots`` draws once for every empty slot of every
-live node and applies the draw over :func:`~repro.vectorized.state.
+live node and applies the draw over :func:`~repro.bulk.blocks.
 row_blocks` of the view, so that nothing derived from it is ever
 whole-state sized.  Whatever the block size — one row, seven rows, all
 rows — the views must end byte-equal to the unblocked fill below (one
@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.vectorized import state as state_module
+from repro.bulk import blocks
 from repro.vectorized.state import EMPTY, ArrayState
 
 
@@ -59,10 +59,10 @@ def test_blocked_fill_equals_whole_state_fill(seed, n, view_size, fill, dead):
     whole_state_fill(expected, expected_rng)
 
     row_bytes = expected.view_ids.strides[0]
-    default = state_module.BLOCK_BYTES
+    default = blocks.BLOCK_BYTES
     try:
         for rows_per_block in (1, 7, n + 1):
-            state_module.BLOCK_BYTES = rows_per_block * row_bytes
+            blocks.BLOCK_BYTES = rows_per_block * row_bytes
             state = random_state(seed, n, view_size, fill, dead)
             rng = np.random.default_rng(seed + 1)
             state.fill_empty_slots(rng)
@@ -70,4 +70,4 @@ def test_blocked_fill_equals_whole_state_fill(seed, n, view_size, fill, dead):
             assert state.view_ages.tobytes() == expected.view_ages.tobytes()
             assert rng.bit_generator.state == expected_rng.bit_generator.state
     finally:
-        state_module.BLOCK_BYTES = default
+        blocks.BLOCK_BYTES = default

@@ -289,7 +289,8 @@ def test_kernels_agree_on_slice_and_gathered_rows(
         senders = np.flatnonzero(counts)
         sub_view, sub_valid, sub_counts = sender_rows(senders, view, valid, counts)
         if len(senders):
-            j1 = boundary_columns(state, geometry, sub_view, sub_valid, sub_counts)
+            node_distance = geometry.boundary_distance(state.value[: state.size])
+            j1 = boundary_columns(node_distance, sub_view, sub_valid, sub_counts)
             # What it replaced: the distance evaluated per view slot.
             r_peer = state.value[np.where(sub_valid, sub_view, 0)]
             per_slot = np.where(sub_valid, geometry.boundary_distance(r_peer), np.inf)
