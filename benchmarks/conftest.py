@@ -1,11 +1,11 @@
 """Shared benchmark infrastructure.
 
 Each benchmark regenerates one paper figure (or an ablation) exactly
-once via ``benchmark.pedantic(rounds=1)`` — the interesting output is
-the figure's series and findings, not the wall-clock time, though
-pytest-benchmark's timing table doubles as a simulator performance
-record.  Every regenerated figure is printed to the terminal and
-archived under ``benchmarks/results/`` so EXPERIMENTS.md can quote it.
+once via ``benchmark.pedantic(rounds=1)`` — the output is the figure's
+series and findings; pytest-benchmark's timing table only says how long
+each regeneration took (speed is measured by ``bench/run.py``).  Every
+regenerated figure is printed to the terminal and archived under
+``benchmarks/results/``.
 """
 
 from __future__ import annotations

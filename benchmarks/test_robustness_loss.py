@@ -87,62 +87,40 @@ def test_loss_robustness(benchmark, capsys):
 # on a bulk backend, under the full plan-level fault model.
 # ----------------------------------------------------------------------
 
-import json
-import os
-import time
-
 import pytest
 
 from repro.experiments.config import RunSpec, build_simulation
 
-BULK_RESULTS_PATH = os.path.join(
-    os.path.dirname(__file__), "results", "robustness-bulk.json"
-)
 N_BULK = 1_000_000
 BULK_CYCLES = 10
 
-#: The fault regimes the nightly ladder replays.  Each knob set feeds
-#: the shared CyclePlan, so these runs are bitwise reproducible on any
-#: bulk backend at any worker count.
+#: ``(regime, fault knobs, bound)``: the regimes the nightly ladder
+#: replays and, for each, how far above the baseline's its final SDM/n
+#: may end, as a factor.  Each knob set feeds the shared CyclePlan, so
+#: a run is bitwise reproducible on any bulk backend at any worker
+#: count.  The factors are read off one run of this ladder (seed 9,
+#: ten cycles — SDM/n is still 0.30 there, so faults have cost little
+#: yet: 1.003 / 1.017 / 1.032 at loss 0.1 / 0.3 / 0.5, 1.006 under
+#: delay, 1.162 and 1.172 in the two partition regimes), rounded up
+#: with at least as much headroom again.
 FAULT_REGIMES = (
-    ("baseline", {}),
-    ("loss-0.1", {"loss": 0.1}),
-    ("loss-0.3", {"loss": 0.3}),
-    ("loss-0.5", {"loss": 0.5}),
-    ("delay-0.3x5", {"delay": "0.3:5"}),
-    ("partition-heal", {"partitions": "2:4:2"}),
-    ("combined", {"loss": 0.1, "delay": "0.2:3", "partitions": "2:4:2"}),
+    ("baseline", {}, 1.0),
+    ("loss-0.1", {"loss": 0.1}, 1.02),
+    ("loss-0.3", {"loss": 0.3}, 1.05),
+    ("loss-0.5", {"loss": 0.5}, 1.08),
+    ("delay-0.3x5", {"delay": (0.3, 5)}, 1.02),
+    ("partition-heal", {"partitions": "2:4:2"}, 1.35),
+    ("combined", {"loss": 0.1, "delay": (0.2, 3), "partitions": "2:4:2"}, 1.35),
 )
-
-
-def record_bulk(entry: dict) -> None:
-    os.makedirs(os.path.dirname(BULK_RESULTS_PATH), exist_ok=True)
-    existing = []
-    if os.path.exists(BULK_RESULTS_PATH):
-        with open(BULK_RESULTS_PATH) as handle:
-            existing = json.load(handle)
-    existing.append(entry)
-    with open(BULK_RESULTS_PATH, "w") as handle:
-        json.dump(existing, handle, indent=2)
 
 
 @pytest.mark.nightly
 def test_bulk_fault_ladder(capsys):
     """n = 10^6 ranking on the vectorized backend under every fault
-    regime.  Convergence-under-fault values are recorded with
-    ``metrics_``-prefixed keys, which check_regression.py *tracks* but
-    never gates (convergence under faults drifts legitimately with the
-    regime mix); the per-regime ``cycles_per_sec`` throughput is gated
-    like every other benchmark."""
-    entry = {
-        "benchmark": "robustness-bulk",
-        "n": N_BULK,
-        "cycles": BULK_CYCLES,
-        "backend": "vectorized",
-        "ladder": [],
-    }
+    regime: the plan delivers the configured fault rates, and ranking
+    degrades gracefully at scale too."""
     baseline_sdm = None
-    for label, knobs in FAULT_REGIMES:
+    for label, knobs, factor in FAULT_REGIMES:
         spec = RunSpec(
             n=N_BULK,
             slice_count=10,
@@ -152,34 +130,26 @@ def test_bulk_fault_ladder(capsys):
             seed=9,
             **knobs,
         )
-        sim = build_simulation(spec)
-        started = time.perf_counter()
-        sim.run(BULK_CYCLES)
-        elapsed = time.perf_counter() - started
-        stats = sim.bus_stats
-        sdm_per_node = sim.slice_disorder() / N_BULK
-        rung = {
-            "regime": label,
-            "cycles_per_sec": BULK_CYCLES / elapsed,
-            "metrics_final_sdm_per_node": sdm_per_node,
-            "metrics_accuracy": sim.accuracy(),
-            "metrics_lost_fraction": stats.lost / max(stats.sent, 1),
-            "metrics_delayed_fraction": stats.delayed / max(stats.sent, 1),
-        }
-        entry["ladder"].append(rung)
-        if label == "baseline":
-            baseline_sdm = sdm_per_node
+        with build_simulation(spec) as sim:
+            sim.run(BULK_CYCLES)
+            stats = sim.bus_stats
+            sdm_per_node = sim.slice_disorder() / N_BULK
+            accuracy = sim.accuracy()
+        lost = stats.lost / stats.sent
+        delayed = stats.delayed / stats.sent
         with capsys.disabled():
             print(
-                f"\nn=1e6 {label:>15s}: {BULK_CYCLES / elapsed:5.2f} "
-                f"cycles/sec, SDM/n {sdm_per_node:.4f}, "
-                f"accuracy {sim.accuracy():.1%}, "
-                f"lost {100 * rung['metrics_lost_fraction']:.1f}%"
+                f"\nn=1e6 {label:>15s}: SDM/n {sdm_per_node:.4f}, "
+                f"accuracy {accuracy:.1%}, lost {lost:.1%}, delayed {delayed:.1%}"
             )
-    record_bulk(entry)
-    # Ranking degrades gracefully at scale too: 30% loss stays within
-    # a small factor of the lossless run's disorder.
-    lossy = next(
-        r for r in entry["ladder"] if r["regime"] == "loss-0.3"
-    )["metrics_final_sdm_per_node"]
-    assert lossy < 4.0 * max(baseline_sdm, 1e-9)
+        loss = knobs.get("loss", 0.0)
+        if "partitions" in knobs:
+            # Suppressed partition crossings count as lost.
+            assert lost > loss, label
+        else:
+            assert abs(lost - loss) <= 0.01, label
+            assert abs(delayed - knobs.get("delay", (0.0, 0))[0]) <= 0.01, label
+        if baseline_sdm is None:
+            assert lost == 0 and delayed == 0, label
+            baseline_sdm = sdm_per_node
+        assert sdm_per_node <= factor * baseline_sdm, label

@@ -170,8 +170,8 @@ class CyclePlan:
         """Bootstrap refills: one uniform index into the live set per
         empty view slot (row-major slot order).  Drawn *after* the
         partner jitter: the jitter's size depends only on the live
-        count, so the sharded driver can draw it while the age/purge
-        barrier (which reports ``empty_total``) is still in flight."""
+        count, the fill's on what the age/purge pass reports
+        (``empty_total``)."""
         self._note("fill", empty_total)
         if empty_total == 0:
             return np.empty(0, dtype=np.int64)

@@ -17,7 +17,6 @@ from repro.churn.models import (
     RegularChurn,
     TraceChurn,
 )
-from repro.churn.session import SessionTraceConfig, generate_session_trace
 
 __all__ = [
     "ArrivalAttributePolicy",
@@ -33,6 +32,4 @@ __all__ = [
     "NoChurn",
     "RegularChurn",
     "TraceChurn",
-    "SessionTraceConfig",
-    "generate_session_trace",
 ]

@@ -226,10 +226,7 @@ class AvailabilityChurn(ChurnModel):
 class TraceChurn(ChurnModel):
     """Replay an explicit schedule of joins and leaves.
 
-    ``events`` maps a cycle to ``(leave_count, join_attributes)``;
-    used with the session-trace generator
-    (:mod:`repro.churn.session`) to drive realistic heavy-tailed
-    uptime churn.
+    ``events`` maps a cycle to ``(leave_count, join_attributes)``.
     """
 
     def __init__(

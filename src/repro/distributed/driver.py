@@ -61,7 +61,6 @@ from repro.distributed.transport import (
 )
 from repro.distributed.migration import migrate_rows
 from repro.vectorized.executor import Executor, grown_size, worker_count
-from repro.vectorized.kernels import WAVE_BUFFERS
 from repro.vectorized.simulation import VectorSimulation
 from repro.vectorized.state import ArrayState, column_spec, take_rows
 
@@ -390,12 +389,7 @@ class _MessageExecutor(Executor):
             telemetry.count(f"wire.{command}.recv_bytes", recv1 - recv0)
         return results
 
-    def run_async(self, command: str, payloads) -> list:
-        """The transport executor has no cross-command pipelining —
-        every exchange is synchronous — so ``run_async``/``collect``
-        just keep the cycle's pipelined call shape working
-        (the driver-side draws still happen before dispatch, so plan
-        order is identical)."""
+    def check_open(self) -> None:
         if self._closed:
             # Fresh workers would be built from the driver's stale
             # heavy columns and silently diverge — refuse.
@@ -403,19 +397,19 @@ class _MessageExecutor(Executor):
                 "this distributed simulation is closed; build a new one "
                 "to run further cycles"
             )
+
+    def run(self, command: str, payloads) -> list:
+        self.check_open()
         if command == "refresh_swap":
             return self._run_refresh_swap(payloads)
         return self._exchange(command, list(enumerate(payloads)))
-
-    def collect(self, pending: list) -> list:
-        return pending
 
     def _run_refresh_swap(self, payloads) -> list:
         """One view-exchange wave: fetch the cross-shard partners' view
         rows from their owners, ship them to the initiators' shards as
         guests, swap, and let the reply's guest updates route the
         rewritten rows back — the wave-boundary sync, as messages."""
-        wave_b = self.scratch[WAVE_BUFFERS[payloads[0].get("buffer", 0)][1]]
+        wave_b = self.scratch["wave_b"]
         needed = []
         for (lo, hi), payload in zip(self.bounds, payloads):
             offset, count = payload["offset"], payload["count"]

@@ -41,8 +41,6 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.vectorized.kernels import WAVE_BUFFERS
-
 __all__ = [
     "REPLICATED_COLUMNS",
     "HEAVY_COLUMNS",
@@ -81,7 +79,7 @@ def heavy_columns(state) -> Tuple[str, ...]:
 #: when the boundary bias is ablated).
 COMMAND_INPUTS: Dict[str, Tuple[str, ...]] = {
     "refresh_fill_partners": ("fill_ids", "jitter"),
-    "refresh_swap": ("wave_a", "wave_b", "wave_a2", "wave_b2"),
+    "refresh_swap": ("wave_a", "wave_b"),
     "rank_targets": ("u1", "u2"),
     "rank_apply": ("targets", "senders"),
     "ord_select": ("u1",),
@@ -106,9 +104,8 @@ COMMAND_INPUTS: Dict[str, Tuple[str, ...]] = {
 # the mirror lands it at the right place), and ``None`` means the
 # worker genuinely reads the whole array (e.g. scattered slot lookups).
 # When a slicer exists its keys are authoritative over
-# :data:`COMMAND_INPUTS` — e.g. ``refresh_swap`` ships only the active
-# double-buffer pair.  Commands without a slicer ship their inputs in
-# full.
+# :data:`COMMAND_INPUTS`.  Commands without a slicer ship their inputs
+# in full.
 
 
 def _slice_refresh_fill_partners(payload, state):
@@ -119,17 +116,9 @@ def _slice_refresh_fill_partners(payload, state):
     }
 
 
-def _slice_refresh_swap(payload, state):
-    name_a, name_b = WAVE_BUFFERS[payload.get("buffer", 0)]
-    span = (payload["offset"], payload["count"])
-    return {name_a: span, name_b: span}
-
-
 def _slice_rank_targets(payload, state):
     span = (payload["offset"], payload["count"])
     return {"u1": span, "u2": span}
-
-
 
 
 def _slice_ord_select(payload, state):
@@ -163,7 +152,7 @@ def _slice_rebalance_unpack(payload, state):
 
 INPUT_SLICERS = {
     "refresh_fill_partners": _slice_refresh_fill_partners,
-    "refresh_swap": _slice_refresh_swap,
+    "refresh_swap": _slice_span("wave_a", "wave_b"),
     "rank_targets": _slice_rank_targets,
     "rank_apply": _slice_span("targets", "senders"),
     "ord_select": _slice_ord_select,

@@ -180,10 +180,7 @@ def _handle_refresh_swap(ctx: ShardContext, payload: dict):
         put_rows(ctx.state.view_ids, rows, guest_ids)
         put_rows(ctx.state.view_ages, rows, guest_ages)
     result = DISPATCH["refresh_swap"](
-        ctx,
-        offset=payload["offset"],
-        count=payload["count"],
-        buffer=payload.get("buffer", 0),
+        ctx, offset=payload["offset"], count=payload["count"]
     )
     updates = []
     if guests is not None and len(rows):

@@ -1,6 +1,6 @@
 """Invariant watchdog: re-checks, every cycle, the accounting
 identities the telemetry layer documents — so drift raises loudly at
-the offending cycle instead of rotting into the nightly numbers.
+the offending cycle instead of rotting into the ledger's numbers.
 
 The checks mirror identities pinned by the test suite:
 

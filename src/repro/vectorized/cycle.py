@@ -36,7 +36,6 @@ import numpy as np
 
 from repro.bulk.concurrency import run_exchanges
 from repro.core.ordering import SELECTION_RANDOM, SELECTION_RANDOM_MISPLACED
-from repro.vectorized.kernels import WAVE_BUFFERS
 
 __all__ = [
     "refresh_phases",
@@ -111,20 +110,17 @@ def refresh_phases(executor, state, plan, uniform: bool, telemetry) -> list:
     scratch.begin_phase()
     with telemetry.span("age_purge"):
         occupancy = scratch.ensure("occupancy", np.int64, shards, keep=True)
-        pending = executor.run_async(
-            "refresh_age",
-            [{"uniform": uniform, "shard": index} for index in range(shards)],
-        )
-        # Pipelined plan/apply: the jitter block's size depends only on
-        # the live count, which age/purge/fill never change, so it is
-        # drawn — straight into its slot — while the age/purge barrier
-        # is still in flight (the canonical draw order puts the jitter
-        # before the fill draws for exactly this reason — the fill size
-        # needs the replies).
+        # The jitter comes before the fill draws in the canonical draw
+        # order: its size depends only on the live count, which
+        # age/purge/fill never change, while the fill size needs the
+        # age pass's replies.  Drawn straight into its slot.
         if not uniform:
             slots = state.live_count * state.view_size
             plan.partner_jitter(scratch.ensure("jitter", np.float32, slots)[:slots])
-        replies = executor.collect(pending)
+        replies = executor.run(
+            "refresh_age",
+            [{"uniform": uniform, "shard": index} for index in range(shards)],
+        )
         # Live counts ride the occupancy slots (one per shard, written
         # by refresh_age) — the load tracking shard_live_loads() reads.
         live_counts = [int(count) for count in occupancy[:shards]]
@@ -183,31 +179,16 @@ def refresh_phases(executor, state, plan, uniform: bool, telemetry) -> list:
         no_payload = np.zeros(len(initiators), dtype=bool)
         waves = plan.waves("sampler", initiators, partners, no_payload, state.size)
         largest = max([1] + [len(side_a) for side_a, _side_b, _unused in waves])
-        buffers = [
-            (
-                scratch.ensure(name_a, np.int64, largest),
-                scratch.ensure(name_b, np.int64, largest),
-            )
-            for name_a, name_b in WAVE_BUFFERS
-        ]
-        pending = None
-        for index, (side_a, side_b, _unused) in enumerate(waves):
-            # Stage wave k+1 into the other buffer pair while the
-            # shards still execute wave k; consecutive waves can share
-            # nodes, so the swaps themselves stay barrier-separated.
-            buffer = index % 2
-            wave_a, wave_b = buffers[buffer]
+        wave_a = scratch.ensure("wave_a", np.int64, largest)
+        wave_b = scratch.ensure("wave_b", np.int64, largest)
+        for side_a, side_b, _unused in waves:
+            # Consecutive waves can share nodes: one barrier per wave.
             wave_a[: len(side_a)] = side_a
             wave_b[: len(side_b)] = side_b
-            payloads = [
-                {"buffer": buffer, **run}
-                for run in shard_run_payloads(executor.bounds, state.capacity, side_a)
-            ]
-            if pending is not None:
-                executor.collect(pending)
-            pending = executor.run_async("refresh_swap", payloads)
-        if pending is not None:
-            executor.collect(pending)
+            executor.run(
+                "refresh_swap",
+                shard_run_payloads(executor.bounds, state.capacity, side_a),
+            )
     if telemetry.enabled:
         telemetry.count("sampler.exchanges", len(initiators))
         telemetry.count("sampler.waves", len(waves))

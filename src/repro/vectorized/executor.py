@@ -65,9 +65,9 @@ def grown_size(size: int, current: int = 0) -> int:
 class Executor:
     """What the bulk driver dispatches through and delegates to.
 
-    Every executor serves ``run_async(command, payloads)`` +
-    ``collect(pending)`` (one kernel of the worker dispatch table on
-    every shard, per-shard replies back), ``bounds`` (the shards'
+    Every executor serves ``run(command, payloads)`` (one kernel of
+    the worker dispatch table on every shard, per-shard replies back
+    once the last shard is done), ``bounds`` (the shards'
     ``(lo, hi)`` row ranges), ``scratch`` (the named buffers carrying
     planned blocks to the kernels and proposals back) and ``state``
     (the :class:`~repro.vectorized.state.ArrayState` it allocated),
@@ -94,7 +94,17 @@ class Executor:
         raise NotImplementedError
 
     def run(self, command: str, payloads) -> list:
-        return self.collect(self.run_async(command, payloads))
+        """Apply ``command`` on every shard with its own payload and
+        return the per-shard replies.  The one way to issue a command:
+        it returns when every shard is done, so whatever the command
+        wrote may be read — and staged over — straight away."""
+        raise NotImplementedError
+
+    def check_open(self) -> None:
+        """Raise what :meth:`run` would raise if commands are no longer
+        accepted.  The driver asks before it plans a cycle, so a refused
+        cycle leaves the state untouched; an executor that releases
+        nothing on :meth:`close` always accepts."""
 
     def replicate(self, rows, columns=None) -> None:
         """The driver wrote ``rows`` of ``columns`` (default: every
@@ -136,7 +146,7 @@ class InlineScratch:
 
     def begin_phase(self) -> None:
         """Forget every buffer but the kept ones.  Driver only, with no
-        command in flight and no view of the last phase still in use."""
+        view of the last phase still in use."""
         if self.used > len(self._arena):  # spilled: one arena, with headroom
             self._arena = np.empty(self.used + self.used // 8, dtype=np.uint8)
         self._views.clear()
@@ -145,8 +155,8 @@ class InlineScratch:
     def ensure(self, name: str, dtype, size: int, keep: bool = False) -> np.ndarray:
         """An array named ``name`` with at least ``size`` elements — the
         same memory for the rest of the phase unless asked to grow.  Only
-        the driver calls this; a kernel looks its buffers up by name, so
-        one that is looked up by a command in flight is not re-ensured."""
+        the driver calls this, between commands; a kernel looks its
+        buffers up by name."""
         views = self._kept if keep else self._views
         array = views.get(name)
         if array is not None and len(array) >= size and array.dtype == dtype:
@@ -237,11 +247,10 @@ class InlineExecutor(Executor):
         spans[-1] = (spans[-1][0], self.state.capacity)
         return spans
 
-    def run_async(self, command: str, payloads):
-        """Start one command on every shard and return once the calling
-        thread's own shard is done; the others may still be running.
-        The caller must :meth:`collect` before touching anything the
-        command writes."""
+    def run(self, command: str, payloads) -> list:
+        """The calling thread runs shard 0 while the pool runs the rest,
+        then joins them all: a kernel's exception is raised only after
+        the barrier, with the shard named in a note."""
         contexts = self._contexts
         contexts[-1].hi = self.state.capacity  # churn may have grown the state
         kernel = DISPATCH[command]
@@ -257,10 +266,6 @@ class InlineExecutor(Executor):
                 for ctx, payload in zip(contexts[1:], payloads[1:])
             ]
         own = _run_shard(kernel, contexts[0], payloads[0], start)
-        return command, start, own, futures
-
-    def collect(self, pending) -> list:
-        command, start, own, futures = pending
         outcomes = [own] + [future.result() for future in futures]
         results, busy, ends, errors = zip(*outcomes)
         for shard, error in enumerate(errors):
@@ -274,7 +279,7 @@ class InlineExecutor(Executor):
         if self._telemetry.enabled:
             # The dispatch span ends when the slowest shard does, so a
             # shard's wait is the skew between the threads (none with
-            # one worker), not the planning the driver overlaps.
+            # one worker).
             self._telemetry.book_command(
                 command,
                 start,

@@ -52,7 +52,7 @@ from repro.vectorized.state import (
     take_rows,
 )
 
-__all__ = ["ShardContext", "WAVE_BUFFERS", "DISPATCH"]
+__all__ = ["ShardContext", "DISPATCH"]
 
 
 class ShardContext:
@@ -153,18 +153,12 @@ def cmd_refresh_fill_partners(
     return {"props": len(initiators)}
 
 
-#: Double-buffered wave staging: the driver stages wave k+1 into the
-#: other pair while the workers still execute wave k.
-WAVE_BUFFERS = (("wave_a", "wave_b"), ("wave_a2", "wave_b2"))
-
-
-def cmd_refresh_swap(ctx: ShardContext, offset: int, count: int, buffer: int = 0) -> dict:
+def cmd_refresh_swap(ctx: ShardContext, offset: int, count: int) -> dict:
     """Execute this shard's pairs of one node-disjoint exchange wave, a
     block of rows — half as many pairs — at a time: the pairs of a wave
     share no node, so the chunking cannot show in the result, and the
     gathered rows and masks are a block's, not the wave's."""
-    name_a, name_b = WAVE_BUFFERS[buffer]
-    side_a, side_b = ctx.scratch[name_a], ctx.scratch[name_b]
+    side_a, side_b = ctx.scratch["wave_a"], ctx.scratch["wave_b"]
     pairs = max(1, block_rows(ctx.state.view_ids) // 2)
     for start in range(offset, offset + count, pairs):
         stop = min(start + pairs, offset + count)

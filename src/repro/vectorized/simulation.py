@@ -458,6 +458,7 @@ class VectorSimulation:
         """One full cycle: plan, churn, rebalance, refresh, protocol
         round, advance — planned centrally, applied through the
         executor (:mod:`repro.vectorized.cycle`)."""
+        self.executor.check_open()  # refuse before churn touches the state
         telemetry = self.telemetry
         telemetry.begin_cycle(self._cycle)
         self._stats.begin_cycle()

@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.churn.models import RegularChurn
 from repro.core.slices import SlicePartition
 from repro.distributed import DistributedSimulation
 from repro.distributed.framing import (
@@ -358,6 +359,28 @@ class TestLifecycle:
         sim.close()
         with pytest.raises(RuntimeError, match="closed"):
             sim.run(1)
+
+    def test_refused_cycle_leaves_the_closed_simulation_untouched(self):
+        # The refusal comes before the cycle is planned: no churn (and
+        # no due rebalance) may land on the driver's copy first.
+        churn = RegularChurn(rate=0.01, period=1)
+        sim = make_sim(workers=2, size=2000, churn=churn, rebalance_every=2)
+        sim.run(4)
+        sim.close()
+
+        def snapshot():
+            return (
+                sim.state.size,
+                sim.state.alive[: sim.state.size].tobytes(),
+                sim.slice_disorder(),
+                sim.now,
+                {name: repr(g.bit_generator.state) for name, g in sim._np_rngs.items()},
+            )
+
+        before = snapshot()
+        with pytest.raises(RuntimeError, match="closed"):
+            sim.run_cycle()
+        assert snapshot() == before
 
     def test_close_syncs_state_for_exact_post_close_reads(self):
         kwargs = dict(

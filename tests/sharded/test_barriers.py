@@ -16,7 +16,7 @@ round-trip to ship the membership change).  The specs below churn
 every cycle so the pin covers the expensive path, not just the
 steady state.  These pins are tier-1 on purpose: any change that
 slips an extra round-trip into the spine fails fast at n = 10^4,
-long before the nightly ladder would notice the wall-clock cost.
+long before a ledger would notice the wall-clock cost.
 """
 
 from repro.experiments.config import RunSpec, build_simulation
