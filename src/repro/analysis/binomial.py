@@ -54,12 +54,13 @@ def slice_population_interval(n: int, p: float, coverage: float = 0.95) -> Tuple
 
 def perfect_split_probability(n: int) -> float:
     """Exact probability that n uniform draws put exactly n/2 values in
-    each half of (0, 1] (0 for odd n)."""
+    each half of (0, 1] (0 for odd n): ``C(n, n/2) / 2^n``, in integers
+    until the one correctly rounded division."""
     if n <= 0:
         raise ValueError("n must be positive")
     if n % 2 == 1:
         return 0.0
-    return float(slice_population_distribution(n, 0.5).pmf(n // 2))
+    return math.comb(n, n // 2) / 2**n
 
 
 def perfect_split_upper_bound(n: int) -> float:

@@ -205,10 +205,10 @@ def compact_state(state, plan: RebalancePlan) -> None:
     new_size = plan.new_size
     for name in migration_columns(state):
         column = getattr(state, name)
-        for lo, hi in row_blocks(column, 0, new_size):
+        for lo, hi in row_blocks(column.strides[0], 0, new_size):
             column[lo:hi] = np.take(column, plan.live[lo:hi], axis=0)
     id_map = plan.id_map()
-    for lo, hi in row_blocks(state.view_ids, 0, new_size):
+    for lo, hi in row_blocks(state.view_ids.strides[0], 0, new_size):
         remap_views(state.view_ids[lo:hi], state.view_ages[lo:hi], id_map)
     state.alive[:new_size] = True
     state.alive[new_size : plan.old_size] = False

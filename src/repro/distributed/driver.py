@@ -202,7 +202,7 @@ class _MessageExecutor(Executor):
                 span = (lo, min(hi, state.size)) if name in heavy else (0, state.size)
                 columns[name] = [
                     (start, column[start:stop])
-                    for start, stop in row_blocks(column, *span)
+                    for start, stop in row_blocks(column.strides[0], *span)
                 ]
             handle.endpoint.send(
                 {
@@ -460,7 +460,7 @@ class _MessageExecutor(Executor):
         state = self.state
         for name in protocol.heavy_columns(state) if columns is None else columns:
             column = getattr(state, name)
-            for start, stop in row_blocks(column, 0, state.size):
+            for start, stop in row_blocks(column.strides[0], 0, state.size):
                 parts = [
                     (index, {"column": name, "lo": max(lo, start), "hi": min(hi, stop)})
                     for index, (lo, hi) in enumerate(self.bounds)

@@ -64,12 +64,14 @@ def migrate_rows(executor, decision) -> None:
     # with each column's own dtype (rounded to 8 so any itemsize
     # divides the allocation).
     columns = {name: getattr(state, name) for name in migration_columns(state)}
-    nbytes = max(block_rows(col) * col.strides[0] for col in columns.values())
+    nbytes = max(
+        block_rows(col.strides[0]) * col.strides[0] for col in columns.values()
+    )
     stage = scratch.ensure("mig_bytes", np.uint8, -(-nbytes // 8) * 8)
     new_bounds = rebalance_bounds(new_size, shards, state.capacity)
     for name, column in columns.items():
         replicated = name in executor.replicated
-        for base, stop in row_blocks(column, 0, new_size):
+        for base, stop in row_blocks(column.strides[0], 0, new_size):
             runs = shard_run_payloads(
                 executor.bounds, state.capacity, decision.live[base:stop]
             )

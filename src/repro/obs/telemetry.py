@@ -77,6 +77,18 @@ def resident_mb(peak: bool = False) -> float:
         return 0.0
 
 
+def minor_faults() -> int:
+    """This process's minor page faults so far (``ru_minflt``): pages
+    mapped on first touch, memory the allocator returned to the kernel
+    and asked for again included; 0 on a platform without
+    ``resource``."""
+    try:
+        import resource
+    except ImportError:
+        return 0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def merge_counter(bucket: dict, name: str, value) -> None:
     """Fold ``value`` into ``bucket[name]``: counters add up; *levels*
     — the ``mem.*`` names, resident MB of some process at some point —

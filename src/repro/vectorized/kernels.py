@@ -98,8 +98,11 @@ def cmd_refresh_age(ctx: ShardContext, uniform: bool, shard: int) -> dict:
             state.view_ids[rows] = EMPTY
             state.view_ages[rows] = 0
         else:
-            # Under churn the rows are gathered copies: a block's worth.
-            for _a, _b, block in index_blocks(state.view_ids, rows, len(live)):
+            # Per row: the gathered ages (4 B a slot) and, in the purge,
+            # the gathered ids, their liveness-index copy (8 + 8) and
+            # three masks.
+            row_bytes = (4 + 8 + 8 + 3) * state.view_size
+            for _a, _b, block in index_blocks(row_bytes, rows, len(live)):
                 _age_and_purge(state, block)
     empty_rows, empty_cols = state.empty_live_slots(ctx.lo, ctx.hi)
     ctx.cache["empty"] = (empty_rows, empty_cols)
@@ -118,10 +121,11 @@ def cmd_refresh_fill_partners(
     driver resolves the draws to live node ids in ``fill_ids``), then —
     unless the uniform oracle is running — pick each live node's oldest
     neighbor (central jitter block for the tie-break) and publish the
-    exchange proposals.  Fill touches only this shard's empty slots and
-    partner selection only its own rows, so the two stages need no
-    barrier between them: one round trip where write_live /
-    refresh_fill / refresh_partners used to take three.
+    exchange proposals, a block of rows at a time at a running offset.
+    Fill touches only this shard's empty slots and partner selection
+    only its own rows, so the two stages need no barrier between them:
+    one round trip where write_live / refresh_fill / refresh_partners
+    used to take three.
 
     ``fill_count`` / ``live_count`` are wire-slicing metadata: the
     kernel derives both from its own cache, but the distributed driver
@@ -145,12 +149,18 @@ def cmd_refresh_fill_partners(
     jitter = ctx.scratch["jitter"][
         jitter_offset * c : (jitter_offset + len(live)) * c
     ].reshape(len(live), c)
-    initiators, chosen = _propose_to_oldest(
-        state, ctx.cache["live_rows"], live, jitter
-    )
-    ctx.scratch["prop_a"][ctx.lo : ctx.lo + len(initiators)] = initiators
-    ctx.scratch["prop_b"][ctx.lo : ctx.lo + len(chosen)] = chosen
-    return {"props": len(initiators)}
+    # Per row: the gathered ids and ages (8 + 4 B a slot), the float32
+    # key and the empty mask (4 + 1), the chosen column, its flat index
+    # and the partner (8 B each).
+    row_bytes = (8 + 4 + 4 + 1) * c + 3 * 8
+    props = ctx.lo
+    for a, b, block in index_blocks(row_bytes, ctx.cache["live_rows"], len(live)):
+        initiators, chosen = _propose_to_oldest(state, block, live[a:b], jitter[a:b])
+        stop = props + len(initiators)
+        ctx.scratch["prop_a"][props:stop] = initiators
+        ctx.scratch["prop_b"][props:stop] = chosen
+        props = stop
+    return {"props": props - ctx.lo}
 
 
 def cmd_refresh_swap(ctx: ShardContext, offset: int, count: int) -> dict:
@@ -159,7 +169,11 @@ def cmd_refresh_swap(ctx: ShardContext, offset: int, count: int) -> dict:
     share no node, so the chunking cannot show in the result, and the
     gathered rows and masks are a block's, not the wave's."""
     side_a, side_b = ctx.scratch["wave_a"], ctx.scratch["wave_b"]
-    pairs = max(1, block_rows(ctx.state.view_ids) // 2)
+    # Per row (a pair is two): the gathered ids and ages (8 + 4 B a
+    # slot), the int32 key and two masks (4 + 2), and five int64
+    # vectors — receivers, donors, the argmax, the slot base, the slot.
+    row_bytes = (8 + 4 + 4 + 2) * ctx.state.view_size + 5 * 8
+    pairs = max(1, block_rows(row_bytes) // 2)
     for start in range(offset, offset + count, pairs):
         stop = min(start + pairs, offset + count)
         _swap_views(ctx.state, side_a[start:stop], side_b[start:stop])
@@ -189,7 +203,12 @@ def cmd_rank_fold(ctx: ShardContext, boundary_bias: bool) -> dict:
     if boundary_bias:
         j1_cols = np.empty(len(live), dtype=np.int64)
         distance = ctx.geometry.boundary_distance(state.value[: state.size])
-    for a, b, block in index_blocks(state.view_ids, rows, len(live)):
+    # Per row: the valid mask and the comparison bits (1 + 1 B a slot),
+    # the gathered peer attributes and their index copy — or the
+    # boundary distances and theirs (8 + 8) — and six scalars (the
+    # window's cursors and their per-round temporaries).
+    row_bytes = (1 + 1 + 8 + 8) * state.view_size + 6 * 8
+    for a, b, block in index_blocks(row_bytes, rows, len(live)):
         part, nodes = view[a:b], live[a:b]
         _part, valid[a:b], counts[a:b], _attr = fold_views(state, block, nodes, part)
         if boundary_bias:
@@ -273,24 +292,35 @@ def cmd_ord_select(
     ctx: ShardContext, selection: str, offset: int, count: int = 0
 ) -> dict:
     """Evaluate the misplacement predicate, pick gossip partners, and
-    publish this shard's REQ proposals (Section 4, per variant).
-    ``count`` is wire-slicing metadata (this shard's live-row count,
-    used by the distributed driver to slice ``u1``)."""
+    publish this shard's REQ proposals (Section 4, per variant), a
+    block of rows at a time at a running offset: selection is row-local
+    and its uniforms are pre-drawn per row, so the blocks cannot show
+    in the result.  ``count`` is wire-slicing metadata (this shard's
+    live-row count, used by the distributed driver to slice ``u1``)."""
     state = ctx.state
     live = ctx.cache["live"]
     if len(live) == 0:
         return {"props": 0}
-    initiators, targets, intended = select_exchanges(
-        state,
-        ctx.cache["live_rows"],
-        live,
-        selection,
-        lambda: ctx.scratch["u1"][offset : offset + len(live)],
-    )
-    ctx.scratch["prop_a"][ctx.lo : ctx.lo + len(initiators)] = initiators
-    ctx.scratch["prop_b"][ctx.lo : ctx.lo + len(targets)] = targets
-    ctx.scratch["prop_x"][ctx.lo : ctx.lo + len(intended)] = intended
-    return {"props": len(initiators)}
+    c = state.view_size
+    # Per row: the gathered view (8 B a slot), ids / attr / value over
+    # the view-plus-self items (3 x 8 B an item), the product and its
+    # temporary (8 + 8 B a slot), three masks and the two int16 ranks.
+    row_bytes = 8 * c + 3 * 8 * (c + 1) + (8 + 8 + 3) * c + 2 * 2 * (c + 1)
+    props = ctx.lo
+    for a, b, block in index_blocks(row_bytes, ctx.cache["live_rows"], len(live)):
+        initiators, targets, intended = select_exchanges(
+            state,
+            block,
+            live[a:b],
+            selection,
+            lambda a=a, b=b: ctx.scratch["u1"][offset + a : offset + b],
+        )
+        stop = props + len(initiators)
+        ctx.scratch["prop_a"][props:stop] = initiators
+        ctx.scratch["prop_b"][props:stop] = targets
+        ctx.scratch["prop_x"][props:stop] = intended
+        props = stop
+    return {"props": props - ctx.lo}
 
 
 def cmd_conc_wave(ctx: ShardContext, offset: int, count: int) -> dict:

@@ -61,7 +61,7 @@ from repro.engine.network import ConcurrencyModel
 from repro.engine.random_source import RandomSource, derive_seed
 from repro.engine.trace import NULL_TRACE, TraceLog
 from repro.metrics.statistics import z_value
-from repro.obs.telemetry import NULL_TELEMETRY, resident_mb
+from repro.obs.telemetry import NULL_TELEMETRY, minor_faults, resident_mb
 from repro.vectorized import churn as bulk_churn
 from repro.vectorized import metrics as vmetrics
 from repro.vectorized.cycle import ordering_phases, ranking_phases, refresh_phases
@@ -461,6 +461,7 @@ class VectorSimulation:
         self.executor.check_open()  # refuse before churn touches the state
         telemetry = self.telemetry
         telemetry.begin_cycle(self._cycle)
+        faults = minor_faults() if telemetry.enabled else 0
         self._stats.begin_cycle()
         with telemetry.span("plan"):
             plan = self._new_plan()
@@ -494,6 +495,9 @@ class VectorSimulation:
             telemetry.count("mem.scratch_mb", executor.scratch.used / 1e6)
         self._cycle += 1
         if telemetry.enabled:
+            # Pages this process faulted in during the cycle (a counter,
+            # not a level): zero once the allocator reuses its heap.
+            telemetry.count("faults.minor", minor_faults() - faults)
             telemetry.count("mem.rss_mb", resident_mb())
             telemetry.end_cycle()
             self._post_cycle_observability(telemetry)

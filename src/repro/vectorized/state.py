@@ -424,7 +424,7 @@ class ArrayState:
         live = self.live_ids()
         if len(live) < 2:
             return
-        for lo, hi in row_blocks(self.view_ids, 0, self.size):
+        for lo, hi in row_blocks(self.view_ids.strides[0], 0, self.size):
             rows, cols = self.empty_live_slots(lo, hi)
             picks = rng.integers(0, len(live), size=len(rows))
             self.apply_fill(rows, cols, live[picks])

@@ -204,7 +204,7 @@ class TestLoopbackParity:
         try:
             pooled.run(cycles)
             assert whole.rebalance_count > 0
-            assert block_rows(whole.state.win_bits) < whole.state.size // 2
+            assert block_rows(whole.state.win_bits.strides[0]) < whole.state.size // 2
             assert_states_identical(vectorized, distributed)
             n = whole.state.size
             for other in (vectorized, distributed, pooled):

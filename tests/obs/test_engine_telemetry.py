@@ -431,7 +431,7 @@ class TestMemoryLevels:
     """Where the peak was, on the stream: driver RSS and scratch bytes
     per cycle, its peak after each phase that moves whole columns,
     every worker process's own peak — levels (largest value wins),
-    never sums."""
+    never sums — and, as a counter, the driver's page faults."""
 
     @pytest.mark.parametrize("backend", ["vectorized", "sharded", "distributed"])
     def test_levels_ride_the_records_and_the_report(self, backend):
@@ -451,6 +451,8 @@ class TestMemoryLevels:
         telemetry.flush()
         cycles = telemetry.cycle_records()
         assert all(record["counters"]["mem.rss_mb"] > 0 for record in cycles)
+        # The driver's page faults per cycle: a counter beside the levels.
+        assert all(record["counters"]["faults.minor"] >= 0 for record in cycles)
         report = CycleReport(telemetry.records)
         levels = {name for name in report.counters if name.startswith("mem.")}
         expected = {
@@ -482,6 +484,7 @@ class TestMemoryLevels:
         assert "memory (largest value, MB):" in rendered
         table = rendered.split("counters (total / per-cycle):")[1]
         assert "mem." not in table
+        assert "faults.minor" in table
 
 
 class TestReferenceTraceBridge:

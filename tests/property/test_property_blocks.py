@@ -1,13 +1,19 @@
 """The block size never shows in a run.
 
 Inside the cycle as outside it, state is worked on one
-:data:`~repro.bulk.blocks.BLOCK_BYTES` block of rows at a time: the
-bootstrap fill and the compaction, the age/purge pass, the view swaps
-of a wave (in pair chunks), the ranking fold.  Every one of those is
-row-local, so whatever the block — one row, seven view rows, the whole
-state — and however many threads share the rows, a churned run must end
-every cycle with the bytes of the unpatched run in every column, the
-same counters, and every random stream in the same state.
+:data:`~repro.bulk.blocks.BLOCK_BYTES` block of what a step costs per
+row at a time: the bootstrap fill and the compaction (one column's
+rows), the age/purge pass, the view swaps of a wave (in pair chunks),
+the ranking fold, the oldest-neighbour proposals and the ordering
+round's partner selection (their temporaries).  Every one of those is
+row-local, and the selection's and the proposals' uniforms and jitter
+are drawn per row and cut per block — which is why JK and
+random-misplaced, the two policies that draw, are sampled beside
+mod-JK.  So whatever the block — one row, seven view rows, about seven
+rows of the costliest kernel, the whole state — and however many
+threads share the rows, a churned run must end every cycle with the
+bytes of the unpatched run in every column, the same counters, and
+every random stream in the same state.
 """
 
 import numpy as np
@@ -53,7 +59,7 @@ def snapshots(spec: RunSpec, block_bytes=None) -> list:
     st.integers(0, 2**31 - 1),
     st.integers(12, 160),
     st.integers(2, 9),
-    st.sampled_from(["ranking", "ranking-window", "mod-jk"]),
+    st.sampled_from(["ranking", "ranking-window", "mod-jk", "jk", "random-misplaced"]),
     st.sampled_from(["none", "half"]),
 )
 @settings(max_examples=20, deadline=None)
@@ -65,8 +71,8 @@ def test_block_size_and_thread_count_never_show(seed, n, view_size, protocol, ov
     )
     expected = snapshots(RunSpec(backend="vectorized", **spec))
     assert expected[-1]["rebalances"] > 0  # compaction ran in blocks too
-    row_bytes = 8 * view_size
-    for block_bytes in (1, 7 * row_bytes, (2 * n + 1) * row_bytes):
+    row_bytes = 8 * view_size  # a view row; the selection costs ~7 of them
+    for block_bytes in (1, 7 * row_bytes, 49 * row_bytes, 1 << 40):
         for workers in (1, 3):
             seen = snapshots(
                 RunSpec(backend="sharded", workers=workers, **spec), block_bytes
