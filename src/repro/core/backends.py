@@ -8,19 +8,20 @@ serves, and a :class:`BackendSpec` registry replacing ad-hoc
 or multi-host backends) means registering one spec, not editing the
 service.
 
-Every registered backend supports every algorithm and every
-concurrency regime (the bulk backends model the paper's message
-overlap in batched form, :mod:`repro.bulk.concurrency`); the specs
-differ in how they execute — single-process object-per-node,
-single-process numpy, or numpy on worker threads / processes — and therefore
-in which ``workers`` values they accept.  :func:`create_simulation` is
-the one path from flat run options to a validated, running engine.
+Every backend serves every protocol of the one table of policy axes
+(:data:`PROTOCOLS`, :data:`SAMPLERS`) and every concurrency regime
+(the bulk backends model message overlap in batched form,
+:mod:`repro.bulk.concurrency`); the specs differ in how they execute —
+single-process object-per-node, single-process numpy, or numpy on
+worker threads / processes — and therefore in which ``workers`` values
+(and samplers) they accept.  :func:`create_simulation` is the one path
+from flat run options to a validated, running engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Protocol, Tuple, runtime_checkable
+from typing import Callable, Dict, NamedTuple, Protocol, Tuple, runtime_checkable
 
 from repro.bulk.faults import build_fault_model
 from repro.bulk.rebalance import validate_rebalance_knobs
@@ -50,29 +51,69 @@ __all__ = [
     "slicer_factory",
     "PROTOCOLS",
     "SAMPLERS",
+    "protocol_policy",
+    "sampler_policy",
 ]
 
-#: The ordering variants by protocol name: which partner each one picks.
-_ORDERING_SELECTIONS = {
-    "jk": SELECTION_RANDOM,
-    "mod-jk": SELECTION_MAX_GAIN,
-    "random-misplaced": SELECTION_RANDOM_MISPLACED,
+
+class ProtocolPolicy(NamedTuple):
+    """A protocol's ``family`` (ordering, Section 4, or ranking, 5), its
+    partner ``selection`` (Fig. 2) and whether it keeps a ``window`` (5.3)."""
+
+    family: str
+    selection: str | None = None
+    window: bool = False
+
+    def window_length(self, window: int | None) -> int | None:
+        """A run's window: ``None`` without one, ``DEFAULT_WINDOW`` if unset."""
+        if not self.window:
+            return None
+        return DEFAULT_WINDOW if window is None else window
+
+
+class SamplerPolicy(NamedTuple):
+    """A sampler's reference-engine class and the backends serving it."""
+
+    reference_class: type
+    backends: Tuple[str, ...]
+
+
+_EVERY_BACKEND = ("reference", "vectorized", "sharded", "distributed")
+
+#: The protocol axis, by the name every engine accepts.
+PROTOCOLS: Dict[str, ProtocolPolicy] = {
+    "jk": ProtocolPolicy("ordering", SELECTION_RANDOM),
+    "mod-jk": ProtocolPolicy("ordering", SELECTION_MAX_GAIN),
+    "random-misplaced": ProtocolPolicy("ordering", SELECTION_RANDOM_MISPLACED),
+    "ranking": ProtocolPolicy("ranking"),
+    "ranking-window": ProtocolPolicy("ranking", window=True),
 }
 
-#: Protocol names every backend serves.
-PROTOCOLS = (*_ORDERING_SELECTIONS, "ranking", "ranking-window")
-
-#: The reference engine's per-node samplers by name (the bulk engines
-#: serve ``"cyclon-variant"`` and ``"uniform"`` in batched form).
-_SAMPLER_CLASSES = {
-    "cyclon-variant": CyclonVariantSampler,
-    "cyclon": CyclonSampler,
-    "newscast": NewscastSampler,
-    "uniform": UniformOracleSampler,
+#: The sampler axis (Fig. 6(b)), by name.
+SAMPLERS: Dict[str, SamplerPolicy] = {
+    "cyclon-variant": SamplerPolicy(CyclonVariantSampler, _EVERY_BACKEND),
+    "cyclon": SamplerPolicy(CyclonSampler, ("reference",)),
+    "newscast": SamplerPolicy(NewscastSampler, ("reference",)),
+    "uniform": SamplerPolicy(UniformOracleSampler, _EVERY_BACKEND),
 }
 
-#: Sampler names (all four on the reference backend).
-SAMPLERS = tuple(_SAMPLER_CLASSES)
+
+def protocol_policy(name: str) -> ProtocolPolicy:
+    """The :data:`PROTOCOLS` row of ``name``; any other name raises."""
+    if name not in PROTOCOLS:
+        known = tuple(PROTOCOLS)
+        raise ValueError(f"unknown protocol {name!r}; expected one of {known}")
+    return PROTOCOLS[name]
+
+
+def sampler_policy(name: str, backend: str) -> SamplerPolicy:
+    """The :data:`SAMPLERS` row of ``name`` if ``backend`` serves it;
+    otherwise raise, naming the supported combinations."""
+    policy = SAMPLERS.get(name)
+    if policy is None or backend not in policy.backends:
+        message = f"backend={backend!r} does not serve sampler={name!r}"
+        raise ValueError(message + _supported_suffix())
+    return policy
 
 
 @runtime_checkable
@@ -135,6 +176,8 @@ class BackendSpec:
 
     def validate(
         self,
+        protocol=None,
+        sampler=None,
         concurrency="none",
         workers=None,
         rebalance_every=None,
@@ -147,6 +190,10 @@ class BackendSpec:
         the supported combinations.  The whole engine option set may be
         passed (:meth:`create` does); options no capability constrains
         are left to the engine."""
+        if protocol is not None:
+            protocol_policy(protocol)
+        if sampler is not None:
+            sampler_policy(sampler, self.name)
         # Every backend shares the reference spec grammar for the
         # paper's concurrency regimes; malformed specs die here.
         ConcurrencyModel.from_spec(concurrency)
@@ -242,13 +289,14 @@ def supported_combinations() -> Tuple[str, ...]:
     """Human-readable capability lines, quoted by validation errors."""
     lines = []
     for spec in _REGISTRY.values():
+        samplers = "/".join(n for n, p in SAMPLERS.items() if spec.name in p.backends)
         workers = "None or any N >= 1" if spec.multiprocess else "None or 1"
         rebalancing = ", rebalancing" if spec.rebalances else ""
         hosts = ", hosts=[...]" if spec.remote_hosts else ""
         faults = ", loss/delay/partition faults" if spec.fault_models else ""
         lines.append(
-            f"backend={spec.name!r}: any concurrency, workers={workers}"
-            f"{rebalancing}{hosts}{faults} ({spec.summary})"
+            f"backend={spec.name!r}: sampler={samplers}, any concurrency, "
+            f"workers={workers}{rebalancing}{hosts}{faults} ({spec.summary})"
         )
     return tuple(lines)
 
@@ -302,18 +350,11 @@ def slicer_factory(
 ) -> Callable:
     """Per-node protocol factory for the reference engine: the slicer
     a protocol name (one of :data:`PROTOCOLS`) stands for."""
-    if protocol in _ORDERING_SELECTIONS:
-        selection = _ORDERING_SELECTIONS[protocol]
-        return lambda: OrderingProtocol(partition, selection=selection)
-    if protocol == "ranking":
-        return lambda: RankingProtocol(partition, boundary_bias=boundary_bias)
-    if protocol == "ranking-window":
-        if window is None:
-            window = DEFAULT_WINDOW
-        return lambda: RankingProtocol(
-            partition, window=window, boundary_bias=boundary_bias
-        )
-    raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
+    policy = protocol_policy(protocol)
+    if policy.family == "ordering":
+        return lambda: OrderingProtocol(partition, selection=policy.selection)
+    window = policy.window_length(window)
+    return lambda: RankingProtocol(partition, window, boundary_bias)
 
 
 def _reference_factory(
@@ -331,9 +372,7 @@ def _reference_factory(
     # ``workers`` can only be 1 here and means nothing to a
     # single-process engine; a fault model that survived validate()
     # carries loss only, which maps onto the reference message bus.
-    if sampler not in _SAMPLER_CLASSES:
-        raise ValueError(f"unknown sampler {sampler!r}; expected one of {SAMPLERS}")
-    sampler_class = _SAMPLER_CLASSES[sampler]
+    sampler_class = SAMPLERS[sampler].reference_class
     return CycleSimulation(
         partition=partition,
         slicer_factory=slicer_factory(partition, protocol, window, boundary_bias),

@@ -65,7 +65,8 @@ def migrate_rows(executor, decision) -> None:
     # divides the allocation).
     columns = {name: getattr(state, name) for name in migration_columns(state)}
     nbytes = max(
-        block_rows(col.strides[0]) * col.strides[0] for col in columns.values()
+        min(block_rows(col.strides[0]), new_size) * col.strides[0]
+        for col in columns.values()
     )
     stage = scratch.ensure("mig_bytes", np.uint8, -(-nbytes // 8) * 8)
     new_bounds = rebalance_bounds(new_size, shards, state.capacity)

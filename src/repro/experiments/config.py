@@ -42,9 +42,8 @@ class RunSpec:
     view_size:
         View capacity ``c``.
     protocol:
-        One of :data:`PROTOCOLS`: ``"jk"`` (random partner ordering),
-        ``"mod-jk"`` (max-gain ordering), ``"random-misplaced"``
-        (ablation ordering), ``"ranking"``, ``"ranking-window"``.
+        One of :data:`PROTOCOLS` (:mod:`repro.core.backends`): JK,
+        mod-JK or random-misplaced ordering; ranking, windowed or not.
     window:
         Sliding-window length (``"ranking-window"`` only).
     boundary_bias:
@@ -68,10 +67,10 @@ class RunSpec:
         One of :data:`BACKENDS`: ``"reference"`` (object-per-node
         engines), ``"vectorized"`` (numpy bulk engine), ``"sharded"``
         (the bulk engine on worker threads), or ``"distributed"``
-        (multi-host message-transport engine).  Every
-        backend supports every concurrency regime (the bulk backends
-        model message overlap in batched form); the bulk backends
-        support the ``cyclon-variant`` and ``uniform`` samplers only.
+        (multi-host message-transport engine).  Every backend serves
+        every protocol and concurrency regime (the bulk backends model
+        overlap in batched form), and the samplers :data:`SAMPLERS`
+        lists for it.
     workers:
         Worker count for the parallel backends (``"sharded"`` /
         ``"distributed"``; ``None`` = all CPU cores); must be

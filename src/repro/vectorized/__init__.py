@@ -39,6 +39,7 @@ except ImportError as error:  # pragma: no cover - exercised without numpy
         "hard numpy dependency in its protocol paths."
     ) from error
 
+from repro.core.backends import PROTOCOLS
 from repro.vectorized.churn import BulkChurn, from_model
 from repro.vectorized.metrics import (
     PartitionArrays,
@@ -47,12 +48,7 @@ from repro.vectorized.metrics import (
     slice_disorder_arrays,
     true_slice_index_arrays,
 )
-from repro.vectorized.simulation import (
-    PROTOCOLS,
-    VectorNodeView,
-    VectorSimulation,
-    VectorStats,
-)
+from repro.vectorized.simulation import VectorNodeView, VectorSimulation, VectorStats
 from repro.vectorized.state import EMPTY, ArrayState
 
 __all__ = [

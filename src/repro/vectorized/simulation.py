@@ -33,10 +33,9 @@ which is what makes them bitwise interchangeable.  The metrics read
 on every executor; ``obs_total`` (``confident_fraction``) is pulled on
 demand.  The paper's artificial message-overlap model
 (``concurrency="half"``/``"full"``, Section 4.5.2) runs in batched
-form (:mod:`repro.bulk.concurrency`).  Limitations compared to the
-reference engine: only the Cyclon-variant / uniform-oracle samplers
-are supported.  The sliding-window ranking variant keeps an exact
-bit-packed window (:mod:`repro.vectorized.ranking`).
+form (:mod:`repro.bulk.concurrency`).  The sliding-window ranking
+variant keeps an exact bit-packed window
+(:mod:`repro.vectorized.ranking`).
 """
 
 from __future__ import annotations
@@ -50,12 +49,7 @@ import numpy as np
 from repro.bulk.faults import FaultModel, FaultQueue
 from repro.bulk.plan import CyclePlan
 from repro.bulk.rebalance import live_load_ratio, validate_rebalance_knobs
-from repro.core.ordering import (
-    SELECTION_MAX_GAIN,
-    SELECTION_RANDOM,
-    SELECTION_RANDOM_MISPLACED,
-)
-from repro.core.ranking import DEFAULT_WINDOW
+from repro.core.backends import protocol_policy, sampler_policy
 from repro.core.slices import SlicePartition
 from repro.engine.network import ConcurrencyModel
 from repro.engine.random_source import RandomSource, derive_seed
@@ -70,26 +64,7 @@ from repro.vectorized.rankindex import AlphaRankIndex
 from repro.vectorized.state import ArrayState
 from repro.workloads.attributes import AttributeDistribution, UniformAttributes
 
-__all__ = ["VectorSimulation", "VectorNodeView", "VectorStats", "PROTOCOLS"]
-
-#: Protocol names accepted by :class:`VectorSimulation`.
-PROTOCOLS = (
-    "ranking",
-    "ranking-window",
-    "jk",
-    "mod-jk",
-    "random-misplaced",
-    "ordering",
-)
-
-_ORDERING_SELECTION = {
-    "jk": SELECTION_RANDOM,
-    "mod-jk": SELECTION_MAX_GAIN,
-    "ordering": SELECTION_MAX_GAIN,
-    "random-misplaced": SELECTION_RANDOM_MISPLACED,
-}
-
-_SAMPLERS = ("cyclon-variant", "uniform")
+__all__ = ["VectorSimulation", "VectorNodeView", "VectorStats"]
 
 
 class VectorStats:
@@ -214,8 +189,7 @@ class VectorSimulation:
     partition:
         The shared :class:`~repro.core.slices.SlicePartition`.
     protocol:
-        One of :data:`PROTOCOLS` (``"ordering"`` is an alias for
-        ``"mod-jk"``, matching :class:`SlicingService` naming).
+        One of :data:`~repro.core.backends.PROTOCOLS`.
     window:
         Sliding-window length for ``"ranking-window"``.
     boundary_bias:
@@ -297,15 +271,8 @@ class VectorSimulation:
     ) -> None:
         if size <= 1:
             raise ValueError("a slicing system needs at least two nodes")
-        if protocol not in PROTOCOLS:
-            raise ValueError(
-                f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}"
-            )
-        if sampler not in _SAMPLERS:
-            raise ValueError(
-                f"the vectorized backend supports samplers {_SAMPLERS}, "
-                f"got {sampler!r}; use the reference engine for others"
-            )
+        self._policy = protocol_policy(protocol)
+        sampler_policy(sampler, "vectorized")  # every bulk backend's samplers
         # Shares the reference engine's spec parsing ('none'/'half'/
         # 'full' or a probability); rejects malformed specs here.
         self.concurrency = ConcurrencyModel.from_spec(concurrency)
@@ -318,12 +285,10 @@ class VectorSimulation:
         self.rebalance_threshold = rebalance_threshold
         self._rebalance_count = 0
         self._last_rebalance = None
-        if protocol == "ranking-window" and window is None:
-            window = DEFAULT_WINDOW
         self.partition = partition
         self.geometry = vmetrics.PartitionArrays(partition)
         self.protocol = protocol
-        self.window = window if protocol == "ranking-window" else None
+        self.window = self._policy.window_length(window)
         self.boundary_bias = boundary_bias
         self.sampler = sampler
         self.trace = trace
@@ -488,7 +453,7 @@ class VectorSimulation:
             else:
                 with telemetry.span("ordering"):
                     ordering_phases(
-                        executor, state, plan, _ORDERING_SELECTION[self.protocol],
+                        executor, state, plan, self._policy.selection,
                         self._live_counts,
                         self._stats, self._fault_queue, self._cycle, telemetry,
                     )
@@ -731,7 +696,7 @@ class VectorSimulation:
     # ------------------------------------------------------------------
 
     def _is_ranking(self) -> bool:
-        return self.protocol in ("ranking", "ranking-window")
+        return self._policy.family == "ranking"
 
     def _draw_attributes(self, size: int, attributes) -> np.ndarray:
         if attributes is None:

@@ -18,22 +18,17 @@ import sys
 import numpy as np
 import pytest
 
-from repro.experiments.config import RunSpec, build_simulation
+from repro.experiments.config import PROTOCOLS, SAMPLERS, RunSpec, build_simulation
 from repro.vectorized.state import column_spec
 
 FIXTURE = pathlib.Path(__file__).with_name("golden_digests.json")
 N, CYCLES = 2000, 10
+# The policy axes are the table's: every protocol, every bulk sampler
+# (the window length is inert outside ranking-window).
 AXES = {
-    "protocol": {
-        "ranking": dict(protocol="ranking"),
-        "ranking-window": dict(protocol="ranking-window", window=40),
-        "jk": dict(protocol="jk"),
-        "mod-jk": dict(protocol="mod-jk"),
-        "random-misplaced": dict(protocol="random-misplaced"),
-    },
+    "protocol": {p: dict(protocol=p, window=40) for p in PROTOCOLS},
     "sampler": {
-        "cyclon-variant": dict(sampler="cyclon-variant"),
-        "uniform": dict(sampler="uniform"),
+        s: dict(sampler=s) for s, p in SAMPLERS.items() if "vectorized" in p.backends
     },
     "concurrency": {c: dict(concurrency=c) for c in ("none", "half", "full")},
     "churn": {

@@ -3,9 +3,17 @@
 import pytest
 
 from repro.churn.models import BurstChurn, NoChurn, RegularChurn
-from repro.core.ordering import OrderingProtocol
+from repro.core.backends import get_backend
+from repro.core.ordering import SELECTION_MAX_GAIN, OrderingProtocol
 from repro.core.ranking import RankingProtocol
-from repro.experiments.config import PROTOCOLS, SAMPLERS, RunSpec, build_simulation
+from repro.core.service import SlicingService
+from repro.experiments.config import (
+    BACKENDS,
+    PROTOCOLS,
+    SAMPLERS,
+    RunSpec,
+    build_simulation,
+)
 from repro.sampling.cyclon import CyclonSampler
 from repro.sampling.cyclon_variant import CyclonVariantSampler
 from repro.sampling.newscast import NewscastSampler
@@ -31,14 +39,64 @@ class TestRunSpec:
         assert "churn=burst" in text
 
 
-class TestBuildProtocols:
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_all_protocols_build_and_run(self, protocol):
-        spec = RunSpec(n=30, cycles=3, protocol=protocol, view_size=6, window=100)
-        sim = build_simulation(spec)
-        sim.run(3)
-        assert sim.live_count == 30
+class TestTable:
+    """The policy table and the engines agree, cell by cell: a served
+    (backend, protocol, sampler) builds and runs, an unserved one is
+    refused by ``validate``.  The distributed row is checked through
+    ``validate`` only, so no TCP worker is spawned."""
 
+    @pytest.mark.parametrize(
+        "backend,protocol,sampler",
+        [(b, p, s) for b in BACKENDS for p in PROTOCOLS for s in SAMPLERS],
+    )
+    def test_cell(self, backend, protocol, sampler):
+        validate = get_backend(backend).validate
+        if backend not in SAMPLERS[sampler].backends:
+            with pytest.raises(ValueError, match="supported combinations"):
+                validate(protocol=protocol, sampler=sampler)
+            return
+        validate(protocol=protocol, sampler=sampler)
+        if backend == "distributed":
+            return
+        spec = RunSpec(
+            n=30, protocol=protocol, sampler=sampler, view_size=6, window=100,
+            backend=backend, workers=2 if backend == "sharded" else None,
+        )
+        sim = build_simulation(spec)
+        try:
+            sim.run(1)
+            assert (sim.now, sim.live_count) == (1, 30)
+        finally:
+            if hasattr(sim, "close"):
+                sim.close()
+
+
+class TestOrderingName:
+    """``"ordering"`` is :class:`SlicingService` vocabulary for mod-JK;
+    the engines accept exactly the table's protocol names."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_engines_reject_it(self, backend):
+        with pytest.raises(ValueError) as error:
+            build_simulation(RunSpec(n=30, protocol="ordering", backend=backend))
+        assert str(error.value) == (
+            f"unknown protocol 'ordering'; expected one of {tuple(PROTOCOLS)}"
+        )
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_service_runs_mod_jk(self, backend):
+        with SlicingService(
+            size=60, slices=4, algorithm="ordering", backend=backend, seed=3
+        ) as service:
+            service.run(3)
+            sim = service.simulation
+            if backend == "reference":
+                assert sim.live_nodes()[0].slicer.selection == SELECTION_MAX_GAIN
+            else:
+                assert sim.protocol == "mod-jk"
+
+
+class TestBuildProtocols:
     def test_protocol_types(self):
         sim = build_simulation(RunSpec(n=10, protocol="jk", view_size=4))
         assert isinstance(sim.live_nodes()[0].slicer, OrderingProtocol)

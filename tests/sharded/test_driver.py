@@ -11,6 +11,7 @@ from repro.churn.models import RegularChurn
 from repro.core.service import SlicingService
 from repro.core.slices import SlicePartition
 from repro.distributed import DistributedSimulation
+from repro.experiments.config import RunSpec, build_simulation
 from repro.metrics.statistics import z_value
 from repro.obs import Telemetry
 from repro.sharded import ShardedSimulation
@@ -430,11 +431,16 @@ class TestServiceSeam:
             (dict(backend="reference", rebalance_threshold=2.0), "rebalanc"),
             (dict(backend="sharded", rebalance_every=0), "rebalance_every"),
             (dict(backend="sharded", rebalance_threshold=0.9), "rebalance_threshold"),
+            (dict(backend="vectorized", sampler="cyclon"), "sampler='cyclon'; supp"),
+            (dict(backend="sharded", sampler="newscast"), "sampler='newscast'; supp"),
         ],
     )
     def test_combination_validation(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
-            SlicingService(size=50, **kwargs)
+            if "sampler" in kwargs:  # a run option the service does not take
+                build_simulation(RunSpec(n=50, **kwargs))
+            else:
+                SlicingService(size=50, **kwargs)
 
     def test_validation_names_supported_combinations(self):
         with pytest.raises(ValueError) as excinfo:
@@ -442,6 +448,8 @@ class TestServiceSeam:
         message = str(excinfo.value)
         assert "backend='reference'" in message
         assert "backend='sharded'" in message
+        assert "'reference': sampler=cyclon-variant/cyclon/newscast/uniform" in message
+        assert "'sharded': sampler=cyclon-variant/uniform" in message
 
     @pytest.mark.parametrize("concurrency", ["half", "full"])
     def test_concurrency_now_legal_on_bulk_backends(self, concurrency):

@@ -42,8 +42,10 @@ class TestConstruction:
             make_sim(protocol="quantum")
 
     def test_rejects_unsupported_sampler(self):
-        with pytest.raises(ValueError, match="sampler"):
-            make_sim(sampler="newscast")
+        # Built directly, past the registry: Cyclon must not run silently.
+        for sampler in ("cyclon", "newscast"):
+            with pytest.raises(ValueError, match=f"sampler={sampler!r}"):
+                make_sim(sampler=sampler)
 
     def test_rejects_malformed_concurrency(self):
         with pytest.raises(ValueError, match="unknown concurrency"):
