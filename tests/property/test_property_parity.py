@@ -14,9 +14,10 @@ rows, the whole state — must end every cycle with the unpatched
 numpy stream in the same state and the same rebalance count, and then
 read the same five metrics.
 
-The hand-written bitwise pin is the golden matrix
+The recorded bitwise oracle is the golden matrix
 (``tests/bulk/test_golden_digests.py``); this check covers the space
-around it.
+around it and the parity classes in ``tests/sharded/test_parity.py`` and
+``tests/distributed/test_parity.py`` pin fixed points of it.
 """
 
 from contextlib import contextmanager
