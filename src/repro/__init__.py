@@ -7,10 +7,11 @@ The package provides:
   ordering) and the **ranking** algorithm with its sliding-window
   variant (:mod:`repro.core`);
 * the simulation substrate they run on — a PeerSim-style cycle engine
-  with the paper's artificial-concurrency model, plus an event-driven
-  engine (:mod:`repro.engine`), a numpy bulk engine for million-node
-  runs (:mod:`repro.vectorized`), and the same engine on worker
-  threads for 10^7-node runs (:mod:`repro.sharded`);
+  with the paper's artificial-concurrency model (:mod:`repro.engine`),
+  a numpy bulk engine for million-node runs (:mod:`repro.vectorized`),
+  the same engine on worker threads for 10^7-node runs
+  (:mod:`repro.sharded`), and on worker processes over a message
+  transport (:mod:`repro.distributed`);
 * pluggable peer-sampling protocols, including the paper's Cyclon
   variant (:mod:`repro.sampling`);
 * churn models, including attribute-correlated burst and regular churn
@@ -49,7 +50,7 @@ from repro.core import (
     SlicePartition,
     SlicingService,
 )
-from repro.engine import CycleSimulation, EventSimulation
+from repro.engine import CycleSimulation
 from repro.sharded import ShardedSimulation
 from repro.vectorized import VectorSimulation
 from repro.metrics import (
@@ -89,7 +90,6 @@ __all__ = [
     "SlicePartition",
     "SlicingService",
     "CycleSimulation",
-    "EventSimulation",
     "ShardedSimulation",
     "VectorSimulation",
     "GlobalDisorderCollector",

@@ -216,6 +216,8 @@ class SlicingService:
 
     def run(self, cycles: int) -> None:
         """Advance the service, firing slice-change notifications."""
+        if cycles < 0:
+            raise ValueError(f"cycles must be >= 0, got {cycles}")
         for _ in range(cycles):
             self._sim.run_cycle()
             if self._subscribers:

@@ -1,28 +1,14 @@
-"""Simulation substrate: engines, transport, clocks, RNG, tracing."""
+"""Simulation substrate: the cycle engine, transport, clock, RNG, tracing."""
 
-from repro.engine.clock import ContinuousClock, CycleClock
-from repro.engine.event_sim import EventSimulation
-from repro.engine.latency import (
-    ExponentialLatency,
-    FixedLatency,
-    LatencyModel,
-    UniformLatency,
-)
+from repro.engine.clock import CycleClock
 from repro.engine.network import BusStats, ConcurrencyModel, Message, MessageBus
 from repro.engine.node import Node
 from repro.engine.random_source import RandomSource, derive_seed
-from repro.engine.scheduler import EventHandle, EventScheduler
 from repro.engine.simulator import CycleSimulation
 from repro.engine.trace import NULL_TRACE, TraceEvent, TraceLog
 
 __all__ = [
-    "ContinuousClock",
     "CycleClock",
-    "EventSimulation",
-    "ExponentialLatency",
-    "FixedLatency",
-    "LatencyModel",
-    "UniformLatency",
     "BusStats",
     "ConcurrencyModel",
     "Message",
@@ -30,8 +16,6 @@ __all__ = [
     "Node",
     "RandomSource",
     "derive_seed",
-    "EventHandle",
-    "EventScheduler",
     "CycleSimulation",
     "NULL_TRACE",
     "TraceEvent",

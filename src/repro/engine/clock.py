@@ -1,19 +1,13 @@
-"""Simulation clocks.
+"""The simulation clock.
 
-Two notions of time coexist in this library:
-
-* **Cycle time** — the PeerSim-style model used by the paper: time
-  advances in discrete cycles, and within a cycle every live node runs
-  its active thread once.  :class:`CycleClock` tracks it.
-* **Continuous time** — the event-driven engine schedules events at
-  real-valued timestamps.  :class:`ContinuousClock` tracks it.
-
-Both expose ``now`` so metric collectors can be written against either.
+Time is the PeerSim-style cycle the paper uses: it advances in
+discrete cycles, and within a cycle every live node runs its active
+thread once.  :class:`CycleClock` tracks it.
 """
 
 from __future__ import annotations
 
-__all__ = ["CycleClock", "ContinuousClock"]
+__all__ = ["CycleClock"]
 
 
 class CycleClock:
@@ -51,43 +45,3 @@ class CycleClock:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CycleClock(now={self._cycle})"
-
-
-class ContinuousClock:
-    """Real-valued clock for the event-driven engine.
-
-    Time only moves forward; the scheduler sets it to each event's
-    timestamp as the event is dispatched.
-    """
-
-    __slots__ = ("_now",)
-
-    def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise ValueError("time cannot be negative")
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self._now
-
-    def advance_to(self, timestamp: float) -> float:
-        """Move the clock forward to ``timestamp``.
-
-        Raises :class:`ValueError` on an attempt to move backwards,
-        which would indicate a scheduler bug.
-        """
-        if timestamp < self._now:
-            raise ValueError(
-                f"clock cannot move backwards: now={self._now}, target={timestamp}"
-            )
-        self._now = float(timestamp)
-        return self._now
-
-    def reset(self) -> None:
-        """Reset the clock to time 0.0."""
-        self._now = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ContinuousClock(now={self._now})"

@@ -45,7 +45,7 @@ class Message:
     receiver: int
     kind: str
     payload: Tuple
-    send_time: float
+    send_time: int
 
 
 class ConcurrencyModel:

@@ -1,7 +1,7 @@
 """Deterministic random-number management for simulations.
 
 Every stochastic component of a simulation (peer sampling, churn,
-protocol decisions, message latencies, attribute generation, ...) draws
+protocol decisions, message loss, attribute generation, ...) draws
 from its own *named substream*, derived deterministically from a single
 experiment seed.  This gives two properties that matter for reproducing
 a paper:

@@ -228,41 +228,29 @@ class CycleSimulation:
         if telemetry.enabled:
             self._bridge_trace_counts(telemetry)
         telemetry.end_cycle()
-        if telemetry.enabled:
-            self._post_cycle_observability(telemetry)
+        telemetry.after_cycle(self, self.now - 1, self._stream_metrics)
 
-    def _post_cycle_observability(self, telemetry) -> None:
-        """End-of-cycle telemetry hooks (same contract as the bulk
-        engines): stream a convergence metrics record every
-        ``metrics_every`` cycles, then hand the finished cycle record
-        to the watchdog.  Metric reads never touch an RNG stream."""
-        record = telemetry.records[-1] if telemetry.records else None
-        every = telemetry.metrics_every
-        cycle = self.now - 1
-        if every and cycle % every == 0:
-            with telemetry.span("metrics_stream"):
-                from repro.metrics.disorder import (
-                    global_disorder,
-                    slice_disorder,
-                    true_slice_indices,
-                )
+    def _stream_metrics(self) -> dict:
+        """The convergence-stream values (SDM, GDM, accuracy, live
+        count) over the live nodes."""
+        with self.telemetry.span("metrics_stream"):
+            from repro.metrics.disorder import (
+                global_disorder,
+                slice_disorder,
+                true_slice_indices,
+            )
 
-                nodes = self.live_nodes()
-                truth = true_slice_indices(nodes, self.partition)
-                accurate = sum(
-                    1
-                    for node in nodes
-                    if node.slice_index == truth[node.node_id]
-                )
-                telemetry.emit_metrics(
-                    cycle,
-                    sdm=slice_disorder(nodes, self.partition),
-                    gdm=global_disorder(nodes),
-                    accuracy=accurate / len(nodes) if nodes else 1.0,
-                    live=len(nodes),
-                )
-        if telemetry.watchdog is not None and record is not None:
-            telemetry.watchdog.check(self, record)
+            nodes = self.live_nodes()
+            truth = true_slice_indices(nodes, self.partition)
+            accurate = sum(
+                1 for node in nodes if node.slice_index == truth[node.node_id]
+            )
+            return {
+                "sdm": slice_disorder(nodes, self.partition),
+                "gdm": global_disorder(nodes),
+                "accuracy": accurate / len(nodes) if nodes else 1.0,
+                "live": len(nodes),
+            }
 
     def _bridge_trace_counts(self, telemetry) -> None:
         """Bridge the TraceLog's per-category event counts into the
@@ -284,6 +272,8 @@ class CycleSimulation:
         Collectors are sampled once *before* the first cycle (time 0)
         so every series includes the initial disorder.
         """
+        if cycles < 0:
+            raise ValueError(f"cycles must be >= 0, got {cycles}")
         collectors = list(collectors)
         if self.now == 0:
             for collector in collectors:

@@ -22,7 +22,7 @@ class TraceEvent:
     Attributes
     ----------
     time:
-        Cycle number (cycle engine) or timestamp (event engine).
+        Cycle number the event happened in.
     category:
         Short machine-readable category, e.g. ``"swap"``, ``"join"``.
     node:
@@ -32,7 +32,7 @@ class TraceEvent:
         ``None`` means "no payload" and allocates nothing per event.
     """
 
-    time: float
+    time: int
     category: str
     node: Optional[int] = None
     details: Optional[Tuple] = None
@@ -67,7 +67,7 @@ class TraceLog:
 
     def record(
         self,
-        time: float,
+        time: int,
         category: str,
         node: Optional[int] = None,
         details: Optional[Tuple] = None,

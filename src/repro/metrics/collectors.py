@@ -1,8 +1,7 @@
 """Time-series collection during simulation runs.
 
-A *collector* is called by the engine at the end of every cycle (or at
-every sampling instant in the event-driven engine) and appends one
-observation to a :class:`TimeSeries`.  Collectors are how every figure
+A *collector* is called by the engine at the end of every cycle and
+appends one observation to a :class:`TimeSeries`.  Collectors are how every figure
 of the paper is regenerated: e.g. Figure 6(a) is one
 :class:`SliceDisorderCollector` per algorithm.
 """

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import mmap
 from time import perf_counter_ns
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.obs.sink import NdjsonSink
 from repro.obs.watchdog import Watchdog
@@ -370,6 +370,19 @@ class Telemetry:
         self._record = None
         self._emit(record)
 
+    def after_cycle(self, sim, cycle: int, metrics: Callable[[], dict]) -> None:
+        """The end-of-cycle hooks every engine calls after
+        :meth:`end_cycle`: emit a convergence metrics record (the values
+        ``metrics()`` returns) every :attr:`metrics_every` cycles, then
+        hand the finished cycle record to the watchdog.  Metric reads
+        never touch an RNG stream, so neither knob can change a run."""
+        record = self.records[-1] if self.records else None
+        every = self.metrics_every
+        if every and cycle % every == 0:
+            self.emit_metrics(cycle, **metrics())
+        if self.watchdog is not None and record is not None:
+            self.watchdog.check(sim, record)
+
     def flush(self) -> None:
         """Emit any pending ambient spans/counters as their own record
         (call after a run's collectors have finished)."""
@@ -504,6 +517,9 @@ class NullTelemetry:
         pass
 
     def end_cycle(self) -> None:
+        pass
+
+    def after_cycle(self, sim, cycle: int, metrics: Callable[[], dict]) -> None:
         pass
 
     def flush(self) -> None:

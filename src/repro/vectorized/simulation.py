@@ -284,7 +284,6 @@ class VectorSimulation:
         self.rebalance_every = rebalance_every
         self.rebalance_threshold = rebalance_threshold
         self._rebalance_count = 0
-        self._last_rebalance = None
         self.partition = partition
         self.geometry = vmetrics.PartitionArrays(partition)
         self.protocol = protocol
@@ -465,20 +464,7 @@ class VectorSimulation:
             telemetry.count("faults.minor", minor_faults() - faults)
             telemetry.count("mem.rss_mb", resident_mb())
             telemetry.end_cycle()
-            self._post_cycle_observability(telemetry)
-
-    def _post_cycle_observability(self, telemetry) -> None:
-        """End-of-cycle telemetry hooks shared by the bulk engines:
-        stream a convergence metrics record every ``metrics_every``
-        cycles, then hand the finished cycle record to the watchdog.
-        The metric reads are pure (RNG streams untouched), so enabling
-        either knob cannot change simulation output."""
-        record = telemetry.records[-1] if telemetry.records else None
-        every = telemetry.metrics_every
-        if every and (self._cycle - 1) % every == 0:
-            telemetry.emit_metrics(self._cycle - 1, **self._stream_metrics())
-        if telemetry.watchdog is not None and record is not None:
-            telemetry.watchdog.check(self, record)
+            telemetry.after_cycle(self, self._cycle - 1, self._stream_metrics)
 
     def _stream_metrics(self) -> dict:
         """The convergence-stream values, in one fused pass: SDM,
@@ -508,6 +494,8 @@ class VectorSimulation:
     def run(self, cycles: int, collectors: Iterable = ()) -> None:
         """Run ``cycles`` cycles, sampling ``collectors`` after each
         (and once before the first, matching the reference engine)."""
+        if cycles < 0:
+            raise ValueError(f"cycles must be >= 0, got {cycles}")
         collectors = list(collectors)
         if self._cycle == 0:
             for collector in collectors:
@@ -555,12 +543,6 @@ class VectorSimulation:
             # (mail to compacted-away rows is dropped).
             self._fault_queue.remap_ids(id_map)
         self._rebalance_count += 1
-        self._last_rebalance = (
-            self._cycle,
-            decision.old_size,
-            decision.new_size,
-            decision.ratio,
-        )
         self.trace.record(
             self._cycle,
             "rebalance",
@@ -572,12 +554,6 @@ class VectorSimulation:
     def rebalance_count(self) -> int:
         """How many dead-row compactions this run has applied."""
         return self._rebalance_count
-
-    @property
-    def last_rebalance(self):
-        """``(cycle, old_size, new_size, trigger_ratio)`` of the most
-        recent compaction, or ``None``."""
-        return self._last_rebalance
 
     def shard_live_loads(self) -> list:
         """Per-shard live-row counts from the last view refresh

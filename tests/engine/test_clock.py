@@ -1,8 +1,8 @@
-"""Unit tests for simulation clocks."""
+"""Unit tests for the simulation clock."""
 
 import pytest
 
-from repro.engine.clock import ContinuousClock, CycleClock
+from repro.engine.clock import CycleClock
 
 
 class TestCycleClock:
@@ -35,35 +35,3 @@ class TestCycleClock:
         clock.advance(3)
         clock.reset()
         assert clock.now == 0
-
-
-class TestContinuousClock:
-    def test_starts_at_zero(self):
-        assert ContinuousClock().now == 0.0
-
-    def test_advance_to(self):
-        clock = ContinuousClock()
-        clock.advance_to(2.5)
-        assert clock.now == 2.5
-
-    def test_advance_to_same_time_ok(self):
-        clock = ContinuousClock()
-        clock.advance_to(1.0)
-        clock.advance_to(1.0)
-        assert clock.now == 1.0
-
-    def test_backwards_rejected(self):
-        clock = ContinuousClock()
-        clock.advance_to(3.0)
-        with pytest.raises(ValueError):
-            clock.advance_to(2.0)
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(ValueError):
-            ContinuousClock(start=-0.5)
-
-    def test_reset(self):
-        clock = ContinuousClock()
-        clock.advance_to(9.0)
-        clock.reset()
-        assert clock.now == 0.0

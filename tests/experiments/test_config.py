@@ -7,6 +7,7 @@ from repro.core.backends import get_backend
 from repro.core.ordering import SELECTION_MAX_GAIN, OrderingProtocol
 from repro.core.ranking import RankingProtocol
 from repro.core.service import SlicingService
+from repro.experiments.__main__ import main
 from repro.experiments.config import (
     BACKENDS,
     PROTOCOLS,
@@ -37,6 +38,24 @@ class TestRunSpec:
         assert "n=50" in text
         assert "protocol=ranking" in text
         assert "churn=burst" in text
+
+
+@pytest.mark.parametrize("surface", ["reference", "vectorized", "cli"])
+def test_negative_cycle_count_rejected(surface):
+    """A negative cycle count is refused, naming the value, instead of
+    reporting the untouched initial state; zero cycles stays legal."""
+    if surface == "cli":
+        with pytest.raises(ValueError, match="-3"):
+            main(["fig4a", "--n", "50", "--cycles", "-3"])
+        return
+    sim = build_simulation(RunSpec(n=30, view_size=6, backend=surface))
+    sim.run(0)
+    with pytest.raises(ValueError, match="-3"):
+        sim.run(-3)
+    service = SlicingService(size=30, view_size=6, backend=surface, seed=1)
+    with pytest.raises(ValueError, match="-3"):
+        service.run(-3)
+    assert (sim.now, service.cycle) == (0, 0)
 
 
 class TestTable:

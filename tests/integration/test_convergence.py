@@ -1,9 +1,9 @@
 """Cross-module integration: convergence across distributions,
-samplers, partitions and engines.
+samplers and partitions.
 
 The slicing problem is rank-based, so a correct implementation must
-converge regardless of how skewed the attribute distribution is, which
-membership protocol feeds it, and which engine drives it.
+converge regardless of how skewed the attribute distribution is and
+which membership protocol feeds it.
 """
 
 import pytest
@@ -11,7 +11,6 @@ import pytest
 from repro.core.ordering import OrderingProtocol
 from repro.core.ranking import RankingProtocol
 from repro.core.slices import SlicePartition
-from repro.engine.event_sim import EventSimulation
 from repro.engine.simulator import CycleSimulation
 from repro.metrics.disorder import global_disorder, slice_disorder
 from repro.sampling.cyclon import CyclonSampler
@@ -118,44 +117,3 @@ class TestPartitionShapes:
         initial = slice_disorder(sim.live_nodes(), partition)
         sim.run(80)
         assert slice_disorder(sim.live_nodes(), partition) < initial / 3
-
-
-class TestEngineAgreement:
-    def test_cycle_and_event_engines_agree_on_ranking(self):
-        """The same protocol must converge on both substrates to a
-        comparable disorder level."""
-        partition = SlicePartition.equal(10)
-        cycle_sim = CycleSimulation(
-            size=150, partition=partition,
-            slicer_factory=lambda: RankingProtocol(partition),
-            view_size=10, seed=2,
-        )
-        cycle_sim.run(60)
-        cycle_final = slice_disorder(cycle_sim.live_nodes(), partition)
-
-        event_sim = EventSimulation(
-            size=150, partition=partition,
-            slicer_factory=lambda: RankingProtocol(partition),
-            view_size=10, seed=2,
-        )
-        event_sim.run_until(60.0)
-        event_final = slice_disorder(event_sim.live_nodes(), partition)
-
-        initial = 150 * 10 / 4  # rough initial scale, just for context
-        assert cycle_final < initial / 3
-        assert event_final < initial / 3
-        ratio = (event_final + 1) / (cycle_final + 1)
-        assert 0.2 < ratio < 5.0
-
-    def test_event_engine_ordering_unsuccessful_swaps_emerge(self):
-        """Real asynchrony must produce the staleness the cycle model
-        injects artificially."""
-        partition = SlicePartition.equal(10)
-        sim = EventSimulation(
-            size=150, partition=partition,
-            slicer_factory=lambda: OrderingProtocol(partition),
-            view_size=10, seed=2,
-        )
-        sim.run_until(30.0)
-        assert sim.bus_stats.unsuccessful_swaps > 0
-        assert global_disorder(sim.live_nodes()) < 50.0
