@@ -222,6 +222,9 @@ class SlicingService:
             self._sim.run_cycle()
             if self._subscribers:
                 self._fire_changes()
+        # As the engines' own run: the last cycle's metrics_stream span
+        # is ambient until flushed.
+        self._sim.telemetry.flush()
 
     def _bulk_assignment(self):
         """``(ids, slices)`` arrays (both ascending by id) on the bulk

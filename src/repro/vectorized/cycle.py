@@ -137,7 +137,7 @@ def refresh_phases(executor, state, plan, uniform: bool, telemetry) -> list:
             # concatenated per-shard live runs are exactly the
             # ascending global live ids.
             fill_ids = scratch.ensure("fill_ids", np.int64, empty_total)
-            fill_ids[:empty_total] = state.live_ids()[draws]
+            fill_ids[:empty_total] = state.live_at(draws)
 
     with telemetry.span("partner_select"):
         if not uniform:

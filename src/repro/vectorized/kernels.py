@@ -104,9 +104,9 @@ def cmd_refresh_age(ctx: ShardContext, uniform: bool, shard: int) -> dict:
             row_bytes = (4 + 8 + 8 + 3) * state.view_size
             for _a, _b, block in index_blocks(row_bytes, rows, len(live)):
                 _age_and_purge(state, block)
-    empty_rows, empty_cols = state.empty_live_slots(ctx.lo, ctx.hi)
-    ctx.cache["empty"] = (empty_rows, empty_cols)
-    return {"empty": len(empty_rows)}
+    slots, count = state.empty_live_slots(ctx.lo, ctx.hi)
+    ctx.cache["empty"] = (slots, count)
+    return {"empty": count}
 
 
 def cmd_refresh_fill_partners(
@@ -132,13 +132,10 @@ def cmd_refresh_fill_partners(
     needs them to ship each worker only its slice of ``fill_ids`` and
     ``jitter``."""
     state = ctx.state
-    empty_rows, empty_cols = ctx.cache["empty"]
-    count = len(empty_rows)
+    slots, count = ctx.cache["empty"]
     if count:
         state.apply_fill(
-            empty_rows,
-            empty_cols,
-            ctx.scratch["fill_ids"][fill_offset : fill_offset + count],
+            slots, ctx.scratch["fill_ids"][fill_offset : fill_offset + count]
         )
     if not partners:
         return {"props": 0}

@@ -312,7 +312,7 @@ class VectorSimulation:
         values = self._draw_initial_values(size)
         self.state.add_nodes(attribute_values, values, joined_at=0)
         with self.telemetry.span("setup/bootstrap", hwm=True):
-            self.state.bootstrap_views(self.np_rng("bootstrap"))
+            self.state.fill_empty_slots(self.np_rng("bootstrap"))
         with self.telemetry.span("setup/replicate", hwm=True):
             self.executor.attach(self.geometry, self.telemetry)
 

@@ -138,7 +138,7 @@ class ArrayState:
     view_size:
         View capacity ``c`` shared by every node.
     capacity:
-        Initial number of rows to allocate (grows by doubling).
+        Initial number of rows to allocate (grows by a quarter).
     """
 
     def __init__(self, view_size: int, capacity: int = 16) -> None:
@@ -294,7 +294,10 @@ class ArrayState:
                 f"({rows} needed); the workers' replicas cannot grow — "
                 "construct the simulation with a larger spare_capacity"
             )
-        new_capacity = max(rows, 2 * self.capacity)
+        # A quarter more, like the transport's spare: while a column is
+        # copied the old and the new array are both live, so the step
+        # sets the peak.
+        new_capacity = max(rows, self.capacity + max(1024, self.capacity // 4))
         grow = new_capacity - self.capacity
         self.attribute = np.concatenate([self.attribute, np.zeros(grow)])
         self.value = np.concatenate([self.value, np.zeros(grow)])
@@ -334,21 +337,22 @@ class ArrayState:
         if attributes.shape != values.shape:
             raise ValueError("attributes and values must have the same length")
         count = len(attributes)
-        ids = np.arange(self.size, self.size + count, dtype=np.int64)
-        self._ensure_capacity(self.size + count)
-        self.attribute[ids] = attributes
-        self.value[ids] = values
-        self.alive[ids] = True
-        self.joined_at[ids] = joined_at
-        self.obs_le[ids] = 0.0
-        self.obs_total[ids] = 0.0
-        self.view_ids[ids] = EMPTY
-        self.view_ages[ids] = 0
+        rows = slice(self.size, self.size + count)
+        self._ensure_capacity(rows.stop)
+        self.attribute[rows] = attributes
+        self.value[rows] = values
+        self.alive[rows] = True
+        self.joined_at[rows] = joined_at
+        self.obs_le[rows] = 0.0
+        self.obs_total[rows] = 0.0
+        self.view_ids[rows] = EMPTY
+        self.view_ages[rows] = 0
         if self.window is not None:
-            self.win_bits[ids] = 0
-            self.win_pos[ids] = 0
-            self.win_len[ids] = 0
-        self.size += count
+            self.win_bits[rows] = 0
+            self.win_pos[rows] = 0
+            self.win_len[rows] = 0
+        ids = np.arange(rows.start, rows.stop, dtype=np.int64)
+        self.size = rows.stop
         self._live_dirty = True
         if count:
             self.log_membership("add", ids.copy(), attributes.copy())
@@ -411,7 +415,8 @@ class ArrayState:
     def fill_empty_slots(self, rng: np.random.Generator) -> None:
         """Refill empty view slots with fresh uniform random live
         neighbors — the bootstrap/recovery service of the reference
-        engine (``random_live_ids``), batched.
+        engine (``random_live_ids``), batched; on fresh rows (all empty,
+        :meth:`add_nodes`) it is the initial bootstrap of every view.
 
         Slots that happen to draw the owner or a duplicate are blanked
         again rather than re-drawn; they get another chance next cycle.
@@ -421,68 +426,87 @@ class ArrayState:
         of one draw for every empty slot (``tests/property/
         test_property_fill.py``) — and nothing here is whole-state sized.
         """
-        live = self.live_ids()
-        if len(live) < 2:
+        live_count = self.live_count
+        if live_count < 2:
             return
         for lo, hi in row_blocks(self.view_ids.strides[0], 0, self.size):
-            rows, cols = self.empty_live_slots(lo, hi)
-            picks = rng.integers(0, len(live), size=len(rows))
-            self.apply_fill(rows, cols, live[picks])
+            slots, count = self.empty_live_slots(lo, hi)
+            picks = rng.integers(0, live_count, size=count)
+            self.apply_fill(slots, self.live_at(picks))
 
-    def empty_live_slots(
-        self, lo: int = 0, hi: Optional[int] = None
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(rows, cols)`` of the empty view slots of live nodes in the
-        row range ``[lo, hi)``, in row-major order — so per-shard results
+    def live_at(self, positions: np.ndarray) -> np.ndarray:
+        """Resolve int64 ``positions`` into the live set to node ids
+        (``live_ids()[positions]``) in place, and return them: an add,
+        not a gather, while the live ids are one contiguous range (until
+        the first removal, and again after every compaction)."""
+        live = self.live_ids()
+        if len(live) and live[-1] - live[0] == len(live) - 1:
+            positions += live[0]
+        else:
+            np.take(live, positions, out=positions)
+        return positions
+
+    def empty_live_slots(self, lo: int = 0, hi: Optional[int] = None):
+        """``(slots, count)``: the empty view slots of live nodes in the
+        row range ``[lo, hi)`` and how many there are.  ``slots`` is the
+        row slice itself when every slot of those rows is empty and every
+        row live (a fresh or blanked block), else the flat slot indices
+        ``row * view_size + col``, ascending — so per-shard results
         concatenated in shard order equal the whole-state result."""
         hi = self.size if hi is None else min(hi, self.size)
         if hi <= lo:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        empty_rows, empty_cols = np.divmod(
-            np.flatnonzero(self.view_ids[lo:hi] == EMPTY), self.view_size
-        )
-        empty_rows += lo
-        alive_rows = self.alive[empty_rows]
-        if alive_rows.all():  # no copy where no row of the range is dead
-            return empty_rows, empty_cols
-        return empty_rows[alive_rows], empty_cols[alive_rows]
+            return np.empty(0, dtype=np.int64), 0
+        empty = self.view_ids[lo:hi] == EMPTY
+        alive = self.alive[lo:hi]
+        if not alive.all():
+            empty &= alive[:, None]
+        elif empty.all():  # stops at the first occupied slot
+            return slice(lo, hi), empty.size
+        slots = np.flatnonzero(empty)
+        slots += lo * self.view_size
+        return slots, len(slots)
 
-    def apply_fill(
-        self, empty_rows: np.ndarray, empty_cols: np.ndarray, draws: np.ndarray
-    ) -> None:
-        """Write bootstrap draws into the given empty slots, dropping
-        self-pointers and blanking duplicates (the second half of
-        :meth:`fill_empty_slots`; ``draws`` are node ids).  Touches only
-        the rows named in ``empty_rows``, so shards may apply their own
-        slice of a global draw block concurrently."""
-        if len(empty_rows) == 0:
+    def apply_fill(self, slots, draws: np.ndarray) -> None:
+        """Write bootstrap draws (node ids, one per slot, in slot order)
+        into the empty slots :meth:`empty_live_slots` named, dropping
+        self-pointers and blanking duplicates.  A row slice is written
+        as one block, flat indices slot by slot; either way each slot is
+        written once.  Touches only the rows ``slots`` names, so shards
+        may apply their own slice of a global draw block concurrently."""
+        if isinstance(slots, slice):
+            ids = self.view_ids[slots]
+            ids[...] = draws.reshape(ids.shape)
+            own = np.arange(slots.start, slots.stop)[:, None]
+            np.putmask(ids, ids == own, EMPTY)  # no self-pointers
+            self.view_ages[slots] = 0
+            self._blank_duplicates(slots)
             return
-        draws = draws.copy()
-        draws[draws == empty_rows] = EMPTY  # no self-pointers
-        self.view_ids[empty_rows, empty_cols] = draws
-        self.view_ages[empty_rows, empty_cols] = 0
-        del draws
-        # nonzero() returns row-major order, so empty_rows is sorted.
-        first = np.flatnonzero(empty_rows[1:] != empty_rows[:-1]) + 1
-        self._blank_duplicates(empty_rows[np.concatenate(([0], first))])
+        if len(slots) == 0:
+            return
+        rows = slots // self.view_size
+        self.view_ids.put(slots, np.where(draws == rows, EMPTY, draws))
+        self.view_ages.put(slots, 0)
+        # Slots ascend, so their rows do: keep the first of each run.
+        first = np.ones(len(rows), dtype=bool)
+        np.not_equal(rows[1:], rows[:-1], out=first[1:])
+        touched = rows[first]
+        self._blank_duplicates(row_index(touched, touched[0], touched[-1] + 1))
 
-    def _blank_duplicates(self, rows: np.ndarray) -> None:
-        """Blank later duplicates of the same id within each row."""
-        if len(rows) == 0:
-            return
+    def _blank_duplicates(self, rows) -> None:
+        """Blank later duplicates of the same id within each row of
+        ``rows`` (a :func:`row_index`: a slice is read in place)."""
         # Cheap detection pass first: rows holding a duplicate are rare
         # (collision probability ~ c^2/2n), so the exact positional
         # dedup below usually runs on a tiny subset.
         view = take_rows(self.view_ids, rows)
         ordered = np.sort(view, axis=1)
-        has_dup = (
-            (ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] != EMPTY)
-        ).any(axis=1)
-        if not has_dup.any():
+        repeats = ordered[:, 1:] == ordered[:, :-1]
+        repeats &= ordered[:, 1:] != EMPTY
+        if not repeats.any():
             return
-        rows = rows[has_dup]
-        view = view[has_dup]
+        hit = np.flatnonzero(repeats.any(axis=1))
+        rows = hit + rows.start if isinstance(rows, slice) else rows[hit]
+        view = view[hit]
         order = np.argsort(view, axis=1, kind="stable")
         ordered = np.take_along_axis(view, order, axis=1)
         dup_sorted = np.zeros_like(ordered, dtype=bool)
@@ -496,12 +520,6 @@ class ArrayState:
         ages = take_rows(self.view_ages, rows)
         ages[dup] = 0
         put_rows(self.view_ages, rows, ages)
-
-    def bootstrap_views(self, rng: np.random.Generator) -> None:
-        """Give every live node an initial random view (fresh entries)."""
-        self.view_ids[: self.size][self.alive[: self.size]] = EMPTY
-        self.fill_empty_slots(rng)
-        self.view_ages[: self.size] = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

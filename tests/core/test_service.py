@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.service import SliceChange, SlicingService
 from repro.core.slices import SlicePartition
+from repro.obs import Telemetry
 
 
 class TestConstruction:
@@ -127,3 +128,21 @@ class TestSubscriptions:
         service.run(5)
         # A converged static system reassigns (almost) nobody.
         assert len(late_changes) <= 2
+
+
+class TestTelemetry:
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_run_flushes_the_last_cycles_metrics_span(self, backend):
+        """Every metrics record has its ``metrics_stream`` span on the
+        stream when ``run`` returns, the last cycle's included."""
+        telemetry = Telemetry(metrics_every=1)
+        with SlicingService(size=50, backend=backend, telemetry=telemetry) as service:
+            service.run(3)
+        records = telemetry.records
+        streams = [
+            record
+            for record in records
+            if record["kind"] == "ambient" and "metrics_stream" in record["spans"]
+        ]
+        assert sum(record["kind"] == "metrics" for record in records) == 3
+        assert len(streams) == 3

@@ -51,7 +51,7 @@ def test_purging_one_shard_leaves_the_flag_for_the_others():
     state = ArrayState(view_size=4, capacity=n)
     rng = np.random.default_rng(5)
     state.add_nodes(rng.random(n), rng.random(n))
-    state.bootstrap_views(rng)
+    state.fill_empty_slots(rng)
     victims = np.array([3, 27])
     state.view_ids[:, 0] = np.where(np.arange(n) < n // 2, victims[1], victims[0])
     state.remove_nodes(victims)

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.vectorized.state import EMPTY, ArrayState
+from repro.vectorized.state import EMPTY, ArrayState, column_spec
 
 
 def make_state(n=20, view_size=4, seed=0):
     state = ArrayState(view_size=view_size, capacity=4)
     rng = np.random.default_rng(seed)
     state.add_nodes(rng.random(n), rng.random(n))
-    state.bootstrap_views(rng)
+    state.fill_empty_slots(rng)
     return state, rng
 
 
@@ -25,11 +25,28 @@ class TestGrowth:
         assert list(ids) == [10]
         assert state.size == 11
 
-    def test_capacity_doubles_past_initial(self):
+    def test_capacity_grows_past_initial(self):
         state = ArrayState(view_size=4, capacity=2)
         state.add_nodes(np.zeros(100), np.zeros(100))
-        assert state.capacity >= 100
+        assert state.capacity == 2 + 1024  # never fewer than 1024 rows more
         assert state.view_ids.shape == (state.capacity, 4)
+
+    def test_growth_adds_a_quarter_and_keeps_every_row(self):
+        state = ArrayState(view_size=3, capacity=8000)
+        state.enable_window(12)
+        state.add_nodes(np.zeros(8000), np.zeros(8000))
+        rng = np.random.default_rng(2)
+        before = {}
+        for name in column_spec(3, 12):
+            column = getattr(state, name)
+            column[:] = rng.integers(0, 100, column.shape)
+            before[name] = column.copy()
+        state.add_nodes(np.ones(1), np.ones(1))
+        assert state.capacity == 8000 + 8000 // 4
+        for name, rows in before.items():
+            column = getattr(state, name)
+            assert len(column) == state.capacity, name
+            assert np.array_equal(column[:8000], rows), name
 
     def test_add_preserves_existing_rows(self):
         state, _rng = make_state(n=5)
