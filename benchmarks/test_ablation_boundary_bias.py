@@ -57,7 +57,7 @@ def run_ablation():
             seed=SEED,
         )
         sim = build_simulation(spec)
-        collector = SliceDisorderCollector(spec.partition(), name=label, every=10)
+        collector = SliceDisorderCollector(name=label, every=10)
         sim.run(CYCLES, collectors=[collector])
         result.add_series(collector.series)
         share, fair = boundary_update_share(sim, partition)

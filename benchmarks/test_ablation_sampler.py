@@ -38,7 +38,7 @@ def run_ablation():
             seed=SEED,
         )
         sim = build_simulation(spec)
-        collector = SliceDisorderCollector(spec.partition(), name=sampler, every=5)
+        collector = SliceDisorderCollector(name=sampler, every=5)
         sim.run(CYCLES, collectors=[collector])
         result.add_series(collector.series)
         stats = analyze_overlay(sim.live_nodes(), path_length_samples=5,

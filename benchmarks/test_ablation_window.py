@@ -50,9 +50,7 @@ def run_sweep():
             seed=SEED,
         )
         sim = build_simulation(spec)
-        collector = SliceDisorderCollector(
-            spec.partition(), name=label_for(window), every=10
-        )
+        collector = SliceDisorderCollector(name=label_for(window), every=10)
         sim.run(CYCLES, collectors=[collector])
         result.add_series(collector.series)
         result.add_scalar(f"{label_for(window)}_final_sdm", collector.series.final)

@@ -43,7 +43,7 @@ def run_sweep():
                 loss_probability=loss,
                 seed=SEED,
             )
-            collector = SliceDisorderCollector(partition, name=f"{name}@{loss}")
+            collector = SliceDisorderCollector(name=f"{name}@{loss}")
             sim.run(CYCLES, collectors=[collector])
             finals[name].append(loss, collector.series.final)
             result.add_scalar(f"{name}_final_sdm@loss={loss}", collector.series.final)

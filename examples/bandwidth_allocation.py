@@ -18,7 +18,6 @@ from repro import (
     RankingProtocol,
     SlicePartition,
 )
-from repro.metrics.disorder import true_slice_indices
 
 N = 1500
 SEED = 11
@@ -43,27 +42,22 @@ def main():
     )
     sim.run(150)
 
-    truth = true_slice_indices(sim.live_nodes(), partition)
     print(f"{N} peers, Pareto(1.3) bandwidths, 3 unequal slices\n")
+    nodes = sim.live_nodes()
     for index, label in APPLICATIONS.items():
-        members = [n for n in sim.live_nodes() if n.slice_index == index]
-        correct = sum(1 for n in members if truth[n.node_id] == index)
-        bandwidths = sorted(n.attribute for n in members)
+        bandwidths = sorted(n.attribute for n in nodes if n.slice_index == index)
         low = bandwidths[0] if bandwidths else float("nan")
         high = bandwidths[-1] if bandwidths else float("nan")
         print(
-            f"{label}: {len(members):>4} peers "
-            f"({100 * len(members) / N:4.1f}%), "
-            f"bandwidth {low:8.1f} – {high:10.1f} Mbps, "
-            f"{100 * correct / max(len(members), 1):5.1f}% correctly placed"
+            f"{label}: {len(bandwidths):>4} peers "
+            f"({100 * len(bandwidths) / N:4.1f}%), "
+            f"bandwidth {low:8.1f} – {high:10.1f} Mbps"
         )
 
-    total_correct = sum(
-        1 for n in sim.live_nodes() if n.slice_index == truth[n.node_id]
-    )
+    correct = round(sim.accuracy() * N)
     print(
-        f"\noverall: {total_correct}/{N} peers "
-        f"({100 * total_correct / N:.1f}%) self-assigned correctly after "
+        f"\noverall: {correct}/{N} peers "
+        f"({100 * correct / N:.1f}%) self-assigned correctly after "
         "150 gossip cycles, with no central coordinator and no knowledge "
         "of the bandwidth distribution."
     )

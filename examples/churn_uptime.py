@@ -44,7 +44,7 @@ def run(label):
         churn=BurstChurn(rate=RATE, start=0, end=BURST_END),
         seed=SEED,
     )
-    collector = SliceDisorderCollector(partition, name=label, every=25)
+    collector = SliceDisorderCollector(name=label, every=25)
     sim.run(CYCLES, collectors=[collector])
     return collector.series
 

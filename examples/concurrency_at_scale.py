@@ -33,15 +33,14 @@ from repro.metrics.collectors import SliceDisorderCollector
 def run_regime(base: RunSpec, concurrency):
     spec = base.with_overrides(concurrency=concurrency)
     sim = build_simulation(spec)
-    collector = SliceDisorderCollector(spec.partition(), name=str(concurrency))
+    collector = SliceDisorderCollector(name=str(concurrency))
     started = time.perf_counter()
     sim.run(spec.cycles, collectors=[collector])
     elapsed = time.perf_counter() - started
     stats = sim.bus_stats
     unsuccessful_pct = 100.0 * stats.unsuccessful_swaps / max(stats.intended_swaps, 1)
     final_sdm = collector.series.final
-    if hasattr(sim, "close"):
-        sim.close()
+    sim.close()
     return unsuccessful_pct, final_sdm, elapsed
 
 

@@ -57,8 +57,7 @@ def profile(backend: str, timeline: bool = False, **overrides):
     try:
         sim.run(CYCLES)
     finally:
-        if hasattr(sim, "close"):
-            sim.close()
+        sim.close()
     return CycleReport(telemetry.records), telemetry
 
 

@@ -39,7 +39,7 @@ def run(protocol_name):
         view_size=VIEW,
         seed=SEED,
     )
-    collector = SliceDisorderCollector(partition, name=protocol_name, every=10)
+    collector = SliceDisorderCollector(name=protocol_name, every=10)
     sim.run(CYCLES, collectors=[collector])
     return collector.series
 

@@ -32,7 +32,7 @@ Quickstart
 >>> sim = CycleSimulation(
 ...     size=200, partition=partition, view_size=10, seed=1,
 ...     slicer_factory=lambda: RankingProtocol(partition))
->>> sdm = SliceDisorderCollector(partition)
+>>> sdm = SliceDisorderCollector()
 >>> sim.run(50, collectors=[sdm])
 >>> sdm.series.final < sdm.series.values[0]
 True

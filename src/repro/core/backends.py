@@ -21,7 +21,9 @@ from flat run options to a validated, running engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, NamedTuple, Protocol, Tuple, runtime_checkable
+from typing import Callable, Dict, List, NamedTuple, Protocol, Tuple, runtime_checkable
+
+import numpy as np
 
 from repro.bulk.faults import build_fault_model
 from repro.bulk.rebalance import validate_rebalance_knobs
@@ -32,6 +34,7 @@ from repro.core.ordering import (
     OrderingProtocol,
 )
 from repro.core.ranking import DEFAULT_WINDOW, RankingProtocol
+from repro.core.slices import SlicePartition
 from repro.engine.network import ConcurrencyModel
 from repro.engine.simulator import CycleSimulation
 from repro.obs.telemetry import telemetry_from_options
@@ -118,12 +121,15 @@ def sampler_policy(name: str, backend: str) -> SamplerPolicy:
 
 @runtime_checkable
 class SimulationBackend(Protocol):
-    """The engine surface the service (and generic tooling — collectors,
-    figures, churn models) relies on.  Served by
-    :class:`~repro.engine.simulator.CycleSimulation`,
-    :class:`~repro.vectorized.simulation.VectorSimulation` and
-    :class:`~repro.sharded.ShardedSimulation`; bulk engines additionally
-    expose vectorized metric fast paths the service sniffs for."""
+    """The engine surface: everything the service and generic tooling
+    (collectors, figures, sweeps, churn models) call on an engine.
+    :class:`~repro.engine.simulator.CycleSimulation` serves it from
+    per-node objects, :class:`~repro.vectorized.simulation.VectorSimulation`
+    (and the sharded and distributed constructors of it) from arrays;
+    no caller checks which one it has.  A new query lands on both."""
+
+    partition: SlicePartition
+    telemetry: object
 
     @property
     def now(self) -> int: ...
@@ -145,6 +151,21 @@ class SimulationBackend(Protocol):
     def add_node(self, attribute: float): ...
 
     def remove_node(self, node_id: int) -> None: ...
+
+    def slice_assignment(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(ids, slices)``: live ids ascending, each one's slice."""
+
+    def slice_sizes(self) -> List[int]: ...
+
+    def slice_disorder(self) -> float: ...
+
+    def global_disorder(self) -> float: ...
+
+    def accuracy(self) -> float: ...
+
+    def confident_fraction(self, confidence: float = 0.95) -> float: ...
+
+    def close(self) -> None: ...
 
 
 @dataclass(frozen=True)

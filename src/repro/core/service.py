@@ -23,12 +23,12 @@ tests use it as the integration point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
-from repro.analysis.sample_size import slice_estimate_is_confident
+import numpy as np
+
 from repro.core.backends import SimulationBackend, create_simulation
 from repro.core.slices import SlicePartition
-from repro.metrics.disorder import slice_disorder, true_slice_indices
 from repro.workloads.attributes import AttributeDistribution
 
 __all__ = ["SliceChange", "SlicingService"]
@@ -176,8 +176,7 @@ class SlicingService:
             metrics_every=metrics_every,
         )
         self._subscribers: List[Callable[[SliceChange], None]] = []
-        self._last_assignment: Dict[int, Optional[int]] = {}
-        self._last_bulk_assignment = ((), ())
+        self._assignment = None  # set by the first subscribe
 
     @staticmethod
     def _build_partition(slices) -> SlicePartition:
@@ -226,38 +225,13 @@ class SlicingService:
         # is ambient until flushed.
         self._sim.telemetry.flush()
 
-    def _bulk_assignment(self):
-        """``(ids, slices)`` arrays (both ascending by id) on the bulk
-        backends, ``None`` on the reference engine.  Array masks keep
-        the per-cycle cost O(n) numpy work instead of O(n) Python
-        objects — the difference between usable and not at 10^7."""
-        sim = self._sim
-        if hasattr(sim, "slice_index_array"):
-            return sim.state.live_ids(), sim.slice_index_array()
-        return None
-
     def _fire_changes(self) -> None:
-        bulk = self._bulk_assignment()
-        if bulk is not None:
-            self._fire_changes_bulk(*bulk)
-            return
-        current = {
-            node.node_id: node.slice_index for node in self._sim.live_nodes()
-        }
-        for node_id, new_slice in current.items():
-            old_slice = self._last_assignment.get(node_id)
-            if old_slice != new_slice and new_slice is not None:
-                change = SliceChange(self._sim.now, node_id, old_slice, new_slice)
-                for subscriber in self._subscribers:
-                    subscriber(change)
-        self._last_assignment = current
-
-    def _fire_changes_bulk(self, ids, slices) -> None:
-        """Array-diff twin of :meth:`_fire_changes`: only the (few,
-        post-convergence) changed nodes materialize Python objects."""
-        import numpy as np
-
-        prev_ids, prev_slices = self._last_bulk_assignment
+        """Diff the engine's ``(ids, slices)`` arrays against the last
+        ones: only the (few, post-convergence) changed nodes
+        materialize Python objects, so the per-cycle cost stays O(n)
+        numpy work even at 10^7 nodes."""
+        ids, slices = self._sim.slice_assignment()
+        prev_ids, prev_slices = self._assignment
         if len(prev_ids):
             positions = np.searchsorted(prev_ids, ids)
             positions_safe = np.minimum(positions, len(prev_ids) - 1)
@@ -275,19 +249,12 @@ class SlicingService:
             )
             for subscriber in self._subscribers:
                 subscriber(change)
-        self._last_bulk_assignment = (ids, slices)
+        self._assignment = (ids, slices)
 
     def subscribe(self, callback: Callable[[SliceChange], None]) -> None:
         """Register a slice-change listener (fires once per node move)."""
         if not self._subscribers:
-            bulk = self._bulk_assignment()
-            if bulk is not None:
-                self._last_bulk_assignment = bulk
-            else:
-                self._last_assignment = {
-                    node.node_id: node.slice_index
-                    for node in self._sim.live_nodes()
-                }
+            self._assignment = self._sim.slice_assignment()
         self._subscribers.append(callback)
 
     # ------------------------------------------------------------------
@@ -299,7 +266,8 @@ class SlicingService:
         return self._sim.live_count
 
     def slice_of(self, node_id: int) -> int:
-        """The slice ``node_id`` currently assigns itself to."""
+        """The slice ``node_id`` currently assigns itself to
+        (KeyError once it has left)."""
         return self._sim.node(node_id).slice_index
 
     def members(self, slice_index: int) -> List[int]:
@@ -307,66 +275,27 @@ class SlicingService:
         (ascending)."""
         if not 0 <= slice_index < len(self.partition):
             raise IndexError(f"no slice {slice_index}")
-        bulk = self._bulk_assignment()
-        if bulk is not None:  # array mask instead of per-node proxies
-            ids, slices = bulk
-            return [int(node_id) for node_id in ids[slices == slice_index]]
-        return sorted(
-            node.node_id
-            for node in self._sim.live_nodes()
-            if node.slice_index == slice_index
-        )
+        ids, slices = self._sim.slice_assignment()
+        return [int(node_id) for node_id in ids[slices == slice_index]]
 
     def slice_sizes(self) -> List[int]:
         """Current claimed membership count per slice."""
-        if hasattr(self._sim, "slice_sizes"):  # vectorized fast path
-            return self._sim.slice_sizes()
-        counts = [0] * len(self.partition)
-        for node in self._sim.live_nodes():
-            counts[node.slice_index] += 1
-        return counts
+        return self._sim.slice_sizes()
 
     def disorder(self) -> float:
         """Current slice disorder measure (0 = perfect assignment)."""
-        if hasattr(self._sim, "slice_disorder"):  # vectorized fast path
-            return self._sim.slice_disorder()
-        return slice_disorder(self._sim.live_nodes(), self.partition)
+        return self._sim.slice_disorder()
 
     def accuracy(self) -> float:
         """Fraction of nodes currently in their true slice."""
-        if hasattr(self._sim, "accuracy"):  # vectorized fast path
-            return self._sim.accuracy()
-        nodes = self._sim.live_nodes()
-        if not nodes:
-            return 1.0
-        truth = true_slice_indices(nodes, self.partition)
-        correct = sum(
-            1 for node in nodes if node.slice_index == truth[node.node_id]
-        )
-        return correct / len(nodes)
+        return self._sim.accuracy()
 
     def confident_fraction(self, confidence: float = 0.95) -> float:
         """Fraction of nodes whose Wald interval (Theorem 5.1) already
         fits inside one slice.  Only meaningful for ranking algorithms;
         ordering nodes carry no sample counts and report 0.
         """
-        if hasattr(self._sim, "confident_fraction"):  # vectorized fast path
-            return self._sim.confident_fraction(confidence)
-        nodes = self._sim.live_nodes()
-        if not nodes:
-            return 1.0
-        confident = 0
-        for node in nodes:
-            slicer = node.slicer
-            samples = getattr(slicer, "sample_count", 0)
-            if samples and slice_estimate_is_confident(
-                min(max(slicer.rank_estimate, 0.0), 1.0),
-                samples,
-                self.partition,
-                confidence,
-            ):
-                confident += 1
-        return confident / len(nodes)
+        return self._sim.confident_fraction(confidence)
 
     def join(self, attribute: float) -> int:
         """A new member joins; returns its node id."""
@@ -380,8 +309,7 @@ class SlicingService:
         """Release backend resources (the sharded backend's worker
         threads, the distributed backend's worker processes); a no-op
         for the single-threaded backends."""
-        if hasattr(self._sim, "close"):
-            self._sim.close()
+        self._sim.close()
 
     def __enter__(self) -> "SlicingService":
         return self

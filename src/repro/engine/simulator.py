@@ -16,20 +16,27 @@ One cycle of :class:`CycleSimulation`:
 The simulation object doubles as the *context* handed to protocol code,
 exposing the narrow API protocols need: ``now``, named RNG streams,
 node lookup, liveness tests, the oracle's uniform node draw, message
-sending, the shared slice partition and the trace log.
+sending, the shared slice partition and the trace log.  It also
+answers the slicing queries every engine serves
+(:class:`~repro.core.backends.SimulationBackend`): here they are the
+per-node oracle of :mod:`repro.metrics.disorder`.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
+from repro.analysis.sample_size import slice_estimate_is_confident
 from repro.core.slices import SlicePartition
 from repro.engine.clock import CycleClock
 from repro.engine.network import BusStats, Message, MessageBus
 from repro.engine.node import Node
 from repro.engine.random_source import RandomSource
 from repro.engine.trace import NULL_TRACE, TraceLog
+from repro.metrics.disorder import global_disorder, slice_disorder, true_slice_indices
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.sampling.cyclon_variant import CyclonVariantSampler
 from repro.workloads.attributes import AttributeDistribution, UniformAttributes
@@ -234,22 +241,11 @@ class CycleSimulation:
         """The convergence-stream values (SDM, GDM, accuracy, live
         count) over the live nodes."""
         with self.telemetry.span("metrics_stream"):
-            from repro.metrics.disorder import (
-                global_disorder,
-                slice_disorder,
-                true_slice_indices,
-            )
-
-            nodes = self.live_nodes()
-            truth = true_slice_indices(nodes, self.partition)
-            accurate = sum(
-                1 for node in nodes if node.slice_index == truth[node.node_id]
-            )
             return {
-                "sdm": slice_disorder(nodes, self.partition),
-                "gdm": global_disorder(nodes),
-                "accuracy": accurate / len(nodes) if nodes else 1.0,
-                "live": len(nodes),
+                "sdm": self.slice_disorder(),
+                "gdm": self.global_disorder(),
+                "accuracy": self.accuracy(),
+                "live": self.live_count,
             }
 
     def _bridge_trace_counts(self, telemetry) -> None:
@@ -283,6 +279,65 @@ class CycleSimulation:
             for collector in collectors:
                 collector.collect(self)
         self.telemetry.flush()
+
+    def close(self) -> None:
+        """Nothing to release: the engine holds no workers."""
+
+    # ------------------------------------------------------------------
+    # Slicing queries (the per-node oracle of repro.metrics.disorder)
+    # ------------------------------------------------------------------
+
+    def slice_assignment(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(ids, slices)``: the live node ids, ascending, and the
+        slice each currently assigns itself to."""
+        nodes = self.live_nodes()
+        ids = np.array([node.node_id for node in nodes], dtype=np.int64)
+        slices = np.array([node.slice_index for node in nodes], dtype=np.int64)
+        return ids, slices
+
+    def slice_sizes(self) -> List[int]:
+        """Claimed membership count per slice."""
+        counts = np.bincount(self.slice_assignment()[1], minlength=len(self.partition))
+        return [int(count) for count in counts]
+
+    def slice_disorder(self) -> float:
+        """Current SDM over the live nodes."""
+        return slice_disorder(self.live_nodes(), self.partition)
+
+    def global_disorder(self) -> float:
+        """Current GDM over the live nodes."""
+        return global_disorder(self.live_nodes())
+
+    def accuracy(self) -> float:
+        """Fraction of live nodes currently in their true slice."""
+        nodes = self.live_nodes()
+        if not nodes:
+            return 1.0
+        truth = true_slice_indices(nodes, self.partition)
+        correct = sum(
+            1 for node in nodes if node.slice_index == truth[node.node_id]
+        )
+        return correct / len(nodes)
+
+    def confident_fraction(self, confidence: float = 0.95) -> float:
+        """Fraction of live nodes whose Wald interval (Theorem 5.1)
+        already fits inside one slice.  Ordering nodes carry no sample
+        counts and report 0."""
+        nodes = self.live_nodes()
+        if not nodes:
+            return 1.0
+        confident = 0
+        for node in nodes:
+            slicer = node.slicer
+            samples = getattr(slicer, "sample_count", 0)
+            if samples and slice_estimate_is_confident(
+                min(max(slicer.rank_estimate, 0.0), 1.0),
+                samples,
+                self.partition,
+                confidence,
+            ):
+                confident += 1
+        return confident / len(nodes)
 
     # ------------------------------------------------------------------
     # Internals

@@ -82,8 +82,7 @@ def simulation(spec: RunSpec):
     try:
         yield sim
     finally:
-        if hasattr(sim, "close"):  # the reference engine holds nothing
-            sim.close()
+        sim.close()
         sim.telemetry.close()
 
 
@@ -98,7 +97,7 @@ def run_spec(spec: RunSpec, extra_collectors=()) -> Tuple[TimeSeries, List[float
     """
     with simulation(spec) as sim:
         initial_values = [node.value for node in sim.live_nodes()]
-        sdm = SliceDisorderCollector(spec.partition(), name=spec.protocol)
+        sdm = SliceDisorderCollector(name=spec.protocol)
         sim.run(spec.cycles, collectors=[sdm, *extra_collectors])
     return sdm.series, initial_values
 
@@ -191,7 +190,7 @@ def run_fig4a(base: RunSpec, result: FigureResult) -> FigureResult:
     "lower bounded by a positive value" — ordering alone cannot fix the
     slice assignment.
     """
-    sdm = SliceDisorderCollector(base.partition(), name="sdm")
+    sdm = SliceDisorderCollector(name="sdm")
     gdm = GlobalDisorderCollector(name="gdm")
     with simulation(base) as sim:
         initial_values = [node.value for node in sim.live_nodes()]

@@ -22,7 +22,6 @@ from typing import Callable, List, Sequence
 from repro.core.slices import SlicePartition
 from repro.experiments.config import RunSpec
 from repro.experiments.figures import run_spec, simulation
-from repro.metrics.disorder import global_disorder, slice_disorder
 from repro.metrics.statistics import SummaryStats, summarize
 
 __all__ = [
@@ -36,13 +35,14 @@ __all__ = [
 
 
 def final_sdm(sim, partition: SlicePartition) -> float:
-    """Outcome: slice disorder at the end of the run."""
-    return slice_disorder(sim.live_nodes(), partition)
+    """Outcome: slice disorder at the end of the run (``partition`` is
+    the spec's, the one the engine slices by)."""
+    return sim.slice_disorder()
 
 
 def final_gdm(sim, partition: SlicePartition) -> float:
     """Outcome: global disorder at the end of the run."""
-    return global_disorder(sim.live_nodes())
+    return sim.global_disorder()
 
 
 def cycles_to_sdm(threshold: float) -> Callable:

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.core.slices import SlicePartition
-from repro.metrics.disorder import global_disorder, slice_disorder
-
 __all__ = [
     "TimeSeries",
     "Collector",
@@ -119,14 +116,14 @@ class Collector:
 
 
 class SliceDisorderCollector(Collector):
-    """Samples the slice disorder measure (SDM)."""
+    """Samples the slice disorder measure (SDM) over the engine's own
+    partition."""
 
-    def __init__(self, partition: SlicePartition, name: str = "sdm", every: int = 1):
+    def __init__(self, name: str = "sdm", every: int = 1):
         super().__init__(name, every)
-        self.partition = partition
 
     def measure(self, sim) -> float:
-        return slice_disorder(sim.live_nodes(), self.partition)
+        return sim.slice_disorder()
 
 
 class GlobalDisorderCollector(Collector):
@@ -136,7 +133,7 @@ class GlobalDisorderCollector(Collector):
         super().__init__(name, every)
 
     def measure(self, sim) -> float:
-        return global_disorder(sim.live_nodes())
+        return sim.global_disorder()
 
 
 class UnsuccessfulSwapCollector(Collector):

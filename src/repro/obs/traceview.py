@@ -13,11 +13,10 @@ __ https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAy
 Cycles are placed end-to-end on a per-engine clock: each record
 advances the engine's cursor by its ``wall_ns``, so a multi-engine
 profile (``examples/profile_cycle.py`` writes three) renders as three
-parallel process groups with comparable time axes.  Records without
-timeline events (a profile taken without ``timeline=True``) degrade
-gracefully: their top-level spans are synthesized as consecutive
-driver events in recorded order, which matches execution order since
-phases run sequentially.
+parallel process groups with comparable time axes.  A record without
+timeline events (a profile taken without ``timeline=True``) converts
+to its cycle event only: its span totals say how long each phase took,
+not when it ran, so there is nothing to lay out.
 
 Usage::
 
@@ -123,25 +122,12 @@ def to_trace(records: List[dict]) -> dict:
         events.append(
             _complete_event(label, label, pid, DRIVER_TID, base, wall_ns)
         )
-        timeline = record.get("events")
-        if timeline:
-            for track, path, offset, dur in timeline:
-                tid = _track_tid(track)
-                name_track(engine, pid, tid)
-                events.append(_complete_event(
-                    _span_name(path), path, pid, tid, base + int(offset), int(dur)
-                ))
-        else:
-            # No timeline events: synthesize top-level spans back to
-            # back in recorded (= execution) order.
-            offset = 0
-            for path, (dur, _count) in record.get("spans", {}).items():
-                if "/" in path:
-                    continue
-                events.append(_complete_event(
-                    _span_name(path), path, pid, DRIVER_TID, base + offset, int(dur)
-                ))
-                offset += int(dur)
+        for track, path, offset, dur in record.get("events", ()):
+            tid = _track_tid(track)
+            name_track(engine, pid, tid)
+            events.append(_complete_event(
+                _span_name(path), path, pid, tid, base + int(offset), int(dur)
+            ))
         cursors[engine] = base + wall_ns
 
     events.sort(key=lambda e: (e["pid"], e.get("tid", 0), e.get("ts", -1.0)))

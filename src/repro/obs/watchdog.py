@@ -136,10 +136,9 @@ class Watchdog:
                 )
 
     def _check_occupancy_partition(self, sim, record, cycle) -> None:
-        loads_fn = getattr(sim, "shard_live_loads", None)
-        if loads_fn is None or "refresh" not in record.get("spans", {}):
-            return
-        loads = loads_fn()
+        if "refresh" not in record.get("spans", {}):
+            return  # only the bulk cycle refreshes shards
+        loads = sim.shard_live_loads()
         if not loads:
             return
         live = sim.state.live_count

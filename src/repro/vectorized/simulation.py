@@ -7,16 +7,14 @@ churn, view refresh, protocol round, clock advance — but each step is
 a batched array pass, which makes 10^6-node runs tractable on one
 machine (the scale regime the paper's evaluation could not reach).
 
-Two API surfaces are exposed:
-
-* the **reference-compatible surface** — ``run(cycles, collectors)``,
-  ``live_nodes()`` (lightweight row proxies), ``node()``,
-  ``add_node``/``remove_node``, ``rng()``, ``bus_stats`` — so existing
-  collectors, figures and churn models work unchanged;
-* the **bulk surface** — ``slice_disorder()``, ``global_disorder()``,
-  ``accuracy()``, ``confident_fraction()``, ``slice_index_array()`` —
-  vectorized metrics that stay cheap at a million nodes, where
-  building a proxy per node per cycle would dominate the run.
+It serves the engine surface every backend serves
+(:class:`~repro.core.backends.SimulationBackend`): ``run(cycles,
+collectors)``, ``live_nodes()`` (lightweight row proxies), ``node()``,
+``add_node``/``remove_node``, ``bus_stats``, and the slicing queries
+``slice_assignment()``, ``slice_sizes()``, ``slice_disorder()``,
+``global_disorder()``, ``accuracy()``, ``confident_fraction()`` —
+here array passes that stay cheap at a million nodes, where building
+a proxy per node per cycle would dominate the run.
 
 :meth:`VectorSimulation.run_cycle` is the one definition of a bulk
 cycle: every cycle's random schedule — churn, draws, exchange waves,
@@ -42,7 +40,7 @@ from __future__ import annotations
 
 import random
 import weakref
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -362,7 +360,9 @@ class VectorSimulation:
         return self._stats
 
     def node(self, node_id: int) -> VectorNodeView:
-        if not 0 <= node_id < self.state.size:
+        """The proxy of live node ``node_id`` (KeyError if it is not
+        live, as on the reference engine)."""
+        if not self.state.is_alive(node_id):
             raise KeyError(node_id)
         return VectorNodeView(self, node_id)
 
@@ -637,14 +637,15 @@ class VectorSimulation:
             believed = self.geometry.index_of(values)
             return float(np.mean(truth == believed))
 
-    def slice_index_array(self) -> np.ndarray:
-        """Each live node's believed slice index (live-id order)."""
-        _live, _attrs, values = self._live_arrays()
-        return self.geometry.index_of(values)
+    def slice_assignment(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(ids, slices)``: the live node ids, ascending, and the
+        slice each currently assigns itself to."""
+        live, _attrs, values = self._live_arrays()
+        return live, self.geometry.index_of(values)
 
     def slice_sizes(self) -> List[int]:
         """Claimed membership count per slice."""
-        counts = np.bincount(self.slice_index_array(), minlength=len(self.partition))
+        counts = np.bincount(self.slice_assignment()[1], minlength=len(self.partition))
         return [int(c) for c in counts]
 
     def confident_fraction(self, confidence: float = 0.95) -> float:

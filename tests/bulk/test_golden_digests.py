@@ -76,8 +76,7 @@ def run_digest(overrides, **backend) -> str:
         digest.update(repr((stats, sim.now, sim.rebalance_count)).encode())
         return digest.hexdigest()[:24]
     finally:
-        if hasattr(sim, "close"):
-            sim.close()
+        sim.close()
 
 
 GOLDEN = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {"digests": {}}

@@ -96,6 +96,13 @@ class TestMembership:
         service.leave(node_id)
         assert service.size == 30
 
+    @pytest.mark.parametrize("backend", ["reference", "vectorized", "sharded"])
+    def test_slice_of_a_departed_node_raises(self, backend):
+        with SlicingService(size=30, slices=3, seed=4, backend=backend) as service:
+            service.leave(5)
+            with pytest.raises(KeyError):
+                service.slice_of(5)
+
     def test_joiner_finds_high_slice(self):
         service = SlicingService(
             size=60,

@@ -86,8 +86,7 @@ class TestTable:
             sim.run(1)
             assert (sim.now, sim.live_count) == (1, 30)
         finally:
-            if hasattr(sim, "close"):
-                sim.close()
+            sim.close()
 
 
 class TestOrderingName:

@@ -26,7 +26,7 @@ def run_with_churn(protocol_name, churn, n=200, cycles=150, seed=9, slice_count=
         churn=churn,
         seed=seed,
     )
-    sdm = SliceDisorderCollector(partition)
+    sdm = SliceDisorderCollector()
     pop = PopulationCollector()
     sim.run(cycles, collectors=[sdm, pop])
     return sim, sdm.series, pop.series
@@ -85,7 +85,7 @@ class TestUncorrelatedChurn:
             slicer_factory=lambda: RankingProtocol(partition),
             attributes=distribution, view_size=10, churn=churn, seed=9,
         )
-        sdm = SliceDisorderCollector(partition)
+        sdm = SliceDisorderCollector()
         sim.run(200, collectors=[sdm])
         converged = sdm.series.value_at_or_before(100)
         # No systematic drift: late SDM stays in the converged regime.

@@ -72,7 +72,7 @@ class TestCollectors:
 
     def test_sdm_collector_decreases(self):
         sim = make_ordering_sim(n=60)
-        collector = SliceDisorderCollector(sim.partition)
+        collector = SliceDisorderCollector()
         sim.run(20, collectors=[collector])
         assert collector.series.final < collector.series.values[0]
 

@@ -182,8 +182,7 @@ class TestMetricsStream:
             try:
                 sim.run(6)
             finally:
-                if hasattr(sim, "close"):
-                    sim.close()
+                sim.close()
             streams[backend] = [
                 {k: v for k, v in record.items() if k != "engine"}
                 for record in telemetry.metrics_records()

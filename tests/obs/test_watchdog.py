@@ -137,8 +137,10 @@ class TestOccupancyPartition:
         checker = Watchdog(checks=["occupancy_partition"])
         # No refresh this cycle: occupancies may be stale — skip.
         checker.check(FakeSharded(loads=[1], live=100), cycle_record())
-        # Engine without shard loads (vectorized): skip.
-        checker.check(object(), cycle_record(spans={"refresh": [10, 1]}))
+        # No shard loads reported yet: skip.
+        checker.check(
+            FakeSharded(loads=[], live=100), cycle_record(spans={"refresh": [10, 1]})
+        )
 
 
 class TestCounterConsistency:
@@ -179,8 +181,7 @@ class TestEndToEnd:
             try:
                 sim.run(4)
             finally:
-                if hasattr(sim, "close"):
-                    sim.close()
+                sim.close()
             assert telemetry.watchdog.cycles_checked == 4
 
     def test_injected_occupancy_corruption_raises_with_cycle(self):

@@ -361,11 +361,10 @@ class TestCrossBackendStatistical:
         out = {}
         for backend in ("reference", "vectorized", "sharded"):
             sim = build_simulation(spec.with_overrides(backend=backend))
-            collector = SliceDisorderCollector(spec.partition())
+            collector = SliceDisorderCollector()
             sim.run(spec.cycles, collectors=[collector])
             out[backend] = (np.array(collector.series.values), sim.live_count)
-            if hasattr(sim, "close"):
-                sim.close()
+            sim.close()
         return out
 
     @pytest.mark.parametrize("backend", ["vectorized", "sharded"])

@@ -30,7 +30,7 @@ CHECKPOINTS = (5, 10, 20, 40)
 def sdm_curve(spec):
     sim = build_simulation(spec)
     initial_values = [node.value for node in sim.live_nodes()]
-    collector = SliceDisorderCollector(spec.partition())
+    collector = SliceDisorderCollector()
     sim.run(spec.cycles, collectors=[collector])
     return np.array(collector.series.values), initial_values
 

@@ -129,7 +129,7 @@ class TestProtocolRounds:
 class TestCompatibilitySurface:
     def test_reference_collectors_work(self):
         sim = make_sim(n=120)
-        sdm = SliceDisorderCollector(sim.partition)
+        sdm = SliceDisorderCollector()
         gdm = GlobalDisorderCollector()
         pop = PopulationCollector()
         sim.run(10, collectors=[sdm, gdm, pop])
