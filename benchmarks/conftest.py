@@ -2,10 +2,11 @@
 
 Each benchmark regenerates one paper figure (or an ablation) exactly
 once via ``benchmark.pedantic(rounds=1)`` — the output is the figure's
-series and findings; pytest-benchmark's timing table only says how long
-each regeneration took (speed is measured by ``bench/run.py``).  Every
-regenerated figure is printed to the terminal and archived under
-``benchmarks/results/``.
+series, findings and claim verdicts; pytest-benchmark's timing table
+only says how long each regeneration took (speed is measured by
+``bench/run.py``).  :func:`emit` prints a regenerated figure to the
+terminal and archives it under ``benchmarks/results/``; the
+:func:`paper_claims` fixture runs a figure and asserts its claims.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import os
 
 import pytest
 
+from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.report import render_result
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -31,15 +33,17 @@ def emit(result, max_rows: int = 18) -> None:
 
 
 @pytest.fixture
-def regenerate(benchmark, capsys):
-    """Run a figure function once under pytest-benchmark and emit it."""
+def paper_claims(benchmark, capsys):
+    """Run one figure once and assert that every claim its definition
+    carries holds.  Reference-engine runs are the archived figures."""
 
-    def _run(figure_fn, max_rows: int = 18, **kwargs):
-        result = benchmark.pedantic(
-            lambda: figure_fn(**kwargs), rounds=1, iterations=1
-        )
-        with capsys.disabled():
-            emit(result, max_rows=max_rows)
-        return result
+    def check(figure: str, **overrides) -> None:
+        run = ALL_FIGURES[figure]
+        result = benchmark.pedantic(run, kwargs=overrides, rounds=1, iterations=1)
+        if "backend" not in overrides:
+            with capsys.disabled():
+                emit(result)
+        failed = [claim.name for claim, holds in result.verdicts if not holds]
+        assert result.verdicts and not failed, failed
 
-    return _run
+    return check

@@ -1,21 +1,18 @@
 """Lemma 4.1 and Theorem 5.1: analytical bounds vs Monte Carlo.
 
-These regenerate the paper's two theory results as tables: the
-Chernoff slice-population bounds (Section 4.4) and the sample-size
-requirement of the ranking algorithm (Section 5.2).
+The first two regenerate the paper's two theory results as tables and
+assert the claims ``run_lemma41`` / ``run_theorem51`` carry; the last
+runs mod-JK to convergence and holds the slice populations it claims
+to the lemma's interval.
 """
 
-from repro.experiments.figures import run_lemma41, run_theorem51
+
+def test_lemma41_chernoff_bounds(paper_claims):
+    paper_claims("lemma41", n=10_000, eps=0.05, trials=150, seed=0)
 
 
-def test_lemma41_chernoff_bounds(regenerate):
-    result = regenerate(run_lemma41, n=10_000, eps=0.05, trials=150, seed=0)
-    # Chernoff is an upper bound: measured violation rates stay below eps.
-    for name, value in result.scalars.items():
-        assert value <= 0.05, name
-    # The guaranteed beta tightens as slices widen.
-    betas = result.series["beta_bound"]
-    assert betas.values == sorted(betas.values, reverse=True)
+def test_theorem51_sample_sizes(paper_claims):
+    paper_claims("theorem51", slice_count=10, trials=250, seed=0)
 
 
 def test_lemma41_on_the_live_protocol(benchmark, capsys):
@@ -74,25 +71,3 @@ def test_lemma41_on_the_live_protocol(benchmark, capsys):
     # And the populations genuinely fluctuate (not all exactly n/k) —
     # the inherent inaccuracy the paper characterizes.
     assert any(c != n // slice_count for c in counts)
-
-
-def test_theorem51_sample_sizes(regenerate):
-    result = regenerate(run_theorem51, slice_count=10, trials=250, seed=0)
-    # With the theorem's sample count, the slice estimate is correct at
-    # least ~confidence of the time.
-    for name, value in result.scalars.items():
-        if name.startswith("success@"):
-            assert value >= 0.92, name
-    # Required samples grow as the rank's margin to its nearest slice
-    # boundary shrinks (~1/d^2): sorting the tabulated ranks by margin
-    # must sort their requirements in the opposite direction.
-    from repro.core.slices import SlicePartition
-
-    partition = SlicePartition.equal(10)
-    required = result.series["required_samples"]
-    by_margin = sorted(
-        zip(required.times, required.values),
-        key=lambda rv: partition.slice_margin(rv[0]),
-    )
-    needs = [value for _rank, value in by_margin]
-    assert needs == sorted(needs, reverse=True)

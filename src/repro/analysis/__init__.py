@@ -1,11 +1,11 @@
 """Analytical results of the paper (Lemma 4.1, Theorem 5.1, Section 4.4)."""
 
 from repro.analysis.binomial import (
+    expected_sdm_floor,
     perfect_split_probability,
     perfect_split_upper_bound,
     relative_deviation,
     sdm_floor_of_values,
-    simulated_sdm_floor,
     slice_population_distribution,
     slice_population_interval,
 )
@@ -25,11 +25,11 @@ from repro.analysis.sample_size import (
 )
 
 __all__ = [
+    "expected_sdm_floor",
     "perfect_split_probability",
     "perfect_split_upper_bound",
     "relative_deviation",
     "sdm_floor_of_values",
-    "simulated_sdm_floor",
     "slice_population_distribution",
     "slice_population_interval",
     "SliceCardinalityBound",

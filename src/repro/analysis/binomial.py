@@ -8,17 +8,16 @@ Chernoff bounds of Lemma 4.1:
   equal slices — at most ``sqrt(2 / (n pi))``, so "it is highly
   possible that the random number distribution does not lead to a
   perfect division into slices";
-* a Monte-Carlo estimate of the **SDM floor**: the slice disorder that
-  remains after the ordering algorithms have *perfectly* sorted the
-  random values, which is what Figures 4(b) and 6(a) show JK and
-  mod-JK converging to.
+* the **SDM floor**: the slice disorder that remains after the
+  ordering algorithms have *perfectly* sorted the random values, which
+  is what Figures 4(b) and 6(a) show JK and mod-JK converging to — for
+  given values, and its exact expectation over uniform draws.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.slices import SlicePartition
 
@@ -28,7 +27,7 @@ __all__ = [
     "perfect_split_probability",
     "perfect_split_upper_bound",
     "relative_deviation",
-    "simulated_sdm_floor",
+    "expected_sdm_floor",
     "sdm_floor_of_values",
 ]
 
@@ -101,25 +100,30 @@ def sdm_floor_of_values(values: List[float], partition: SlicePartition) -> float
     return total
 
 
-def simulated_sdm_floor(
-    n: int,
-    partition: SlicePartition,
-    trials: int = 10,
-    rng: Optional[random.Random] = None,
-) -> Tuple[float, float]:
-    """Monte-Carlo ``(mean, std)`` of the SDM floor for n nodes.
+def expected_sdm_floor(n: int, partition: SlicePartition) -> float:
+    """Exact expectation of :func:`sdm_floor_of_values` over n uniform
+    draws: the plateau the ordering algorithms converge to on average.
 
-    Each trial draws n uniform (0, 1] values and evaluates
-    :func:`sdm_floor_of_values`; this predicts the plateau of the
-    ordering algorithms' SDM curves without running the protocol.
+    The k-th smallest of n uniform values is ``U_(k) ~ Beta(k, n-k+1)``,
+    so the floor's mean is ``sum_k sum_j P(U_(k) in slice j) *
+    dist(slice(k/n), slice j)``, each probability a difference of two
+    regularized incomplete beta functions.  Rows of k go in blocks of
+    about a million terms, so memory stays flat in n.
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    rng = rng if rng is not None else random.Random(0)
-    floors = []
-    for _ in range(trials):
-        values = [1.0 - rng.random() for _ in range(n)]
-        floors.append(sdm_floor_of_values(values, partition))
-    mean = sum(floors) / trials
-    variance = sum((f - mean) ** 2 for f in floors) / trials
-    return mean, math.sqrt(variance)
+    if n <= 0:
+        raise ValueError("n must be positive")
+    import numpy as np
+    from scipy.special import betainc  # not at import time: see above
+
+    uppers = np.array([s.upper for s in partition])
+    distance = np.array(
+        [[partition.slice_distance(t, j) for j in partition] for t in partition]
+    )
+    true = np.array([partition.index_of(k / n) for k in range(1, n + 1)])
+    block = max(1, 2**20 // len(partition))
+    total = 0.0
+    for start in range(0, n, block):
+        k = np.arange(start + 1, min(start + block, n) + 1, dtype=float)[:, None]
+        mass = np.diff(betainc(k, n + 1 - k, uppers), axis=1, prepend=0.0)
+        total += float((mass * distance[true[start : start + len(k)]]).sum())
+    return total

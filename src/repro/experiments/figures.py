@@ -9,20 +9,14 @@ curves the paper plots.  Every runner is ``run_figXY(full_scale=False,
 **overrides)`` where ``overrides`` are ``RunSpec`` fields, any of
 them.  The *default* scale is reduced (n=1000-ish) so the whole suite
 regenerates in minutes on a laptop; ``full_scale=True`` runs the
-paper's exact parameters (n = 10^4 and the paper's cycle counts).  The
-*shapes* asserted in DESIGN.md hold at both scales.
+paper's exact parameters (n = 10^4 and each definition's full-scale
+row).
 
-Scale reference (paper):
-
-========  =====  ======  ======  =========
-figure    n      cycles  slices  view size
-========  =====  ======  ======  =========
-4(a)      10^4   100     100     20
-4(b)      10^4   60      10      20
-4(c)      10^4   100     10      20
-4(d)      10^4   100     100     20
-6(a)-(d)  10^4   1000    100     10
-========  =====  ======  ======  =========
+Each definition carries the paper's claims about its figure as data
+(:class:`~repro.experiments.results.Claim`: id, section, statement,
+predicate over the result's scalars and series); every run judges
+them, whatever its scale or backend, and the report prints one
+verdict line per claim.
 """
 
 from __future__ import annotations
@@ -32,13 +26,13 @@ import random
 from contextlib import contextmanager
 from typing import Callable, Dict, List, Tuple
 
-from repro.analysis.binomial import sdm_floor_of_values, simulated_sdm_floor
+from repro.analysis.binomial import expected_sdm_floor, sdm_floor_of_values
 from repro.analysis.chernoff import cardinality_bounds
 from repro.analysis.sample_size import required_samples
 from repro.core.ranking import DEFAULT_WINDOW
 from repro.core.slices import SlicePartition
 from repro.experiments.config import RunSpec, build_simulation
-from repro.experiments.results import FigureResult
+from repro.experiments.results import Claim, FigureResult
 from repro.metrics.collectors import (
     FunctionCollector,
     GlobalDisorderCollector,
@@ -102,10 +96,18 @@ def run_spec(spec: RunSpec, extra_collectors=()) -> Tuple[TimeSeries, List[float
     return sdm.series, initial_values
 
 
-def figure(name: str, title: str, sweeps=(), full_scale=None, **defaults):
+def _claims(figure: str, section: str, table) -> Tuple[Claim, ...]:
+    """``table``: short name -> (statement, predicate(scalars, series))."""
+    return tuple(Claim(f"{figure}.{k}", section, *v) for k, v in table.items())
+
+
+def figure(
+    name, title, sweeps=(), full_scale=None, section="", claims=None, **defaults
+):
     """Define a figure: decorate its body ``(base: RunSpec, result) ->
     FigureResult`` into the runner ``run(full_scale=False,
-    **overrides)``.
+    **overrides)``, which judges the paper's ``claims`` (paper
+    ``section``) on the body's result.
 
     ``defaults`` are the figure's ``RunSpec`` fields at the reduced
     scale (n = 1000 throughout), ``full_scale`` the fields the paper's
@@ -120,6 +122,7 @@ def figure(name: str, title: str, sweeps=(), full_scale=None, **defaults):
     base spec.
     """
     defaults = {"n": 1000, **defaults}
+    claims = _claims(name, section, claims or {})
     scaled = {**defaults, "n": 10_000, **(full_scale or {})}
 
     def define(body):
@@ -138,7 +141,7 @@ def figure(name: str, title: str, sweeps=(), full_scale=None, **defaults):
                 "slices": base.slice_count,
                 "view": base.view_size,
             }
-            return body(base, FigureResult(name, title, params=params))
+            return body(base, FigureResult(name, title, params=params)).judge(claims)
 
         run.__name__ = run.__qualname__ = body.__name__
         run.__doc__ = body.__doc__
@@ -152,22 +155,60 @@ def figure(name: str, title: str, sweeps=(), full_scale=None, **defaults):
 def _floor_note(
     result: FigureResult, spec: RunSpec, initial_values: List[float]
 ) -> float:
-    """Attach the random-value SDM floor (Section 4.4).
-
-    The *realized* floor of the run's actual initial random values is
-    the exact plateau a perfectly-ordering run ends at; the Monte-Carlo
-    mean/std quantify how (widely) that floor varies across draws —
-    the paper's "inherent limitation".
-    """
+    """Attach the random-value SDM floor (Section 4.4): the *realized*
+    floor of the run's initial random values — the exact plateau a
+    perfectly ordering run ends at — beside its expectation over all
+    draws, the paper's "inherent limitation"."""
     partition = spec.partition()
-    mean, std = simulated_sdm_floor(
-        spec.n, partition, trials=5, rng=random.Random(spec.seed)
-    )
-    result.add_scalar("predicted_sdm_floor_mean", mean)
-    result.add_scalar("predicted_sdm_floor_std", std)
+    expected = expected_sdm_floor(spec.n, partition)
     realized = sdm_floor_of_values(initial_values, partition)
+    result.add_scalar("expected_sdm_floor", expected)
     result.add_scalar("realized_sdm_floor", realized)
+    result.add_scalar("realized_over_expected", realized / expected)
     return realized
+
+
+def _over_floor(scalars, name: str) -> float:
+    return scalars[name] / max(scalars["realized_sdm_floor"], 1e-9)
+
+
+def _hit(scalars, run: str) -> float:
+    """``run``'s cycles to threshold; never (-1) is infinitely many."""
+    cycles = scalars[f"{run}_cycles_to_threshold"]
+    return math.inf if cycles == -1 else cycles
+
+
+def _fell(factor: float, *series: TimeSeries) -> bool:
+    """Every series ends over ``factor``-fold below its first value."""
+    return all(s.final < s.values[0] / factor for s in series)
+
+
+def _descending(values) -> bool:
+    return list(values) == sorted(values, reverse=True)
+
+
+def _mid(series: TimeSeries) -> float:
+    """The series' value half-way through the run."""
+    return series.value_at_or_before(series.times[-1] // 2)
+
+
+def _early(scalars, run: str) -> float:
+    """``run``'s cumulative percentage at fig4c's first checkpoint."""
+    return next(v for name, v in scalars.items() if name.startswith(f"{run}@"))
+
+
+def _fig4c_percentages(s, c) -> bool:
+    runs = {f"{p}-{m}" for p in ("jk", "mod-jk") for m in ("half", "full")}
+    return set(c) == runs and all(0 <= v <= 100 for v in s.values())
+
+
+def _fig4d_same_speed(s, c) -> bool:
+    settled = {name: x.first_time_below(1.1 * x.final) for name, x in c.items()}
+    return settled["full-concurrency"] <= 3 * max(settled["no-concurrency"], 1)
+
+
+def _window_over_ranking(scalars, name: str) -> float:
+    return scalars[f"sliding_window_{name}"] / scalars[f"ranking_{name}"]
 
 
 # ----------------------------------------------------------------------
@@ -178,18 +219,30 @@ def _floor_note(
 @figure(
     "fig4a",
     "SDM vs GDM over one mod-JK run",
+    section="§4.3",
+    claims={
+        "gdm-to-zero": (
+            "GDM falls over 1000-fold: ordering sorts the random values",
+            lambda s, c: _fell(1000, c["gdm"]),
+        ),
+        "sdm-floored": (
+            "SDM plateaus at 0.99-1.5x the realized random-value floor",
+            lambda s, c: 0.99 <= _over_floor(s, "final_sdm") <= 1.5,
+        ),
+        "early-descent": (
+            "early on SDM and GDM fall together: both are lower at cycle 10",
+            lambda s, c: all(
+                x.value_at_or_before(10) < x.values[0] for x in c.values()
+            ),
+        ),
+    },
     cycles=100,
     slice_count=100,
     view_size=20,
     protocol="mod-jk",
 )
 def run_fig4a(base: RunSpec, result: FigureResult) -> FigureResult:
-    """Figure 4(a): SDM vs GDM along one mod-JK run.
-
-    The paper's point: GDM reaches 0 (perfect ordering) while SDM is
-    "lower bounded by a positive value" — ordering alone cannot fix the
-    slice assignment.
-    """
+    """Figure 4(a): SDM vs GDM along one mod-JK run."""
     sdm = SliceDisorderCollector(name="sdm")
     gdm = GlobalDisorderCollector(name="gdm")
     with simulation(base) as sim:
@@ -200,11 +253,7 @@ def run_fig4a(base: RunSpec, result: FigureResult) -> FigureResult:
     result.add_series(gdm.series)
     result.add_scalar("final_gdm", gdm.series.final)
     result.add_scalar("final_sdm", sdm.series.final)
-    floor = _floor_note(result, base, initial_values)
-    result.add_note(
-        "Expected shape: GDM converges toward 0 while SDM plateaus near the "
-        f"predicted random-value floor (~{floor:.0f})."
-    )
+    _floor_note(result, base, initial_values)
     return result
 
 
@@ -212,6 +261,28 @@ def run_fig4a(base: RunSpec, result: FigureResult) -> FigureResult:
     "fig4b",
     "SDM over time: JK vs mod-JK",
     sweeps=("protocol",),
+    section="§4.4",
+    claims={
+        "modjk-first": (
+            "mod-JK reaches 2x the floor, strictly before JK if JK does",
+            lambda s, c: _hit(s, "modjk") < _hit(s, "jk"),
+        ),
+        "modjk-ahead": (
+            "mod-JK's SDM is at or below JK's at cycles 10, 20, 30 and 40",
+            lambda s, c: all(
+                c["mod-jk"].value_at_or_before(t) <= c["jk"].value_at_or_before(t)
+                for t in (10, 20, 30, 40)
+            ),
+        ),
+        "same-floor": (
+            "mod-JK ends within 35% of the realized floor: both sort one draw",
+            lambda s, c: 0.65 <= _over_floor(s, "modjk_final_sdm") <= 1.35,
+        ),
+        "jk-not-below": (
+            "JK ends at or above mod-JK's final SDM",
+            lambda s, c: s["modjk_final_sdm"] <= s["jk_final_sdm"],
+        ),
+    },
     cycles=60,
     slice_count=10,
     view_size=20,
@@ -219,10 +290,8 @@ def run_fig4a(base: RunSpec, result: FigureResult) -> FigureResult:
 def run_fig4b(base: RunSpec, result: FigureResult) -> FigureResult:
     """Figure 4(b): SDM over time — JK vs mod-JK, 10 equal slices.
 
-    The paper's point: mod-JK "converges significantly faster than JK";
-    both end at the *same* SDM floor because they sort the same random
-    values.  Both runs share the seed, so initial views, attribute
-    values and initial random values coincide.
+    Both runs share the seed, so initial views, attribute values and
+    initial random values coincide: both sort the same random values.
     """
     jk_series, initial_values = run_spec(base.with_overrides(protocol="jk"))
     mod_series, _ = run_spec(base.with_overrides(protocol="mod-jk"))
@@ -240,10 +309,6 @@ def run_fig4b(base: RunSpec, result: FigureResult) -> FigureResult:
         result.add_scalar("speedup_jk_over_modjk", jk_hit / mod_hit)
     result.add_scalar("jk_final_sdm", jk_series.final)
     result.add_scalar("modjk_final_sdm", mod_series.final)
-    result.add_note(
-        "Expected shape: mod-jk reaches the floor in fewer cycles than jk; "
-        "final SDMs are similar (same random values)."
-    )
     return result
 
 
@@ -251,18 +316,34 @@ def run_fig4b(base: RunSpec, result: FigureResult) -> FigureResult:
     "fig4c",
     "Percentage of unsuccessful swaps",
     sweeps=("protocol", "concurrency"),
+    section="§4.5.2",
+    claims={
+        "full-over-half": (
+            "full concurrency wastes more swaps than half, for JK and for mod-JK",
+            lambda s, c: all(
+                _early(s, f"{p}-full") > _early(s, f"{p}-half")
+                for p in ("jk", "mod-jk")
+            ),
+        ),
+        "modjk-collides": (
+            "mod-JK's messages collide: its full-concurrency waste is >= 0.8x JK's",
+            lambda s, c: _early(s, "mod-jk-full") >= 0.8 * _early(s, "jk-full"),
+        ),
+        "percentages": (
+            "four runs, JK and mod-JK under half and full; values are percentages",
+            _fig4c_percentages,
+        ),
+    },
     cycles=100,
     slice_count=10,
     view_size=20,
 )
 def run_fig4c(base: RunSpec, result: FigureResult) -> FigureResult:
     """Figure 4(c): percentage of unsuccessful swaps under half/full
-    concurrency, for JK and mod-JK, sampled at cycles 10/50/90.
+    concurrency, for JK and mod-JK, sampled at cycles 10/50/90 (the
+    claims read the first checkpoint, where swap traffic is heavy).
 
-    The paper's points: more concurrency means more useless messages,
-    and mod-JK wastes *more* than JK because the gain heuristic
-    concentrates messages on the most-misplaced nodes.  The bulk
-    backends run the same overlap regimes in batched form
+    The bulk backends run the same overlap regimes in batched form
     (:mod:`repro.bulk.concurrency`), so this study scales to millions
     of nodes with ``backend="vectorized"`` or ``"sharded"``.
     """
@@ -288,11 +369,6 @@ def run_fig4c(base: RunSpec, result: FigureResult) -> FigureResult:
                 result.add_scalar(
                     f"{label}@c{checkpoint}", cumulative.series.at(checkpoint)
                 )
-    result.add_note(
-        "Expected shape: full > half concurrency for each algorithm; "
-        "mod-jk >= jk under the same concurrency (targeted messages "
-        "collide).  Checkpoint values are cumulative percentages."
-    )
     return result
 
 
@@ -300,6 +376,25 @@ def run_fig4c(base: RunSpec, result: FigureResult) -> FigureResult:
     "fig4d",
     "mod-JK under no vs full concurrency",
     sweeps=("concurrency",),
+    section="§4.5.2",
+    claims={
+        "both-converge": (
+            "with and without concurrency SDM ends over 5-fold below its start",
+            lambda s, c: _fell(5, *c.values()),
+        ),
+        "slight-at-end": (
+            "full concurrency ends under 2x no concurrency's SDM",
+            lambda s, c: s["full_over_none_final_ratio"] < 2,
+        ),
+        "slight-mid-run": (
+            "full concurrency is under 2x no concurrency's SDM mid-run",
+            lambda s, c: s["full_sdm_at_mid"] / max(s["none_sdm_at_mid"], 1e-9) < 2,
+        ),
+        "same-speed": (
+            "full concurrency gets within 10% of its plateau in <= 3x the cycles",
+            _fig4d_same_speed,
+        ),
+    },
     cycles=100,
     slice_count=100,
     view_size=20,
@@ -307,11 +402,8 @@ def run_fig4c(base: RunSpec, result: FigureResult) -> FigureResult:
 )
 def run_fig4d(base: RunSpec, result: FigureResult) -> FigureResult:
     """Figure 4(d): mod-JK convergence, no concurrency vs full
-    concurrency.
-
-    The paper's point: "Full-concurrency impacts on the convergence
-    speed very slightly."  Runs on any backend; the bulk engines model
-    the same overlap regimes in batched form.
+    concurrency.  Runs on any backend; the bulk engines model the same
+    overlap regimes in batched form.
     """
     none_series, initial_values = run_spec(base.with_overrides(concurrency="none"))
     full_series, _ = run_spec(base.with_overrides(concurrency="full"))
@@ -322,18 +414,13 @@ def run_fig4d(base: RunSpec, result: FigureResult) -> FigureResult:
     # Under full concurrency one-sided swaps can perturb the random-value
     # multiset, so the realized floor of the initial values no longer
     # binds exactly; compare the curves directly instead.
-    mid = base.cycles // 2
-    result.add_scalar("none_sdm_at_mid", none_series.value_at_or_before(mid))
-    result.add_scalar("full_sdm_at_mid", full_series.value_at_or_before(mid))
+    result.add_scalar("none_sdm_at_mid", _mid(none_series))
+    result.add_scalar("full_sdm_at_mid", _mid(full_series))
     result.add_scalar("none_final_sdm", none_series.final)
     result.add_scalar("full_final_sdm", full_series.final)
     result.add_scalar(
         "full_over_none_final_ratio",
         full_series.final / max(none_series.final, 1e-9),
-    )
-    result.add_note(
-        "Expected shape: the two curves nearly coincide; full concurrency "
-        "costs at most a small constant factor in convergence."
     )
     return result
 
@@ -347,30 +434,36 @@ def run_fig4d(base: RunSpec, result: FigureResult) -> FigureResult:
     "fig6a",
     "Ranking vs ordering, static system",
     sweeps=("protocol",),
+    section="§5.3.1",
+    claims={
+        "ordering-floored": (
+            "ordering is lower bounded: it ends at >= 0.9x the realized floor",
+            lambda s, c: _over_floor(s, "ordering_final_sdm") >= 0.9,
+        ),
+        "ranking-below-ordering": (
+            "ranking ends below ordering",
+            lambda s, c: s["ranking_final_sdm"] < s["ordering_final_sdm"],
+        ),
+        "ranking-improving": (
+            "ranking is not bounded: it ends below its own mid-run SDM",
+            lambda s, c: c["ranking"].final < _mid(c["ranking"]),
+        ),
+    },
     cycles=400,
     slice_count=100,
     view_size=10,
     full_scale={"cycles": 1000},
 )
 def run_fig6a(base: RunSpec, result: FigureResult) -> FigureResult:
-    """Figure 6(a): SDM over time — ranking vs ordering, static system.
-
-    The paper's point: the ordering algorithm's SDM is lower bounded
-    (random-value floor) "while the one of the ranking algorithm is
-    not" — ranking keeps improving.
-    """
+    """Figure 6(a): SDM over time — ranking vs ordering, static system."""
     ordering_series, initial_values = run_spec(base.with_overrides(protocol="mod-jk"))
     ranking_series, _ = run_spec(base.with_overrides(protocol="ranking"))
 
     result.add_series(ordering_series, "ordering")
     result.add_series(ranking_series, "ranking")
-    floor = _floor_note(result, base, initial_values)
+    _floor_note(result, base, initial_values)
     result.add_scalar("ordering_final_sdm", ordering_series.final)
     result.add_scalar("ranking_final_sdm", ranking_series.final)
-    result.add_note(
-        "Expected shape: ordering plateaus near the predicted floor "
-        f"(~{floor:.0f}); ranking keeps decreasing below it."
-    )
     return result
 
 
@@ -378,6 +471,17 @@ def run_fig6a(base: RunSpec, result: FigureResult) -> FigureResult:
     "fig6b",
     "Ranking: uniform oracle vs Cyclon-variant views",
     sweeps=("sampler",),
+    section="§5.3.2",
+    claims={
+        "both-converge": (
+            "on either sampler SDM ends over 5-fold below its start",
+            lambda s, c: _fell(5, c["sdm-uniform"], c["sdm-views"]),
+        ),
+        "curves-overlap": (
+            "after warm-up the views' curve is within 40% of the oracle's",
+            lambda s, c: s["max_abs_deviation_pct_after_warmup"] < 40,
+        ),
+    },
     cycles=400,
     slice_count=100,
     view_size=10,
@@ -387,11 +491,7 @@ def run_fig6a(base: RunSpec, result: FigureResult) -> FigureResult:
 def run_fig6b(base: RunSpec, result: FigureResult) -> FigureResult:
     """Figure 6(b): ranking on an idealized uniform sampler vs on the
     Cyclon-variant views, plus the percentage deviation between the
-    two SDM curves.
-
-    The paper's point: the two "almost overlap" — deviation stays
-    within a few percent — so the Cyclon variant is an adequate
-    sampling substrate.
+    two SDM curves (paper: within ±7% at n = 10^4).
     """
     uniform_series, _ = run_spec(base.with_overrides(sampler="uniform"))
     views_series, _ = run_spec(base.with_overrides(sampler="cyclon-variant"))
@@ -408,10 +508,6 @@ def run_fig6b(base: RunSpec, result: FigureResult) -> FigureResult:
     warmup = max(1, base.cycles // 10)
     late = [v for t, v in deviation if t >= warmup]
     result.add_scalar("max_abs_deviation_pct_after_warmup", max(abs(v) for v in late))
-    result.add_note(
-        "Expected shape: the two SDM curves nearly overlap; deviation "
-        "stays within a few percent after warm-up (paper: within ±7%)."
-    )
     return result
 
 
@@ -419,6 +515,21 @@ def run_fig6b(base: RunSpec, result: FigureResult) -> FigureResult:
     "fig6c",
     "Churn burst (correlated): ranking vs JK",
     sweeps=("protocol",),
+    section="§5.3.3",
+    claims={
+        "ranking-recovers": (
+            "after the burst ranking's SDM falls below 0.8x its burst-end value",
+            lambda s, c: s["ranking_recovery_ratio"] < 0.8,
+        ),
+        "jk-stuck": (
+            "JK's convergence gets stuck: it recovers less than ranking",
+            lambda s, c: s["ranking_recovery_ratio"] < s["jk_recovery_ratio"],
+        ),
+        "ranking-ends-lower": (
+            "ranking ends below JK",
+            lambda s, c: s["ranking_final_sdm"] < s["jk_final_sdm"],
+        ),
+    },
     cycles=600,
     slice_count=100,
     view_size=10,
@@ -432,10 +543,6 @@ def run_fig6c(base: RunSpec, result: FigureResult) -> FigureResult:
     join per cycle (paper: 0.1%) for the first ``churn_burst_end``
     cycles, correlated with the attribute (lowest leave, above-max
     join) — ranking vs JK.
-
-    The paper's point: when the burst stops, the ranking algorithm's
-    SDM "starts decreasing again" while the ordering algorithm's
-    convergence "gets stuck".
     """
     burst_end = base.churn_burst_end
     result.params.update(churn_rate=base.churn_rate, burst_end=burst_end)
@@ -455,10 +562,6 @@ def run_fig6c(base: RunSpec, result: FigureResult) -> FigureResult:
         ranking_series.final / max(ranking_at_burst_end, 1e-9),
     )
     result.add_scalar("jk_recovery_ratio", jk_series.final / max(jk_at_burst_end, 1e-9))
-    result.add_note(
-        "Expected shape: after the burst stops, ranking's SDM resumes "
-        "decreasing (recovery ratio < 1) while jk stays stuck (ratio ~ 1)."
-    )
     return result
 
 
@@ -466,6 +569,25 @@ def run_fig6c(base: RunSpec, result: FigureResult) -> FigureResult:
     "fig6d",
     "Regular churn: ordering vs ranking vs sliding-window",
     sweeps=("protocol",),
+    section="§5.3.4",
+    claims={
+        "ranking-below-ordering": (
+            "under correlated churn ranking ends below ordering",
+            lambda s, c: s["ranking_final_sdm"] < s["ordering_final_sdm"],
+        ),
+        "window-below-ordering": (
+            "under correlated churn the sliding window ends below ordering",
+            lambda s, c: s["sliding_window_final_sdm"] < s["ordering_final_sdm"],
+        ),
+        "window-stable": (
+            "the sliding window rises over its minimum <= 1.1x as much as ranking",
+            lambda s, c: _window_over_ranking(s, "rise_ratio") <= 1.1,
+        ),
+        "window-near-ranking": (
+            "the sliding window ends at <= 1.25x ranking's SDM",
+            lambda s, c: _window_over_ranking(s, "final_sdm") <= 1.25,
+        ),
+    },
     cycles=600,
     slice_count=100,
     view_size=10,
@@ -479,11 +601,8 @@ def run_fig6d(base: RunSpec, result: FigureResult) -> FigureResult:
     """Figure 6(d): low regular churn (``churn_rate`` every
     ``churn_period`` cycles, paper: 0.1% every 10, correlated) —
     ordering vs ranking vs sliding-window ranking (``window``
-    observations; only that run reads it).
-
-    The paper's points: the ordering algorithm's SDM starts rising
-    early (cycle ~120 at paper scale); plain ranking much later
-    (~730); the sliding-window variant does not rise.
+    observations; only that run reads it).  At paper scale ordering's
+    SDM starts rising at cycle ~120, plain ranking's at ~730.
     """
     result.params.update(
         churn_rate=base.churn_rate, churn_period=base.churn_period, window=base.window
@@ -504,10 +623,6 @@ def run_fig6d(base: RunSpec, result: FigureResult) -> FigureResult:
         result.add_scalar(f"{label}_min_sdm", minimum)
         result.add_scalar(f"{label}_final_sdm", series.final)
         result.add_scalar(f"{label}_rise_ratio", series.final / max(minimum, 1e-9))
-    result.add_note(
-        "Expected shape: ordering's SDM rises well above its minimum; plain "
-        "ranking rises later/less; sliding-window stays near its minimum."
-    )
     return result
 
 
@@ -551,11 +666,17 @@ def run_lemma41(
         result.add_scalar(f"violation_rate@p={p}", rate)
     result.add_series(bound_series)
     result.add_series(violation_series)
-    result.add_note(
-        f"Expected: every violation rate <= eps={eps} (Chernoff is an upper "
-        "bound, so measured rates are typically much smaller)."
-    )
-    return result
+    claims = {
+        "within-eps": (
+            "a slice population leaves its Chernoff interval <= eps of the time",
+            lambda s, c: max(s.values()) <= eps,
+        ),
+        "beta-tightens": (
+            "the guaranteed beta shrinks as slices widen",
+            lambda s, c: _descending(c["beta_bound"].values),
+        ),
+    }
+    return result.judge(_claims("lemma41", "§4.4", claims))
 
 
 def run_theorem51(
@@ -603,11 +724,24 @@ def run_theorem51(
         result.add_scalar(f"success@rank={p}", rate)
     result.add_series(required_series)
     result.add_series(success_series)
-    result.add_note(
-        "Expected: success rates >= confidence coefficient; required sample "
-        "counts grow as the rank approaches a boundary (1/d^2)."
-    )
-    return result
+
+    def costlier_near_edges(s, c) -> bool:
+        required = c["required_samples"]
+        pairs = zip(required.times, required.values)
+        by_margin = sorted(pairs, key=lambda pair: partition.slice_margin(pair[0]))
+        return _descending([needed for _, needed in by_margin])
+
+    claims = {
+        "confident": (
+            "with the required samples the slice is right >= 92% of the time",
+            lambda s, c: min(c["success_rate"].values) >= 0.92,
+        ),
+        "costlier-near-edges": (
+            "required samples grow as the rank nears its slice's edge (1/d^2)",
+            costlier_near_edges,
+        ),
+    }
+    return result.judge(_claims("theorem51", "§5.2", claims))
 
 
 ALL_FIGURES.update(lemma41=run_lemma41, theorem51=run_theorem51)

@@ -2,8 +2,9 @@
 
 The benchmark harness is terminal-first: each figure's regeneration
 prints the same rows/series the paper plots, as an aligned text table,
-plus the scalar findings and shape notes.  (We deliberately do not
-depend on matplotlib: the library targets offline CI environments.)
+plus the scalar findings and one verdict line per paper claim.  (We
+deliberately do not depend on matplotlib: the library targets offline
+CI environments.)
 """
 
 from __future__ import annotations
@@ -120,6 +121,9 @@ def render_result(result: FigureResult, max_rows: int = 20) -> str:
             else:
                 lines.append(f"  {name} = {value}")
         lines.append("")
+    for claim, holds in result.verdicts:
+        verdict = "holds" if holds else "FAILS"
+        lines.append(f"{verdict}: {claim.name} ({claim.section}) {claim.statement}")
     for note in result.notes:
         lines.append(f"note: {note}")
     return "\n".join(lines)

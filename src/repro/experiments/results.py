@@ -2,20 +2,29 @@
 
 A :class:`FigureResult` holds everything a regenerated paper figure
 consists of: the named time series (one per curve), scalar findings
-(convergence cycles, plateaus, ratios), the run parameters, and
-free-form notes comparing the measured shape with the paper's claim.
-EXPERIMENTS.md is written from these objects via
-:mod:`repro.experiments.report`.
+(convergence cycles, plateaus, ratios), the run parameters, free-form
+notes, and the verdict of each of the paper's :class:`Claim` s on
+this run.  :mod:`repro.experiments.report` renders it as text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.metrics.collectors import TimeSeries
 
-__all__ = ["FigureResult"]
+__all__ = ["Claim", "FigureResult"]
+
+
+class Claim(NamedTuple):
+    """One claim of the paper, stated once: its id, the paper section,
+    the statement, and a predicate over a result's scalars and series."""
+
+    name: str
+    section: str
+    statement: str
+    holds: Callable[[Dict[str, float], Dict[str, TimeSeries]], bool]
 
 
 @dataclass
@@ -28,6 +37,7 @@ class FigureResult:
     series: Dict[str, TimeSeries] = field(default_factory=dict)
     scalars: Dict[str, float] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
+    verdicts: List[Tuple[Claim, bool]] = field(default_factory=list)
 
     def add_series(self, series: TimeSeries, name: Optional[str] = None) -> None:
         self.series[name if name is not None else series.name] = series
@@ -37,6 +47,12 @@ class FigureResult:
 
     def add_note(self, note: str) -> None:
         self.notes.append(note)
+
+    def judge(self, claims) -> "FigureResult":
+        """Record whether each of ``claims`` holds on this result."""
+        for claim in claims:
+            self.verdicts.append((claim, bool(claim.holds(self.scalars, self.series))))
+        return self
 
     # ------------------------------------------------------------------
     # Tabulation
@@ -66,9 +82,3 @@ class FigureResult:
                     row.append("-")
             body.append(row)
         return [header] + body
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"FigureResult({self.figure!r}, series={list(self.series)}, "
-            f"scalars={list(self.scalars)})"
-        )

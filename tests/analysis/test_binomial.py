@@ -3,14 +3,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.analysis.binomial import (
+    expected_sdm_floor,
     perfect_split_probability,
     perfect_split_upper_bound,
     relative_deviation,
     sdm_floor_of_values,
-    simulated_sdm_floor,
     slice_population_distribution,
     slice_population_interval,
 )
@@ -97,13 +98,21 @@ class TestSdmFloor:
             shuffled, partition
         )
 
-    def test_simulated_floor_positive_for_many_slices(self):
-        partition = SlicePartition.equal(100)
-        mean, std = simulated_sdm_floor(500, partition, trials=5)
-        assert mean > 0
-        assert std >= 0
+    @pytest.mark.parametrize("slices", [10, 100])
+    def test_expected_floor_matches_monte_carlo(self, slices):
+        n, trials = 1000, 400
+        partition = SlicePartition.equal(slices)
+        draws = np.sort(1.0 - np.random.default_rng(7).random((trials, n)), axis=1)
+        uppers = [s.upper for s in partition]
+        # (l, u] slices: a value's slice is the first upper bound >= it,
+        # and on equal slices the distance is the index difference.
+        believed = np.searchsorted(uppers, draws)
+        true = np.searchsorted(uppers, np.arange(1, n + 1) / n)
+        floors = np.abs(believed - true).sum(axis=1)
+        assert floors[0] == sdm_floor_of_values(list(draws[0]), partition)
+        error = floors.std(ddof=1) / math.sqrt(trials)
+        assert abs(expected_sdm_floor(n, partition) - floors.mean()) <= 3 * error
 
-    def test_simulated_floor_validation(self):
-        partition = SlicePartition.equal(2)
+    def test_expected_floor_validation(self):
         with pytest.raises(ValueError):
-            simulated_sdm_floor(100, partition, trials=0)
+            expected_sdm_floor(0, SlicePartition.equal(2))

@@ -1,7 +1,7 @@
 """Unit tests for FigureResult and report rendering."""
 
 from repro.experiments.report import format_table, render_result
-from repro.experiments.results import FigureResult
+from repro.experiments.results import Claim, FigureResult
 from repro.metrics.collectors import TimeSeries
 
 
@@ -70,3 +70,11 @@ class TestRenderResult:
         assert "final = 96" in text
         assert "note: shape holds" in text
         assert "time" in text
+
+    def test_one_verdict_line_per_claim(self):
+        falls = Claim("figX.falls", "§1", "SDM falls", lambda s, c: s["final"] < 100)
+        zero = Claim("figX.zero", "§1", "SDM reaches 0", lambda s, c: s["final"] == 0)
+        result = make_result().judge([falls, zero])
+        lines = render_result(result).splitlines()
+        assert "holds: figX.falls (§1) SDM falls" in lines
+        assert "FAILS: figX.zero (§1) SDM reaches 0" in lines
